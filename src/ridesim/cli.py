@@ -161,10 +161,10 @@ def cmd_experiment(args) -> int:
     raw = _parse_json(text, args.plan)
     plan = parse_plan(raw, base_dir=base_dir or ".")
     threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("RIDESIM_THREADS", 0)) or None
     if threads is not None and threads < 1:
         raise ConfigError("--threads", "must be >= 1")
+    if threads is None:
+        threads = _env_threads()
 
     out = _out_dir(args.out)
     started = _now()
@@ -173,6 +173,16 @@ def cmd_experiment(args) -> int:
     _write_manifest(out, plan.base_seed, _sha256(text.encode("utf-8")), started)
     print(f"experiment complete: {len(rows)} rows, outputs in {out}")
     return 0
+
+
+def _env_threads() -> int | None:
+    """Worker threads from RIDESIM_THREADS; None when unset or empty."""
+    text = os.environ.get("RIDESIM_THREADS", "").strip()
+    if not text:
+        return None
+    if not (text.isdecimal() and int(text) >= 1):
+        raise ConfigError("RIDESIM_THREADS", f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def cmd_generate(args) -> int:

@@ -54,7 +54,12 @@ class DriverDeclineCtx:
 
 @dataclass(frozen=True)
 class DriverReposCtx:
-    """Idle-driver repositioning choice."""
+    """Idle-driver repositioning choice, made after each completed ride.
+
+    ``open_requests`` maps an origin node to the number of requests waiting
+    there (nodes with none are absent). It is a snapshot taken for this call:
+    later queue changes do not show in it, and editing it changes nothing.
+    """
     driver_id: int
     position: int
     open_requests: Mapping      # node -> count of currently waiting requests
@@ -94,7 +99,13 @@ class PlatformChoiceCtx:
 
 @dataclass(frozen=True)
 class MatchCtx:
-    """One platform's matching problem at a trigger or window boundary."""
+    """One platform's matching problem at an instant pass or window boundary.
+
+    An instant platform's hook runs on every instant pass, including passes
+    with no idle driver or no waiting request; a batched platform's hook
+    runs only at its window boundaries. ``requests`` holds the waiting
+    requests in (t_request, request_id) order.
+    """
     platform_id: int
     mode: str                   # "instant" or "batched"
     requests: tuple             # waiting Request objects, (t_request, id) order
@@ -203,14 +214,17 @@ def default_match(ctx: MatchCtx) -> list:
         )
         return [p for p in assignment.pairs
                 if p not in ctx.excluded]
+    barred = {}
+    for rid, d in ctx.excluded:
+        barred.setdefault(rid, set()).add(d)
     pairs = []
     available = set(ctx.idle)
     for request in ctx.requests:
-        barred = frozenset(
-            d for (rid, d) in ctx.excluded if rid == request.request_id
-        )
+        if not available:
+            break
         driver = platforms.match_instant(
-            request, available, ctx.positions, ctx.skim, barred
+            request, available, ctx.positions, ctx.skim,
+            frozenset(barred.get(request.request_id, ())),
         )
         if driver is not None:
             pairs.append((request.request_id, driver))

@@ -192,6 +192,7 @@ class _Sim:
             r.request_id: r.traveller_id for r in inputs.requests
         }
         self.drivers = {d.driver_id: _DriverSim(d) for d in inputs.drivers}
+        self.open_counts = {}          # origin node -> requests waiting there
         self.excluded = set()          # (request_id, driver_id), cleared per timestamp
         self.excluded_t = 0.0
         self.resolve_pending = None    # timestamp of a scheduled instant pass
@@ -412,9 +413,29 @@ class _Sim:
             return
         trav.status = "waiting"
         self.record(TRAVELLER, t_id, "REQUESTS", trav.request.origin)
-        for pid in self.platform_order:
-            self.platforms[pid].enqueue(trav.request.t_request, trav.request.request_id)
+        self._enqueue(trav.request)
         self.schedule_matching()
+
+    # ------------------------------------------------------------- queues
+
+    def _enqueue(self, request):
+        """Put a request on every platform's queue."""
+        for pid in self.platform_order:
+            self.platforms[pid].enqueue(request)
+        self.open_counts[request.origin] = self.open_counts.get(request.origin, 0) + 1
+
+    def _dequeue(self, request):
+        """Take a request off every platform's queue; a no-op if it is not
+        waiting."""
+        removed = False
+        for pid in self.platform_order:
+            removed |= self.platforms[pid].remove_request(request)
+        if removed:
+            left = self.open_counts[request.origin] - 1
+            if left:
+                self.open_counts[request.origin] = left
+            else:
+                del self.open_counts[request.origin]
 
     # ------------------------------------------------------------- matching
 
@@ -448,8 +469,8 @@ class _Sim:
         offered = []
         for pid in self.platform_order:
             state = self.platforms[pid]
-            proposals = plat.trigger(state, lambda s=state: self._run_match(s))
-            offered.extend(self._enact(state, proposals))
+            if state.spec.matching == "instant":
+                offered.extend(self._enact(state, self._run_match(state)))
         self._conclude_pass(offered)
 
     def on_batch_boundary(self, state):
@@ -465,9 +486,7 @@ class _Sim:
 
     def _run_match(self, state):
         mode = state.spec.matching
-        requests = tuple(
-            self.requests_by_id[rid] for _, rid in state.waiting
-        )
+        requests = tuple(state.waiting)
         positions = {
             d: self.drivers[d].position for d in sorted(state.idle)
         }
@@ -528,7 +547,7 @@ class _Sim:
                 self.record(DRIVER, did, "DECLINES_REQUEST", driver.position,
                             f"request_id={rid};platform_id={pid}")
                 self.excluded.add((rid, did))
-                self._count_rejection(trav, reason_driver=True)
+                self._count_rejection(trav)
                 if not batch:
                     self.schedule_matching()
                 continue
@@ -545,8 +564,7 @@ class _Sim:
         """Move requests holding fresh offers out of every queue and line up
         their travellers' reactions."""
         for rid in offered:
-            for pid in self.platform_order:
-                self.platforms[pid].remove_request(rid)
+            self._dequeue(self.requests_by_id[rid])
             t_id = self.traveller_of_request[rid]
             trav = self.travellers[t_id]
             if trav.status != "unserved":
@@ -558,15 +576,13 @@ class _Sim:
                 self.push(self.now, _PH_REACT, TRAVELLER, t_id,
                           lambda tr=trav: self.on_offers(tr))
 
-    def _count_rejection(self, trav, reason_driver):
+    def _count_rejection(self, trav):
         trav.rejections += 1
         if trav.rejections >= self.params["max_rejections"]:
             self._fail_request(trav, reason="max_rejections")
 
     def _fail_request(self, trav, reason):
-        rid = trav.request.request_id
-        for pid in self.platform_order:
-            self.platforms[pid].remove_request(rid)
+        self._dequeue(trav.request)
         trav.status = "unserved"
         self.record(TRAVELLER, trav.request.traveller_id, "UNSERVED",
                     trav.request.origin, f"reason={reason}")
@@ -618,12 +634,9 @@ class _Sim:
             self.excluded.add((chosen.request_id, chosen.driver_id))
             self._release_driver(self.drivers[chosen.driver_id])
             trav.status = "rejected_waiting"
-            self._count_rejection(trav, reason_driver=False)
+            self._count_rejection(trav)
             if trav.status != "unserved":
-                for pid in self.platform_order:
-                    self.platforms[pid].enqueue(
-                        trav.request.t_request, chosen.request_id
-                    )
+                self._enqueue(trav.request)
                 self.schedule_matching()
             return
         self.record(
@@ -722,17 +735,11 @@ class _Sim:
                   lambda dist2, d=driver, to=target: self.on_repos_arrival(d, to, dist2))
 
     def _consult_repos(self, driver):
-        counts = {}
-        seen = set()
-        for pid in driver.spec.platform_ids:
-            for _, rid in self.platforms[pid].waiting:
-                if rid not in seen:
-                    seen.add(rid)
-                    origin = self.requests_by_id[rid].origin
-                    counts[origin] = counts.get(origin, 0) + 1
+        # every platform queues every request, so the driver's platforms
+        # together hold exactly the engine-wide waiting set
         ctx = DriverReposCtx(
             driver_id=driver.spec.driver_id, position=driver.position,
-            open_requests=counts, n_nodes=self.inputs.net.n,
+            open_requests=dict(self.open_counts), n_nodes=self.inputs.net.n,
             params=self.params, rng=self.rng,
         )
         target = self.decisions.f_driver_repos(ctx)
@@ -765,7 +772,6 @@ class _Sim:
             if trav.status == "waiting":
                 self._fail_request(trav, reason="horizon")
             elif trav.status == "rejected_waiting":
-                for pid in self.platform_order:
-                    self.platforms[pid].remove_request(trav.request.request_id)
+                self._dequeue(trav.request)
             elif trav.status == "offered":
                 self.fail(f"traveller {t_id} still holds offers at the horizon")

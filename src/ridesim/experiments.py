@@ -134,6 +134,17 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
 
 # ------------------------------------------------------------- replications
 
+def _network(config: ScenarioConfig, skim_cache: dict):
+    """Build the config's network and fetch its skim from ``skim_cache``,
+    building and storing it on a miss. The check and fill are not locked:
+    call this before handing the network to worker threads."""
+    net = config.graph.build()
+    key = net.content_key()
+    if key not in skim_cache:
+        skim_cache[key] = build_skim(net)
+    return net, skim_cache[key]
+
+
 def replicate(
     config: ScenarioConfig,
     n: int,
@@ -147,15 +158,14 @@ def replicate(
     independent of the thread count.
     """
     first = config.seed if base_seed is None else base_seed
-    cache = {} if skim_cache is None else skim_cache
-    net = config.graph.build()
-    key = net.content_key()
-    if key not in cache:
-        cache[key] = build_skim(net)
+    net, skim = _network(config, {} if skim_cache is None else skim_cache)
+    return _replicate(config, n, first, threads, net, skim)
 
+
+def _replicate(config, n, first, threads, net, skim) -> list[dict]:
     def one(k: int) -> dict:
         cfg = replace(config, seed=first + k)
-        inputs = materialize(cfg, skim_cache=cache)
+        inputs = materialize(cfg, net=net, skim=skim)
         dec = build_decision_set(cfg.decisions, cfg.behaviour)
         res = run_day(cfg, inputs, dec)
         kpi.validate_log(res.log)
@@ -184,18 +194,22 @@ def run_grid(plan: Plan, threads: int | None = None) -> list[dict]:
         for combo in itertools.product(*(plan.grid[k] for k in keys))
     ]
     tasks = []
+    cache: dict = {}
+    networks = {}       # graph spec -> (net, skim), all built before any worker starts
     for cell in cells:
         raw = copy.deepcopy(plan.base)
         for path, value in cell.items():
             apply_override(raw, path, value)
-        tasks.append((cell, parse_config(raw, base_dir=plan.base_dir)))
-    cache: dict = {}
+        cfg = parse_config(raw, base_dir=plan.base_dir)
+        if cfg.graph not in networks:
+            networks[cfg.graph] = _network(cfg, cache)
+        tasks.append((cell, cfg))
     nthreads = plan.threads if threads is None else threads
 
     def run_cell(task):
         cell, cfg = task
-        return replicate(cfg, plan.replications, base_seed=plan.base_seed,
-                         threads=1, skim_cache=cache)
+        return _replicate(cfg, plan.replications, plan.base_seed, 1,
+                          *networks[cfg.graph])
 
     if nthreads <= 1:
         per_cell = [run_cell(t) for t in tasks]

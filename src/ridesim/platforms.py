@@ -34,27 +34,36 @@ class Assignment:
     unmatched_drivers: tuple[int, ...]
 
 
+def _queue_key(request: Request) -> tuple[float, int]:
+    return request.t_request, request.request_id
+
+
 @dataclass
 class PlatformState:
     """Mutable per-run queue state for one platform."""
 
     spec: PlatformSpec
-    waiting: list = field(default_factory=list)   # sorted (t_request, request_id)
+    waiting: list = field(default_factory=list)   # Requests, (t_request, request_id) order
+    waiting_ids: set = field(default_factory=set)  # request ids in ``waiting``
     idle: set = field(default_factory=set)
     revenue_total: float = 0.0
     next_batch_at: float | None = None
 
-    def enqueue(self, t_request: float, request_id: int) -> None:
-        bisect.insort(self.waiting, (t_request, request_id))
+    def enqueue(self, request: Request) -> None:
+        bisect.insort(self.waiting, request, key=_queue_key)
+        self.waiting_ids.add(request.request_id)
 
-    def remove_request(self, request_id: int) -> None:
-        for i, (_, rid) in enumerate(self.waiting):
-            if rid == request_id:
-                del self.waiting[i]
-                return
+    def remove_request(self, request: Request) -> bool:
+        """Drop a waiting request; returns False when it was not waiting."""
+        if request.request_id not in self.waiting_ids:
+            return False
+        i = bisect.bisect_left(self.waiting, _queue_key(request), key=_queue_key)
+        del self.waiting[i]
+        self.waiting_ids.remove(request.request_id)
+        return True
 
     def has_request(self, request_id: int) -> bool:
-        return any(rid == request_id for _, rid in self.waiting)
+        return request_id in self.waiting_ids
 
 
 def match_instant(
@@ -181,17 +190,6 @@ def settle(state: PlatformState, fare: float) -> tuple[float, float]:
     payout = fare - cut
     state.revenue_total += fare
     return payout, cut
-
-
-def trigger(state: PlatformState, run_match) -> list:
-    """React to a queue change (request arrived or driver turned idle).
-
-    Instant mode matches immediately via the supplied matcher callback;
-    batched mode defers to the window boundary (the engine schedules it).
-    """
-    if state.spec.matching == "instant":
-        return run_match()
-    return []
 
 
 def next_batch_boundary(window_s: float, now: float) -> float:

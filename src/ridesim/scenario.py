@@ -567,25 +567,35 @@ def save_drivers_csv(drivers: list[DriverSpec], path: str | Path) -> None:
 
 # ----------------------------------------------------------- materialization
 
-def materialize(config: ScenarioConfig, skim_cache: dict | None = None) -> ScenarioInputs:
+def materialize(
+    config: ScenarioConfig,
+    skim_cache: dict | None = None,
+    *,
+    net: RoadNetwork | None = None,
+    skim: SkimMatrix | None = None,
+) -> ScenarioInputs:
     """Build the network, skim, demand and supply for one scenario.
 
     ``skim_cache`` maps a graph content key to its SkimMatrix so experiment
-    grids over one city do not recompute shortest paths per cell.
+    grids over one city do not recompute shortest paths per cell. ``net``
+    and ``skim``, when given, must come from ``config.graph``; replications
+    of one scenario pass them so the graph is neither rebuilt nor re-keyed.
     """
-    net = config.graph.build()
+    if net is None:
+        net = config.graph.build()
     if config.demand_weights is not None and len(config.demand_weights) != net.n:
         raise ConfigError(
             "demand_weights",
             f"expected {net.n} weights (one per node), got {len(config.demand_weights)}",
         )
-    key = net.content_key()
-    if skim_cache is not None and key in skim_cache:
-        skim = skim_cache[key]
-    else:
-        skim = build_skim(net)
-        if skim_cache is not None:
-            skim_cache[key] = skim
+    if skim is None:
+        key = net.content_key()
+        if skim_cache is not None and key in skim_cache:
+            skim = skim_cache[key]
+        else:
+            skim = build_skim(net)
+            if skim_cache is not None:
+                skim_cache[key] = skim
 
     if config.requests_csv is not None:
         requests = load_requests_csv(config.requests_csv, net, config.horizon_s)

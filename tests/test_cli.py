@@ -182,6 +182,17 @@ def test_experiment_threads_env_default(tmp_path, monkeypatch):
                  "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_experiment_bad_threads_env_exits_1(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("RIDESIM_THREADS", value)
+    out = tmp_path / "out"
+    assert main(["experiment", "--plan", str(plan_file(tmp_path)),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "RIDESIM_THREADS" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_experiment_bad_grid_path_exits_1(tmp_path, capsys):
     p = plan_file(tmp_path, grid={"platforms[5].fare_per_km": [1.0]})
     code = main(["experiment", "--plan", str(p), "--out", str(tmp_path / "out")])

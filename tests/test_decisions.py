@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ridesim import platforms
 from ridesim.decisions import (
     DecisionSet,
     DriverDeclineCtx,
@@ -260,6 +261,52 @@ def test_default_match_instant_leaves_unmatchable_waiting():
     positions = {10: 1}
     pairs = default_match(match_ctx("instant", requests, positions, skim))
     assert pairs == [(0, 10)]
+
+
+def full_scan_instant(ctx):
+    """The instant loop before it stopped early: every waiting request is
+    scanned, and its barred drivers are filtered from the whole excluded
+    set."""
+    pairs = []
+    available = set(ctx.idle)
+    for request in ctx.requests:
+        barred = frozenset(
+            d for (rid, d) in ctx.excluded if rid == request.request_id
+        )
+        driver = platforms.match_instant(
+            request, available, ctx.positions, ctx.skim, barred
+        )
+        if driver is not None:
+            pairs.append((request.request_id, driver))
+            available.discard(driver)
+    return pairs
+
+
+def test_default_match_instant_equals_full_scan():
+    skim = build_skim(grid_city(4, 4, 100.0, 10.0))
+    rng = rng_at(17)
+    shapes = {"fewer drivers": 0, "no drivers": 0, "excluded": 0}
+    for case in range(600):
+        n_req = int(rng.integers(0, 12))
+        n_drv = 0 if case % 7 == 0 else int(rng.integers(1, 10))
+        requests = sorted(
+            (Request(rid, rid, int(rng.integers(16)), 0,
+                     float(rng.integers(0, 5)))
+             for rid in rng.choice(100, size=n_req, replace=False).tolist()),
+            key=lambda r: (r.t_request, r.request_id),
+        )
+        positions = {int(d): int(rng.integers(16))
+                     for d in rng.choice(50, size=n_drv, replace=False)}
+        excluded = frozenset(
+            (r.request_id, d) for r in requests for d in positions
+            if rng.random() < 0.3
+        ) | frozenset({(999, 0)})           # a pair naming no waiting request
+        ctx = match_ctx("instant", requests, positions, skim, excluded)
+        assert default_match(ctx) == full_scan_instant(ctx), case
+        shapes["fewer drivers"] += n_req > n_drv > 0
+        shapes["no drivers"] += n_drv == 0
+        shapes["excluded"] += len(excluded) > 1
+    assert min(shapes.values()) >= 50, shapes
 
 
 def test_default_match_batched_minimizes_total():

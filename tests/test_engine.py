@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from ridesim.decisions import build_decision_set
+from ridesim import engine
+from ridesim.decisions import build_decision_set, default_match, repos_to_demand
 from ridesim.engine import (
     DayState,
     DriverCarry,
@@ -16,6 +17,7 @@ from ridesim.scenario import (
     DriverSpec,
     Request,
     ScenarioInputs,
+    assign_fleets,
     generate_demand,
     generate_supply,
     parse_config,
@@ -74,6 +76,20 @@ def first(log, event, agent=None):
         if r.event == event and (agent is None or r.agent_id == agent):
             return r
     raise AssertionError(f"no {event} in log")
+
+
+@pytest.fixture
+def sims(monkeypatch):
+    """Every engine run made during the test, so hooks can read its state."""
+    made = []
+
+    class Recording(engine._Sim):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "_Sim", Recording)
+    return made
 
 
 # ------------------------------------------------------------ base timeline
@@ -324,6 +340,33 @@ def test_request_at_boundary_joins_that_window():
     assert first(res.log, "BATCH_MATCH").t == 60.0
 
 
+def test_f_match_sees_batched_mode_only_at_window_boundaries(sims):
+    cfg = make_cfg(12, 3, horizon=1800.0, seed=3, platforms=[
+        {"platform_id": 0, "base_fare": 0.0, "fare_per_km": 1.0,
+         "commission_rate": 0.0, "matching": "instant", "fleet": 1},
+        {"platform_id": 1, "base_fare": 0.0, "fare_per_km": 1.0,
+         "commission_rate": 0.0, "matching": {"batched": {"window_s": 60.0}}},
+    ])
+    net, requests, drivers = busy_inputs(cfg)
+    calls = []
+
+    def spy(ctx):
+        calls.append((sims[-1].now, ctx.platform_id, ctx.mode))
+        return default_match(ctx)
+
+    dec = dataclasses.replace(
+        build_decision_set(None, cfg.behaviour), f_match=spy)
+    res = run(cfg, net, requests, assign_fleets(drivers, cfg.platforms),
+              decision_set=dec)
+    assert {(pid, mode) for _, pid, mode in calls} == {
+        (0, "instant"), (1, "batched")}
+    batched = [t for t, _, mode in calls if mode == "batched"]
+    assert batched and all(t % 60.0 == 0.0 for t in batched)
+    assert len(batched) == len(set(batched))
+    assert any(t % 60.0 for t, _, mode in calls if mode == "instant")
+    assert "MATCH" in names(res.log) and "BATCH_MATCH" in names(res.log)
+
+
 # ------------------------------------------------------------ multi-platform
 
 def two_platform_cfg(fare0, fare1):
@@ -527,3 +570,73 @@ def test_bad_repos_hook_rejected_up_front():
         run(cfg, grid_city(2, 2, 100.0, 10.0),
             [], [DriverSpec(0, 0, 0.0, 1000.0, (0,))],
             decision_set=bad)
+
+
+# ---------------------------------------------------------- queue invariants
+
+def check_queues(sim):
+    """The engine's waiting counts by origin equal a rescan of the queues;
+    each queue is in (t_request, request_id) order and matches its id set.
+    Returns the rescanned counts."""
+    counts, seen = {}, set()
+    for state in sim.platforms.values():
+        keys = [(r.t_request, r.request_id) for r in state.waiting]
+        assert keys == sorted(keys)
+        assert len(keys) == len(state.waiting_ids)
+        assert {r.request_id for r in state.waiting} == state.waiting_ids
+        for r in state.waiting:
+            if r.request_id not in seen:
+                seen.add(r.request_id)
+                counts[r.origin] = counts.get(r.origin, 0) + 1
+    assert sim.open_counts == counts
+    return counts
+
+
+INSTANT = {"platform_id": 0, "base_fare": 0.0, "fare_per_km": 1.0,
+           "commission_rate": 0.1, "matching": "instant"}
+BATCHED = {"platform_id": 1, "base_fare": 0.0, "fare_per_km": 0.9,
+           "commission_rate": 0.1, "matching": {"batched": {"window_s": 45.0}}}
+
+
+@pytest.mark.parametrize("platforms", [
+    [INSTANT],
+    [dict(BATCHED, platform_id=0)],
+    [dict(INSTANT, fleet=2), BATCHED],
+], ids=["instant", "batched", "instant+batched"])
+def test_queue_counts_match_rescan(sims, platforms):
+    seen = {"match": 0, "repos": 0, "events": set()}
+
+    def match(ctx):
+        sim = sims[-1]
+        counts = check_queues(sim)
+        seen["match"] += bool(counts)
+        return default_match(ctx)
+
+    def repos(ctx):
+        sim = sims[-1]
+        counts = check_queues(sim)
+        if ctx.rng is sim.rng:              # not the engine's up-front probe
+            assert dict(ctx.open_requests) == counts
+            seen["repos"] += bool(counts)
+        return repos_to_demand(ctx)
+
+    for seed in range(6):
+        cfg = make_cfg(
+            60, 3, horizon=1800.0, seed=seed, platforms=platforms,
+            behaviour={"max_wait_s": 30.0, "decline_eta_s": 60.0,
+                       "max_rejections": 3},
+            decisions={"f_trav_mode": "max_wait",
+                       "f_driver_decline": "decline_far_pickup"},
+        )
+        net, requests, drivers = busy_inputs(cfg, rows=4, cols=4)
+        dec = dataclasses.replace(
+            build_decision_set(cfg.decisions, cfg.behaviour),
+            f_match=match, f_driver_repos=repos)
+        res = run(cfg, net, requests, assign_fleets(drivers, cfg.platforms),
+                  decision_set=dec)
+        check_queues(sims[-1])
+        assert not sims[-1].open_counts
+        seen["events"] |= set(names(res.log))
+    assert seen["match"] > 0 and seen["repos"] > 0
+    assert {"DECLINES_REQUEST", "REJECTS_OFFER", "UNSERVED",
+            "STARTS_REPOSITIONING"} <= seen["events"]

@@ -2,9 +2,11 @@
 
 import copy
 import json
+import time
 
 import pytest
 
+from ridesim import experiments, scenario
 from ridesim.errors import ConfigError
 from ridesim.experiments import (
     LearningParams,
@@ -17,6 +19,7 @@ from ridesim.experiments import (
     write_day_csv,
     write_results_csv,
 )
+from ridesim.netgraph import build_skim
 from ridesim.scenario import parse_config
 
 
@@ -171,6 +174,28 @@ def test_run_grid_shape_and_order():
 def test_run_grid_thread_invariance():
     plan = parse_plan(plan_raw())
     assert run_grid(plan, threads=1) == run_grid(plan, threads=4)
+
+
+@pytest.mark.parametrize("grid, builds", [
+    ({"n_drivers": [2, 3, 4, 5]}, 1),
+    ({"graph.grid.rows": [3, 4], "n_drivers": [2, 3]}, 2),
+])
+def test_run_grid_builds_each_skim_once(monkeypatch, grid, builds):
+    calls = []
+
+    def slow_build(net):
+        calls.append(net.n)
+        time.sleep(0.05)        # widen the window a racing worker would hit
+        return build_skim(net)
+
+    monkeypatch.setattr(experiments, "build_skim", slow_build)
+    monkeypatch.setattr(scenario, "build_skim", slow_build)
+    plan = parse_plan(plan_raw(grid=grid, replications=1))
+    rows = run_grid(plan, threads=2)
+    assert len(calls) == builds
+    assert len(set(calls)) == builds
+    monkeypatch.undo()
+    assert rows == run_grid(plan, threads=1)
 
 
 def test_run_grid_matches_manual_replicate():

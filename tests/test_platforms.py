@@ -20,7 +20,6 @@ from ridesim.platforms import (
     make_offer,
     next_batch_boundary,
     settle,
-    trigger,
 )
 from ridesim.scenario import PlatformSpec, Request
 
@@ -258,32 +257,25 @@ def test_settle_conserves_money():
 
 def test_waiting_queue_stays_ordered():
     state = PlatformState(spec=offer_spec(0.0, 1.0))
-    state.enqueue(30.0, 2)
-    state.enqueue(10.0, 7)
-    state.enqueue(10.0, 1)
-    assert state.waiting == [(10.0, 1), (10.0, 7), (30.0, 2)]
-    state.remove_request(7)
-    assert state.waiting == [(10.0, 1), (30.0, 2)]
+    reqs = {rid: Request(rid, rid, 0, 1, t)
+            for rid, t in [(2, 30.0), (7, 10.0), (1, 10.0), (4, 20.0)]}
+    for rid in (2, 7, 1, 4):
+        state.enqueue(reqs[rid])
+
+    def order():
+        return [(r.t_request, r.request_id) for r in state.waiting]
+
+    assert order() == [(10.0, 1), (10.0, 7), (20.0, 4), (30.0, 2)]
+    assert state.remove_request(reqs[7])
+    assert order() == [(10.0, 1), (20.0, 4), (30.0, 2)]
     assert state.has_request(1) and not state.has_request(7)
-
-
-def test_trigger_instant_runs_matcher_batched_defers():
-    calls = []
-
-    def matcher():
-        calls.append(1)
-        return [("pair",)]
-
-    instant = PlatformState(spec=offer_spec(0.0, 1.0))
-    assert trigger(instant, matcher) == [("pair",)]
-    assert calls == [1]
-
-    batched = PlatformState(spec=PlatformSpec(
-        platform_id=1, base_fare=0.0, fare_per_km=1.0, commission_rate=0.0,
-        matching="batched", batch_window_s=60.0,
-    ))
-    assert trigger(batched, matcher) == []
-    assert calls == [1]
+    assert not state.remove_request(reqs[7])
+    assert state.remove_request(reqs[4])    # from the middle
+    assert order() == [(10.0, 1), (30.0, 2)]
+    assert state.waiting_ids == {1, 2}
+    state.enqueue(reqs[7])
+    assert order() == [(10.0, 1), (10.0, 7), (30.0, 2)]
+    assert state.has_request(7) and not state.has_request(4)
 
 
 def test_next_batch_boundary():
