@@ -78,14 +78,13 @@ def _parse_json(text: str, source: str) -> dict:
         raise ConfigError(source, f"invalid JSON: {exc}") from None
 
 
-def _write_manifest(out_dir: Path, seed, config_sha: str, started: str) -> None:
-    # listed files = directory contents minus the manifest itself
+def _write_manifest(out_dir: Path, names, seed, config_sha: str, started: str) -> None:
+    """List the files this command wrote (``names``), never the directory's
+    other contents."""
     entries = []
-    for p in sorted(out_dir.iterdir()):
-        if p.name == "manifest.json" or not p.is_file():
-            continue
-        data = p.read_bytes()
-        entries.append({"name": p.name, "size": len(data), "sha256": _sha256(data)})
+    for name in sorted(names):
+        data = (out_dir / name).read_bytes()
+        entries.append({"name": name, "size": len(data), "sha256": _sha256(data)})
     manifest = {
         "tool": "ridesim",
         "version": __version__,
@@ -100,8 +99,11 @@ def _write_manifest(out_dir: Path, seed, config_sha: str, started: str) -> None:
 
 
 def _out_dir(path_str: str) -> Path:
+    """Create the output directory and drop a manifest left by an earlier
+    run, so none is present until this command completes."""
     out = Path(path_str)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     return out
 
 
@@ -118,6 +120,8 @@ def cmd_run(args) -> int:
 
     out = _out_dir(args.out)
     started = _now()
+    written = ["events.csv", "kpi_travellers.csv", "kpi_drivers.csv",
+               "kpi_system.csv", "kpi_nodes.csv"]
 
     if args.days == 1:
         inputs = materialize(config)
@@ -125,14 +129,12 @@ def cmd_run(args) -> int:
         result = run_day(config, inputs, decisions)
         kpi.validate_log(result.log)
         logs = [result.log]
-        day_rows = None
     else:
+        # day_to_day has validated every day's log
         res = day_to_day(config, LearningParams(max_days=args.days))
-        for log in res.logs:
-            kpi.validate_log(log)
         config, inputs, logs = res.config, res.inputs, list(res.logs)
-        day_rows = res.trajectory
-        write_day_csv(out / "day_to_day.csv", day_rows)
+        write_day_csv(out / "day_to_day.csv", res.trajectory)
+        written.append("day_to_day.csv")
 
     all_events = [rec for log in logs for rec in log]
     kpi.write_events_csv(out / "events.csv", all_events)
@@ -151,7 +153,7 @@ def cmd_run(args) -> int:
         kpi.node_aggregates(t_rows, d_rows, inputs.requests, inputs.drivers, inputs.net),
     )
 
-    _write_manifest(out, config.seed, _sha256(text.encode("utf-8")), started)
+    _write_manifest(out, written, config.seed, _sha256(text.encode("utf-8")), started)
     print(f"run complete: {len(logs)} day(s), outputs in {out}")
     return 0
 
@@ -170,7 +172,8 @@ def cmd_experiment(args) -> int:
     started = _now()
     rows = run_grid(plan, threads=threads)
     write_results_csv(out / "experiment_results.csv", rows)
-    _write_manifest(out, plan.base_seed, _sha256(text.encode("utf-8")), started)
+    _write_manifest(out, ["experiment_results.csv"], plan.base_seed,
+                    _sha256(text.encode("utf-8")), started)
     print(f"experiment complete: {len(rows)} rows, outputs in {out}")
     return 0
 
@@ -196,7 +199,7 @@ def cmd_generate(args) -> int:
             spacing, speed = float(args.grid[2]), float(args.grid[3])
         except ValueError:
             raise ConfigError("--grid", "expects ROWS COLS SPACING_M SPEED_MPS") from None
-        save_graph(grid_city(rows, cols, spacing, speed), out)
+        written = [p.name for p in save_graph(grid_city(rows, cols, spacing, speed), out)]
     else:
         if args.config is None:
             raise ConfigError("--config", "required for --demand/--supply")
@@ -209,12 +212,14 @@ def cmd_generate(args) -> int:
             requests = generate_demand(
                 net, args.demand, config.horizon_s, seed, config.demand_weights
             )
+            written = ["requests.csv"]
             save_requests_csv(requests, out / "requests.csv")
         else:
             drivers = generate_supply(net, args.supply, config.horizon_s, seed)
+            written = ["drivers.csv"]
             save_drivers_csv(assign_fleets(drivers, config.platforms), out / "drivers.csv")
 
-    _write_manifest(out, seed, "", started)
+    _write_manifest(out, written, seed, "", started)
     print(f"generate complete: outputs in {out}")
     return 0
 

@@ -21,6 +21,8 @@ from ridesim.errors import ConfigError
 from ridesim.platforms import Offer
 from ridesim.scenario import DECISION_SLOTS, DriverSpec, Request
 
+DEFAULT_EPSILON = 0.05      # re-entry probability of a driver who sat out, when unset
+
 
 # ----------------------------------------------------------- hook contexts
 
@@ -133,14 +135,15 @@ class DecisionSet:
 def default_driver_out(ctx: DriverOutCtx) -> bool:
     """Day 0: everyone works. Later days: stay in while smoothed income
     clears the reservation wage; a driver who was out re-enters with the
-    exploration probability ``epsilon`` (behaviour key, default 0.05)."""
+    exploration probability ``epsilon`` (behaviour key, default
+    ``DEFAULT_EPSILON``)."""
     if ctx.day == 0 or ctx.learned_income_per_hour is None:
         return False
     if ctx.learned_income_per_hour >= ctx.reservation_wage_per_hour:
         return False
     if ctx.participated_yesterday:
         return True
-    epsilon = float(ctx.params.get("epsilon", 0.05))
+    epsilon = float(ctx.params.get("epsilon", DEFAULT_EPSILON))
     return not bool(ctx.rng.random() < epsilon)
 
 

@@ -14,7 +14,7 @@ react to its outcome.
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from ridesim import platforms as plat
 from ridesim.decisions import (
@@ -47,15 +47,25 @@ _PH_FINAL = 3      # horizon wrap-up
 DEFAULT_RESERVATION_WAGE = 2.5     # currency per hour, used when unset
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
+    """One logged transition. The optional fields carry the event's details;
+    ``kpi`` owns which of them each event writes to the ``meta`` column."""
     day: int
     t: float
     agent_kind: str
     agent_id: int
     event: str
     node: int
-    meta: str = ""
+    request_id: Optional[int] = None
+    platform_id: Optional[int] = None
+    driver_id: Optional[int] = None
+    eta_s: Optional[float] = None
+    fare: Optional[float] = None
+    payout: Optional[float] = None
+    cut: Optional[float] = None
+    dist_m: Optional[float] = None
+    target: Optional[int] = None
+    reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -76,10 +86,6 @@ class DriverDaySummary:
     participated: bool
     earnings: float
     scheduled_hours: float
-    idle_s: float = 0.0
-    empty_drive_s: float = 0.0
-    occupied_s: float = 0.0
-    mileage_m: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -88,26 +94,23 @@ class DayResult:
     log: tuple
     driver_summaries: dict
     traveller_outcomes: dict
-    platform_revenue: dict
     fleet_participating: int
 
 
 class _TravellerSim:
-    __slots__ = ("request", "status", "pending_offers", "rejections", "driver_id")
+    __slots__ = ("request", "status", "pending_offers", "rejections")
 
     def __init__(self, request):
         self.request = request
         self.status = "planning"
         self.pending_offers = []
         self.rejections = 0
-        self.driver_id = None
 
 
 class _DriverSim:
     __slots__ = (
-        "spec", "status", "position", "earnings", "idle_s", "empty_drive_s",
-        "occupied_s", "mileage_m", "activity", "last_t", "pending_offer",
-        "wants_off", "serving", "ended",
+        "spec", "status", "position", "earnings", "pending_offer",
+        "wants_off", "serving",
     )
 
     def __init__(self, spec):
@@ -115,16 +118,9 @@ class _DriverSim:
         self.status = "offline"
         self.position = spec.home_node
         self.earnings = 0.0
-        self.idle_s = 0.0
-        self.empty_drive_s = 0.0
-        self.occupied_s = 0.0
-        self.mileage_m = 0.0
-        self.activity = None          # None | "idle" | "empty" | "occupied"
-        self.last_t = spec.shift_start
         self.pending_offer = None
         self.wants_off = False
         self.serving = None           # request currently aboard or en route
-        self.ended = False
 
 
 def run_day(
@@ -208,11 +204,9 @@ class _Sim:
         heapq.heappush(self.heap, (t, phase, _KIND_RANK[kind], agent_id, self.seq, fn))
         self.seq += 1
 
-    def record(self, kind, agent_id, event, node, meta=""):
+    def record(self, kind, agent_id, event, node, **detail):
         self.log.append(EventRecord(
-            day=self.day, t=self.now, agent_kind=kind, agent_id=agent_id,
-            event=event, node=node, meta=meta,
-        ))
+            self.day, self.now, kind, agent_id, event, node, **detail))
 
     def fail(self, message):
         raise SimulationError(f"t={fmt_num(self.now)}: {message}")
@@ -283,10 +277,6 @@ class _Sim:
                 participated=d_id in participating,
                 earnings=driver.earnings,
                 scheduled_hours=hours,
-                idle_s=driver.idle_s,
-                empty_drive_s=driver.empty_drive_s,
-                occupied_s=driver.occupied_s,
-                mileage_m=driver.mileage_m,
             )
         outcomes = {}
         for t_id in sorted(self.travellers):
@@ -299,35 +289,13 @@ class _Sim:
             }.get(trav.status)
             if outcomes[t_id] is None:
                 self.fail(f"traveller {t_id} finished in state {trav.status}")
-        revenue = {
-            pid: self.platforms[pid].revenue_total for pid in self.platform_order
-        }
         return DayResult(
             day=self.day,
             log=tuple(self.log),
             driver_summaries=summaries,
             traveller_outcomes=outcomes,
-            platform_revenue=revenue,
             fleet_participating=len(participating),
         )
-
-    # ------------------------------------------------------ time accounting
-
-    def accrue(self, driver, activity=None):
-        """Charge time since the driver's last event to its current activity,
-        then switch to the new one."""
-        dt = self.now - driver.last_t
-        if dt < 0:
-            self.fail(f"driver {driver.spec.driver_id} time ran backwards")
-        if driver.activity == "idle":
-            driver.idle_s += dt
-        elif driver.activity == "empty":
-            driver.empty_drive_s += dt
-        elif driver.activity == "occupied":
-            driver.occupied_s += dt
-        driver.last_t = self.now
-        if activity is not None:
-            driver.activity = activity
 
     # -------------------------------------------------------- driver events
 
@@ -337,8 +305,6 @@ class _Sim:
 
     def on_shift_start(self, driver):
         driver.status = "idle"
-        driver.activity = "idle"
-        driver.last_t = self.now
         self.record(DRIVER, driver.spec.driver_id, "STARTS_SHIFT", driver.position)
         self._add_idle(driver)
         self.schedule_matching()
@@ -351,9 +317,7 @@ class _Sim:
         # busy drivers wrap up when their current task releases them
 
     def _finish_shift(self, driver):
-        self.accrue(driver, activity=None)
         driver.status = "off_shift"
-        driver.ended = True
         self.record(DRIVER, driver.spec.driver_id, "ENDS_SHIFT", driver.position)
 
     def _add_idle(self, driver):
@@ -375,12 +339,11 @@ class _Sim:
         self.schedule_matching()
 
     def move(self, driver, to_node, on_arrival):
-        """Start a leg; mileage accrues at departure, the arrival callback
-        fires after the skim travel time."""
+        """Start a leg; the arrival callback receives the leg's skim distance
+        and fires after its skim travel time."""
         d_id = driver.spec.driver_id
         dist = float(self.skim.distance[driver.position, to_node])
         tt = float(self.skim.travel_time[driver.position, to_node])
-        driver.mileage_m += dist
         self.push(self.now + tt, _PH_STATE, DRIVER, d_id,
                   lambda: on_arrival(dist))
 
@@ -531,8 +494,7 @@ class _Sim:
             offer = plat.make_offer(state.spec, request, did, driver.position,
                                     self.skim)
             self.record(DRIVER, did, "RECEIVES_REQUEST", driver.position,
-                        f"request_id={rid};platform_id={pid};"
-                        f"eta_s={fmt_num(offer.pickup_eta)}")
+                        request_id=rid, platform_id=pid, eta_s=offer.pickup_eta)
             ctx = DriverDeclineCtx(
                 driver_id=did, spec=driver.spec, position=driver.position,
                 request=request, platform_id=pid,
@@ -545,15 +507,14 @@ class _Sim:
                 self.fail(f"f_driver_decline returned {declines!r}")
             if declines:
                 self.record(DRIVER, did, "DECLINES_REQUEST", driver.position,
-                            f"request_id={rid};platform_id={pid}")
+                            request_id=rid, platform_id=pid)
                 self.excluded.add((rid, did))
                 self._count_rejection(trav)
                 if not batch:
                     self.schedule_matching()
                 continue
             self.record(DRIVER, did, "ACCEPTS_REQUEST", driver.position,
-                        f"request_id={rid};platform_id={pid};"
-                        f"eta_s={fmt_num(offer.pickup_eta)}")
+                        request_id=rid, platform_id=pid, eta_s=offer.pickup_eta)
             self._remove_idle(driver)
             driver.pending_offer = offer
             trav.pending_offers.append(offer)
@@ -585,9 +546,14 @@ class _Sim:
         self._dequeue(trav.request)
         trav.status = "unserved"
         self.record(TRAVELLER, trav.request.traveller_id, "UNSERVED",
-                    trav.request.origin, f"reason={reason}")
+                    trav.request.origin, reason=reason)
 
     # ------------------------------------------------------ offer resolution
+
+    def _record_offer(self, t_id, event, node, offer):
+        self.record(TRAVELLER, t_id, event, node,
+                    platform_id=offer.platform_id, driver_id=offer.driver_id,
+                    fare=offer.fare, eta_s=offer.pickup_eta)
 
     def on_offers(self, trav):
         t_id = trav.request.traveller_id
@@ -602,11 +568,7 @@ class _Sim:
                 self._release_driver(self.drivers[offer.driver_id])
             return
         for offer in offers:
-            self.record(
-                TRAVELLER, t_id, "RECEIVES_OFFER", trav.request.origin,
-                f"platform_id={offer.platform_id};driver_id={offer.driver_id};"
-                f"fare={fmt_num(offer.fare)};eta_s={fmt_num(offer.pickup_eta)}",
-            )
+            self._record_offer(t_id, "RECEIVES_OFFER", trav.request.origin, offer)
         ctx = PlatformChoiceCtx(
             traveller_id=t_id, offers=offers, params=self.params, rng=self.rng,
         )
@@ -626,11 +588,7 @@ class _Sim:
         if not isinstance(accepts, bool):
             self.fail(f"f_trav_mode returned {accepts!r}")
         if not accepts:
-            self.record(
-                TRAVELLER, t_id, "REJECTS_OFFER", trav.request.origin,
-                f"platform_id={chosen.platform_id};driver_id={chosen.driver_id};"
-                f"fare={fmt_num(chosen.fare)};eta_s={fmt_num(chosen.pickup_eta)}",
-            )
+            self._record_offer(t_id, "REJECTS_OFFER", trav.request.origin, chosen)
             self.excluded.add((chosen.request_id, chosen.driver_id))
             self._release_driver(self.drivers[chosen.driver_id])
             trav.status = "rejected_waiting"
@@ -639,25 +597,17 @@ class _Sim:
                 self._enqueue(trav.request)
                 self.schedule_matching()
             return
-        self.record(
-            TRAVELLER, t_id, "ACCEPTS_OFFER", trav.request.origin,
-            f"platform_id={chosen.platform_id};driver_id={chosen.driver_id};"
-            f"fare={fmt_num(chosen.fare)};eta_s={fmt_num(chosen.pickup_eta)}",
-        )
+        self._record_offer(t_id, "ACCEPTS_OFFER", trav.request.origin, chosen)
         state = self.platforms[chosen.platform_id]
         match_event = "BATCH_MATCH" if state.spec.matching == "batched" else "MATCH"
-        self.record(
-            PLATFORM, chosen.platform_id, match_event, -1,
-            f"request_id={chosen.request_id};driver_id={chosen.driver_id};"
-            f"eta_s={fmt_num(chosen.pickup_eta)};fare={fmt_num(chosen.fare)}",
-        )
+        self.record(PLATFORM, chosen.platform_id, match_event, -1,
+                    request_id=chosen.request_id, driver_id=chosen.driver_id,
+                    eta_s=chosen.pickup_eta, fare=chosen.fare)
         trav.status = "matched"
-        trav.driver_id = chosen.driver_id
         driver = self.drivers[chosen.driver_id]
         driver.pending_offer = None
         driver.serving = chosen
         driver.status = "en_route_pickup"
-        self.accrue(driver, activity="empty")
         self.move(driver, trav.request.origin,
                   lambda dist, d=driver: self.on_pickup_arrival(d, dist))
 
@@ -668,10 +618,9 @@ class _Sim:
         request = self.requests_by_id[offer.request_id]
         d_id = driver.spec.driver_id
         driver.position = request.origin
-        self.accrue(driver, activity="idle")      # boarding wait is not driving
         self.record(DRIVER, d_id, "ARRIVES_PICKUP", request.origin,
-                    f"request_id={request.request_id};"
-                    f"platform_id={offer.platform_id};dist_m={fmt_num(dist)}")
+                    request_id=request.request_id, platform_id=offer.platform_id,
+                    dist_m=dist)
         boarding = self._timed("t_board_s")
         self.push(self.now + boarding, _PH_STATE, DRIVER, d_id,
                   lambda: self.on_departure(driver))
@@ -682,13 +631,11 @@ class _Sim:
         trav = self.travellers[request.traveller_id]
         d_id = driver.spec.driver_id
         driver.status = "with_traveller"
-        self.accrue(driver, activity="occupied")
         self.record(DRIVER, d_id, "DEPARTS_WITH_TRAVELLER", request.origin,
-                    f"request_id={request.request_id};"
-                    f"platform_id={offer.platform_id}")
+                    request_id=request.request_id, platform_id=offer.platform_id)
         trav.status = "in_vehicle"
         self.record(TRAVELLER, request.traveller_id, "PICKED_UP", request.origin,
-                    f"driver_id={d_id};platform_id={offer.platform_id}")
+                    driver_id=d_id, platform_id=offer.platform_id)
         self.move(driver, request.destination,
                   lambda dist, d=driver: self.on_service_arrival(d, dist))
 
@@ -704,16 +651,11 @@ class _Sim:
         request = self.requests_by_id[offer.request_id]
         trav = self.travellers[request.traveller_id]
         d_id = driver.spec.driver_id
-        state = self.platforms[offer.platform_id]
-        payout, cut = plat.settle(state, offer.fare)
+        payout, cut = plat.settle(self.platforms[offer.platform_id].spec, offer.fare)
         driver.earnings += payout
-        self.accrue(driver, activity="idle")
-        self.record(
-            DRIVER, d_id, "COMPLETES_RIDE", request.destination,
-            f"request_id={request.request_id};platform_id={offer.platform_id};"
-            f"dist_m={fmt_num(dist)};fare={fmt_num(offer.fare)};"
-            f"payout={fmt_num(payout)};cut={fmt_num(cut)}",
-        )
+        self.record(DRIVER, d_id, "COMPLETES_RIDE", request.destination,
+                    request_id=request.request_id, platform_id=offer.platform_id,
+                    dist_m=dist, fare=offer.fare, payout=payout, cut=cut)
         trav.status = "arrived"
         self.record(TRAVELLER, request.traveller_id, "ARRIVES",
                     request.destination)
@@ -728,9 +670,8 @@ class _Sim:
             self.schedule_matching()
             return
         driver.status = "repositioning"
-        self.accrue(driver, activity="empty")
         self.record(DRIVER, d_id, "STARTS_REPOSITIONING", driver.position,
-                    f"target={target}")
+                    target=target)
         self.move(driver, target,
                   lambda dist2, d=driver, to=target: self.on_repos_arrival(d, to, dist2))
 
@@ -754,9 +695,8 @@ class _Sim:
 
     def on_repos_arrival(self, driver, node, dist):
         driver.position = node
-        self.accrue(driver, activity="idle")
         self.record(DRIVER, driver.spec.driver_id, "ARRIVES_REPOSITION", node,
-                    f"dist_m={fmt_num(dist)}")
+                    dist_m=dist)
         if driver.wants_off:
             self._finish_shift(driver)
             return

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ridesim import kpi
-from ridesim.decisions import build_decision_set
-from ridesim.engine import DayState, DriverCarry, run_day
+from ridesim.decisions import DEFAULT_EPSILON, build_decision_set
+from ridesim.engine import DEFAULT_RESERVATION_WAGE, DayState, DriverCarry, run_day
 from ridesim.errors import ConfigError
 from ridesim.netgraph import build_skim
 from ridesim.scenario import ScenarioConfig, ScenarioInputs, materialize, parse_config
@@ -237,8 +237,8 @@ class LearningParams:
     """Income learning and participation dynamics across days."""
 
     alpha: float = 0.2                    # learning rate on realized income
-    epsilon: float = 0.05                 # re-entry probability when out
-    reservation_wage_per_hour: float = 2.5
+    epsilon: float = DEFAULT_EPSILON      # re-entry probability when out
+    reservation_wage_per_hour: float = DEFAULT_RESERVATION_WAGE
     convergence_delta: float = 0.02       # relative fleet change counted stable
     convergence_window: int = 5           # consecutive stable days to stop
     max_days: int = 50

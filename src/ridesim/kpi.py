@@ -3,7 +3,9 @@
 Every indicator is computed purely from the event log, never from simulator
 internals, so any stored log can be re-analysed later. ``validate_log``
 replays the per-agent event sequences against the allowed transitions and is
-a precondition of the KPI builders.
+a precondition of the KPI builders. This module also owns the CSV form of
+the log: ``write_events_csv`` formats each record's detail fields into the
+``meta`` column and ``read_events_csv`` parses them back.
 """
 
 import csv
@@ -50,12 +52,33 @@ _DRIVER_TERMINAL = {"OPTS_OUT", "ENDS_SHIFT"}
 
 _PLATFORM_EVENTS = {"MATCH", "BATCH_MATCH"}
 
+# the detail fields each event writes to the meta column, in column order
+_OFFER_KEYS = ("platform_id", "driver_id", "fare", "eta_s")
+_MATCH_KEYS = ("request_id", "driver_id", "eta_s", "fare")
+_META_KEYS = {
+    "UNSERVED": ("reason",),
+    "RECEIVES_OFFER": _OFFER_KEYS,
+    "ACCEPTS_OFFER": _OFFER_KEYS,
+    "REJECTS_OFFER": _OFFER_KEYS,
+    "PICKED_UP": ("driver_id", "platform_id"),
+    "RECEIVES_REQUEST": ("request_id", "platform_id", "eta_s"),
+    "ACCEPTS_REQUEST": ("request_id", "platform_id", "eta_s"),
+    "DECLINES_REQUEST": ("request_id", "platform_id"),
+    "ARRIVES_PICKUP": ("request_id", "platform_id", "dist_m"),
+    "DEPARTS_WITH_TRAVELLER": ("request_id", "platform_id"),
+    "COMPLETES_RIDE": ("request_id", "platform_id", "dist_m", "fare", "payout", "cut"),
+    "STARTS_REPOSITIONING": ("target",),
+    "ARRIVES_REPOSITION": ("dist_m",),
+    "MATCH": _MATCH_KEYS,
+    "BATCH_MATCH": _MATCH_KEYS,
+}
 
-def meta_dict(meta: str) -> dict:
-    """Parse a 'k=v;k=v' meta string."""
-    if not meta:
-        return {}
-    return dict(part.split("=", 1) for part in meta.split(";"))
+# how read_events_csv parses each meta value
+_META_TYPES = {
+    "request_id": int, "platform_id": int, "driver_id": int, "target": int,
+    "reason": str, "eta_s": float, "fare": float, "payout": float,
+    "cut": float, "dist_m": float,
+}
 
 
 # ---------------------------------------------------------------- validation
@@ -69,30 +92,29 @@ def validate_log(log: Sequence[EventRecord]) -> None:
     last_t = None
     state: dict[tuple, Optional[str]] = {}
     for i, rec in enumerate(log):
-        where = f"record {i} (day {rec.day}, t={fmt_num(rec.t)})"
         if last_t is not None and rec.t < last_t[1] and rec.day == last_t[0]:
-            raise LogValidationError(f"{where}: time went backwards")
+            raise LogValidationError(f"{_where(i, rec)}: time went backwards")
         if last_t is not None and rec.day < last_t[0]:
-            raise LogValidationError(f"{where}: day went backwards")
+            raise LogValidationError(f"{_where(i, rec)}: day went backwards")
         last_t = (rec.day, rec.t)
         key = (rec.day, rec.agent_kind, rec.agent_id)
         if rec.agent_kind == "PLATFORM":
             if rec.event not in _PLATFORM_EVENTS:
                 raise LogValidationError(
-                    f"{where}: unknown platform event {rec.event}"
+                    f"{_where(i, rec)}: unknown platform event {rec.event}"
                 )
             continue
         fsm = _TRAVELLER_FSM if rec.agent_kind == "TRAVELLER" else _DRIVER_FSM
         if rec.agent_kind not in ("TRAVELLER", "DRIVER"):
             raise LogValidationError(
-                f"{where}: unknown agent kind {rec.agent_kind}"
+                f"{_where(i, rec)}: unknown agent kind {rec.agent_kind}"
             )
         prev = state.get(key)
         allowed = fsm.get(prev, set())
         if rec.event not in allowed:
             raise LogValidationError(
-                f"{where}: {rec.agent_kind.lower()} {rec.agent_id} cannot go "
-                f"from {prev} to {rec.event}"
+                f"{_where(i, rec)}: {rec.agent_kind.lower()} {rec.agent_id} "
+                f"cannot go from {prev} to {rec.event}"
             )
         state[key] = rec.event
     for (day, kind, agent_id), last in sorted(state.items()):
@@ -102,6 +124,10 @@ def validate_log(log: Sequence[EventRecord]) -> None:
                 f"day {day}: {kind.lower()} {agent_id} story ends in "
                 f"{last}, which is not terminal"
             )
+
+
+def _where(i: int, rec: EventRecord) -> str:
+    return f"record {i} (day {rec.day}, t={fmt_num(rec.t)})"
 
 
 # -------------------------------------------------------------- percentiles
@@ -157,7 +183,7 @@ def traveller_kpis(log: Sequence[EventRecord]) -> list[TravellerKpi]:
             in_vehicle = times["ARRIVES"] - times["PICKED_UP"]
             total = times["ARRIVES"] - times["REQUESTS"]
             accepted = [r for r in seq if r.event == "ACCEPTS_OFFER"]
-            fare = float(meta_dict(accepted[-1].meta)["fare"])
+            fare = accepted[-1].fare
         rows.append(TravellerKpi(
             traveller_id=t_id, outcome=outcome, wait_s=wait,
             in_vehicle_s=in_vehicle, total_s=total, fare_paid=fare,
@@ -214,20 +240,19 @@ def driver_kpis(log: Sequence[EventRecord]) -> list[DriverKpi]:
                     first_match = rec.t - start
             elif rec.event == "ARRIVES_PICKUP":
                 empty_s += rec.t - t_accept
-                empty_m += float(meta_dict(rec.meta)["dist_m"])
+                empty_m += rec.dist_m
             elif rec.event == "DEPARTS_WITH_TRAVELLER":
                 t_depart = rec.t
             elif rec.event == "COMPLETES_RIDE":
-                kv = meta_dict(rec.meta)
                 n_rides += 1
-                revenue += float(kv["payout"])
+                revenue += rec.payout
                 occupied_s += rec.t - t_depart
-                occupied_m += float(kv["dist_m"])
+                occupied_m += rec.dist_m
             elif rec.event == "STARTS_REPOSITIONING":
                 t_repos = rec.t
             elif rec.event == "ARRIVES_REPOSITION":
                 empty_s += rec.t - t_repos
-                empty_m += float(meta_dict(rec.meta)["dist_m"])
+                empty_m += rec.dist_m
         rows.append(DriverKpi(
             driver_id=d_id, participated=True, n_rides=n_rides,
             revenue=revenue,
@@ -292,14 +317,12 @@ def system_kpis(
         if rec.agent_kind != "DRIVER":
             continue
         if rec.event == "COMPLETES_RIDE":
-            kv = meta_dict(rec.meta)
-            pid = int(kv["platform_id"])
-            per[pid]["revenue"] += float(kv["fare"])
+            pid = rec.platform_id
+            per[pid]["revenue"] += rec.fare
             per[pid]["n_served"] += 1
-            per[pid]["vkm"] += float(kv["dist_m"]) / 1000.0
+            per[pid]["vkm"] += rec.dist_m / 1000.0
         elif rec.event == "ARRIVES_PICKUP":
-            kv = meta_dict(rec.meta)
-            per[int(kv["platform_id"])]["vkm"] += float(kv["dist_m"]) / 1000.0
+            per[rec.platform_id]["vkm"] += rec.dist_m / 1000.0
     for p in sorted(platforms, key=lambda p: p.platform_id):
         pid = p.platform_id
         out[f"revenue_platform_{pid}"] = per[pid]["revenue"]
@@ -371,6 +394,15 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _meta(rec: EventRecord) -> str:
+    """The meta cell: the event's set detail fields as ``key=value;...``."""
+    return ";".join([
+        f"{key}={value if isinstance(value, str) else fmt_num(value)}"
+        for key in _META_KEYS.get(rec.event, ())
+        if (value := getattr(rec, key)) is not None
+    ])
+
+
 def write_events_csv(path, log: Sequence[EventRecord]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -378,7 +410,7 @@ def write_events_csv(path, log: Sequence[EventRecord]) -> None:
         for rec in log:
             w.writerow([
                 rec.day, fmt_num(rec.t), rec.agent_kind, rec.agent_id,
-                rec.event, rec.node, rec.meta,
+                rec.event, rec.node, _meta(rec),
             ])
 
 
@@ -393,13 +425,16 @@ def read_events_csv(path) -> tuple[EventRecord, ...]:
             )
         out = []
         for row in reader:
-            if len(row) != len(EVENTS_HEADER):
-                raise LogValidationError(f"{p}: malformed row {row!r}")
-            out.append(EventRecord(
-                day=int(row[0]), t=float(row[1]), agent_kind=row[2],
-                agent_id=int(row[3]), event=row[4], node=int(row[5]),
-                meta=row[6],
-            ))
+            try:
+                day, t, kind, agent_id, event, node, meta = row
+                detail = {}
+                for part in meta.split(";") if meta else ():
+                    key, value = part.split("=", 1)
+                    detail[key] = _META_TYPES[key](value)
+                out.append(EventRecord(int(day), float(t), kind, int(agent_id),
+                                       event, int(node), **detail))
+            except (KeyError, ValueError):
+                raise LogValidationError(f"{p}: malformed row {row!r}") from None
     return tuple(out)
 
 

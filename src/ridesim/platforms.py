@@ -46,7 +46,6 @@ class PlatformState:
     waiting: list = field(default_factory=list)   # Requests, (t_request, request_id) order
     waiting_ids: set = field(default_factory=set)  # request ids in ``waiting``
     idle: set = field(default_factory=set)
-    revenue_total: float = 0.0
     next_batch_at: float | None = None
 
     def enqueue(self, request: Request) -> None:
@@ -180,16 +179,14 @@ def make_offer(
     )
 
 
-def settle(state: PlatformState, fare: float) -> tuple[float, float]:
+def settle(platform: PlatformSpec, fare: float) -> tuple[float, float]:
     """Split a collected fare into (driver_payout, platform_cut).
 
     The cut is fare times commission rate; the payout is the remainder, so
     payout + cut reproduces the fare up to one rounding step.
     """
-    cut = fare * state.spec.commission_rate
-    payout = fare - cut
-    state.revenue_total += fare
-    return payout, cut
+    cut = fare * platform.commission_rate
+    return fare - cut, cut
 
 
 def next_batch_boundary(window_s: float, now: float) -> float:

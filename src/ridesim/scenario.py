@@ -18,19 +18,6 @@ from ridesim.util import fmt_num
 REQUESTS_HEADER = ["request_id", "traveller_id", "origin", "destination", "t_request_s"]
 DRIVERS_HEADER = ["driver_id", "home_node", "shift_start_s", "shift_end_s", "platform_ids"]
 
-# behaviour scalars understood by the core; decision modules may add their own
-KNOWN_BEHAVIOUR = {
-    "max_wait_s",
-    "t_board_s",
-    "t_alight_s",
-    "service_variability",
-    "max_rejections",
-    "reservation_wage_per_hour",
-    "walk_speed_mps",
-    "decline_eta_s",
-    "epsilon",
-}
-
 DECISION_SLOTS = (
     "f_driver_out",
     "f_driver_decline",
@@ -103,12 +90,6 @@ class ScenarioConfig:
     requests_csv: str | None = None
     drivers_csv: str | None = None
     decisions: dict | None = None
-
-    def platform_by_id(self, platform_id: int) -> PlatformSpec:
-        for p in self.platforms:
-            if p.platform_id == platform_id:
-                return p
-        raise KeyError(platform_id)
 
 
 @dataclass(frozen=True)

@@ -275,10 +275,9 @@ def conservation_violations(config, log):
     fares = payouts = cuts = 0.0
     for rec in log:
         if rec.event == "COMPLETES_RIDE":
-            meta = kpi.meta_dict(rec.meta)
-            fares += float(meta["fare"])
-            payouts += float(meta["payout"])
-            cuts += float(meta["cut"])
+            fares += rec.fare
+            payouts += rec.payout
+            cuts += rec.cut
     if abs(payouts + cuts - fares) > 1e-9:
         bad.append(f"payouts {payouts} + cuts {cuts} != fares {fares}")
     return bad

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from ridesim import kpi
 from ridesim.cli import main
 
 RUN_FILES = {"events.csv", "kpi_travellers.csv", "kpi_drivers.csv",
@@ -137,6 +138,31 @@ def test_manifest_lists_exact_contents(config_file, tmp_path):
         assert entry["sha256"] == hashlib.sha256(data).hexdigest()
     assert manifest["version"]
     assert manifest["seed"] == 5
+
+
+def test_manifest_omits_stale_files(config_file, tmp_path):
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config_file), "--out", str(out)]
+    assert main(argv + ["--days", "2"]) == 0
+    assert main(argv + ["--days", "1"]) == 0
+    assert (out / "day_to_day.csv").exists()      # left by the first run
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {f["name"] for f in manifest["files"]} == RUN_FILES - {"manifest.json"}
+
+
+def test_run_days_validates_each_log_once(config_file, tmp_path, monkeypatch):
+    calls = []
+    validate = kpi.validate_log
+
+    def counting(log):
+        calls.append(len(log))
+        return validate(log)
+
+    monkeypatch.setattr(kpi, "validate_log", counting)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out),
+                 "--days", "3"]) == 0
+    assert len(calls) == 3
 
 
 # -------------------------------------------------------------- experiment

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from ridesim import engine
+from ridesim import engine, kpi
 from ridesim.decisions import build_decision_set, default_match, repos_to_demand
 from ridesim.engine import (
     DayState,
@@ -134,13 +134,13 @@ def test_match_meta_format():
     )
     match = first(res.log, "MATCH")
     assert match.node == -1
-    assert match.meta == "request_id=0;driver_id=0;eta_s=60;fare=1.2"
+    assert (match.request_id, match.driver_id, match.eta_s, match.fare) == \
+        (0, 0, 60.0, 1.2)
     done = first(res.log, "COMPLETES_RIDE")
-    assert done.meta == (
-        "request_id=0;platform_id=0;dist_m=1200;fare=1.2;payout=1.2;cut=0"
-    )
+    assert (done.request_id, done.platform_id, done.dist_m, done.fare,
+            done.payout, done.cut) == (0, 0, 1200.0, 1.2, 1.2, 0.0)
     pickup = first(res.log, "ARRIVES_PICKUP")
-    assert pickup.meta == "request_id=0;platform_id=0;dist_m=600"
+    assert (pickup.request_id, pickup.platform_id, pickup.dist_m) == (0, 0, 600.0)
 
 
 def test_driver_day_accounting():
@@ -153,13 +153,17 @@ def test_driver_day_accounting():
     s = res.driver_summaries[0]
     assert s.participated
     assert s.earnings == pytest.approx(1.2)
-    assert s.idle_s == pytest.approx(820.0)
-    assert s.empty_drive_s == pytest.approx(60.0)
-    assert s.occupied_s == pytest.approx(120.0)
-    assert s.mileage_m == pytest.approx(1800.0)
-    assert s.idle_s + s.empty_drive_s + s.occupied_s == pytest.approx(1000.0)
+    assert s.scheduled_hours == pytest.approx(1000.0 / 3600.0)
+    row = kpi.driver_kpis(res.log)[0]
+    assert row.idle_s == pytest.approx(820.0)
+    assert row.empty_drive_s == pytest.approx(60.0)
+    assert row.occupied_s == pytest.approx(120.0)
+    assert row.mileage_m == pytest.approx(1800.0)
+    assert row.idle_s + row.empty_drive_s + row.occupied_s == pytest.approx(1000.0)
     assert res.traveller_outcomes[0] == "ARRIVED"
-    assert res.platform_revenue[0] == pytest.approx(1.2)
+    system = kpi.system_kpis(kpi.traveller_kpis(res.log), [row], cfg.platforms,
+                             res.log)
+    assert system["revenue_platform_0"] == pytest.approx(1.2)
 
 
 def test_no_demand_logs_only_shift_edges():
@@ -208,26 +212,29 @@ def test_conservation_random_scenario():
     picked = {r.agent_id: r.t for r in res.log if r.event == "PICKED_UP"}
     arrived = {r.agent_id: r.t for r in res.log if r.event == "ARRIVES"}
     in_vehicle = sum(arrived[i] - picked[i] for i in picked)
-    occupied = sum(s.occupied_s for s in res.driver_summaries.values())
+    drows = kpi.driver_kpis(res.log)
+    occupied = sum(r.occupied_s for r in drows if r.participated)
     assert occupied == pytest.approx(in_vehicle, abs=1e-6)
 
     fares = payouts = cuts = 0.0
     for r in res.log:
         if r.event == "COMPLETES_RIDE":
-            kv = dict(p.split("=") for p in r.meta.split(";"))
-            fares += float(kv["fare"])
-            payouts += float(kv["payout"])
-            cuts += float(kv["cut"])
+            fares += r.fare
+            payouts += r.payout
+            cuts += r.cut
     assert abs((payouts + cuts) - fares) < 1e-9
-    assert res.platform_revenue[0] == pytest.approx(fares, abs=1e-9)
+    system = kpi.system_kpis(kpi.traveller_kpis(res.log), drows, cfg.platforms,
+                             res.log)
+    assert system["revenue_platform_0"] == pytest.approx(fares, abs=1e-9)
     earned = sum(s.earnings for s in res.driver_summaries.values())
     assert earned == pytest.approx(payouts, abs=1e-9)
 
-    for s in res.driver_summaries.values():
-        if not s.participated:
+    for row in drows:
+        if not row.participated:
             continue
-        worked = s.idle_s + s.empty_drive_s + s.occupied_s
-        assert worked >= s.scheduled_hours * 3600.0 - 1e-6
+        worked = row.idle_s + row.empty_drive_s + row.occupied_s
+        scheduled = res.driver_summaries[row.driver_id].scheduled_hours
+        assert worked >= scheduled * 3600.0 - 1e-6
 
 
 def test_outcomes_partition_travellers():
@@ -258,7 +265,7 @@ def test_driver_decline_leaves_request_unserved():
     ]
     unserved = first(res.log, "UNSERVED")
     assert unserved.t == 1000.0
-    assert unserved.meta == "reason=horizon"
+    assert unserved.reason == "horizon"
     assert "MATCH" not in names(res.log)
     assert res.traveller_outcomes[0] == "UNSERVED"
 
@@ -273,7 +280,7 @@ def test_max_rejections_kills_request():
     assert all(r.t == 50.0 for r in rejects)
     unserved = first(res.log, "UNSERVED")
     assert unserved.t == 50.0
-    assert unserved.meta == "reason=max_rejections"
+    assert unserved.reason == "max_rejections"
     # every reserved driver went back to work and ended its shift normally
     assert names(res.log).count("ENDS_SHIFT") == 4
 
@@ -289,7 +296,7 @@ def test_rejected_then_rematched_later():
     assert first(res.log, "REJECTS_OFFER").t == 100.0
     match = first(res.log, "MATCH")
     assert match.t == 200.0
-    assert "driver_id=1" in match.meta
+    assert match.driver_id == 1
     assert res.traveller_outcomes[0] == "ARRIVED"
 
 
@@ -388,11 +395,11 @@ def test_traveller_picks_cheaper_platform():
     )
     offers = [r for r in res.log if r.event == "RECEIVES_OFFER"]
     assert len(offers) == 2
-    assert offers[0].meta.startswith("platform_id=0")
-    assert offers[1].meta.startswith("platform_id=1")
+    assert offers[0].platform_id == 0
+    assert offers[1].platform_id == 1
     match = first(res.log, "MATCH")
     assert match.agent_id == 1
-    assert "driver_id=1" in match.meta
+    assert match.driver_id == 1
 
 
 def test_multi_homing_driver_not_double_booked():
@@ -415,10 +422,10 @@ def test_losing_driver_serves_next_traveller():
         [DriverSpec(0, 1, 0.0, 1000.0, (0,)), DriverSpec(1, 1, 0.0, 1000.0, (1,))],
     )
     first_match = first(res.log, "MATCH")
-    assert "driver_id=1" in first_match.meta
+    assert first_match.driver_id == 1
     second = [r for r in res.log if r.event == "MATCH"][1]
     assert second.t == 150.0
-    assert "driver_id=0" in second.meta      # released loser is available again
+    assert second.driver_id == 0      # released loser is available again
     assert res.traveller_outcomes == {0: "ARRIVED", 1: "ARRIVED"}
 
 
@@ -434,9 +441,9 @@ def test_boarding_and_alighting_delays():
     assert first(res.log, "ARRIVES_PICKUP").t == 160.0
     assert first(res.log, "PICKED_UP").t == 190.0
     assert first(res.log, "ARRIVES").t == 330.0
-    s = res.driver_summaries[0]
-    assert s.occupied_s == pytest.approx(140.0)   # ride leg plus alighting
-    assert s.empty_drive_s == pytest.approx(60.0)
+    row = kpi.driver_kpis(res.log)[0]
+    assert row.occupied_s == pytest.approx(140.0)   # ride leg plus alighting
+    assert row.empty_drive_s == pytest.approx(60.0)
 
 
 def test_service_variability_bounded_and_deterministic():
@@ -495,7 +502,7 @@ def test_repositioning_towards_open_demand():
     start = first(res.log, "STARTS_REPOSITIONING")
     stop = first(res.log, "ARRIVES_REPOSITION")
     assert start.t == 130.0        # right after completing the first ride
-    assert start.meta == "target=0"
+    assert start.target == 0
     assert stop.node == 0
     assert stop.t == start.t + 180.0
     assert first(res.log, "PICKED_UP", agent=1).t == stop.t

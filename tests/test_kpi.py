@@ -8,6 +8,7 @@ from ridesim.decisions import build_decision_set
 from ridesim.engine import EventRecord, run_day
 from ridesim.errors import LogValidationError
 from ridesim.kpi import (
+    _META_KEYS,
     driver_kpis,
     node_aggregates,
     percentile,
@@ -43,9 +44,10 @@ def single_ride_result():
     ), cfg
 
 
-def busy_result(seed=31, n_trav=40, n_drv=5, horizon=3600.0, behaviour=None):
+def busy_result(seed=31, n_trav=40, n_drv=5, horizon=3600.0, behaviour=None,
+                decisions=None):
     cfg = make_cfg(n_trav, n_drv, horizon=horizon, seed=seed,
-                   behaviour=behaviour)
+                   behaviour=behaviour, decisions=decisions)
     net = grid_city(4, 4, 250.0, 10.0)
     requests = generate_demand(net, n_trav, horizon, seed)
     drivers = generate_supply(net, n_drv, horizon, seed)
@@ -150,20 +152,62 @@ def test_single_ride_driver_row():
     assert row.shift_s == 1000.0
 
 
-def test_driver_rows_match_engine_accounting():
-    res, *_ = busy_result(seed=13)
-    for row in driver_kpis(res.log):
-        summary = res.driver_summaries[row.driver_id]
-        assert row.participated == summary.participated
-        if not row.participated:
+def leg_oracle(log, requests, skim, t_alight_s):
+    """Per driver (empty_m, empty_s, occupied_m, occupied_s) from the skim
+    on its logged legs: pickups from the accepting node to the request's
+    origin, rides from origin to destination plus alighting, repositioning
+    from the start node to the target."""
+    by_id = {r.request_id: r for r in requests}
+    out = {}
+    accept_node = {}
+    for rec in log:
+        if rec.agent_kind != "DRIVER":
             continue
-        assert row.revenue == pytest.approx(summary.earnings, abs=1e-9)
-        assert row.empty_drive_s == pytest.approx(summary.empty_drive_s, abs=1e-6)
-        assert row.occupied_s == pytest.approx(summary.occupied_s, abs=1e-6)
-        assert row.mileage_m == pytest.approx(summary.mileage_m, abs=1e-6)
-        # log idle is over the realized shift, which may overshoot
-        worked = summary.idle_s + summary.empty_drive_s + summary.occupied_s
-        assert row.shift_s == pytest.approx(worked, abs=1e-6)
+        legs = out.setdefault(rec.agent_id, [0.0, 0.0, 0.0, 0.0])
+        if rec.event == "ACCEPTS_REQUEST":
+            accept_node[rec.agent_id] = rec.node
+        elif rec.event == "ARRIVES_PICKUP":
+            a, b = accept_node[rec.agent_id], by_id[rec.request_id].origin
+            legs[0] += skim.distance[a, b]
+            legs[1] += skim.travel_time[a, b]
+        elif rec.event == "COMPLETES_RIDE":
+            r = by_id[rec.request_id]
+            legs[2] += skim.distance[r.origin, r.destination]
+            legs[3] += skim.travel_time[r.origin, r.destination] + t_alight_s
+        elif rec.event == "STARTS_REPOSITIONING":
+            legs[0] += skim.distance[rec.node, rec.target]
+            legs[1] += skim.travel_time[rec.node, rec.target]
+    return out
+
+
+def test_driver_rows_match_skim_oracle():
+    plain = busy_result(seed=13)
+    repos = busy_result(
+        seed=13, n_trav=120, behaviour={"t_board_s": 20.0, "t_alight_s": 15.0},
+        decisions={"f_driver_repos": "repos_to_demand"})
+    assert any(r.event == "STARTS_REPOSITIONING" for r in repos[0].log)
+    for (res, cfg, net, requests, drivers), t_alight in ((plain, 0.0), (repos, 15.0)):
+        oracle = leg_oracle(res.log, requests, build_skim(net), t_alight)
+        specs = {d.driver_id: d for d in drivers}
+        rows = driver_kpis(res.log)
+        assert sum(r.participated for r in rows) > 0
+        for row in rows:
+            summary = res.driver_summaries[row.driver_id]
+            assert row.participated == summary.participated
+            if not row.participated:
+                continue
+            empty_m, empty_s, occupied_m, occupied_s = oracle[row.driver_id]
+            assert row.revenue == pytest.approx(summary.earnings, abs=1e-9)
+            assert row.empty_drive_m == pytest.approx(empty_m, abs=1e-6)
+            assert row.empty_drive_s == pytest.approx(empty_s, abs=1e-6)
+            assert row.occupied_m == pytest.approx(occupied_m, abs=1e-6)
+            assert row.occupied_s == pytest.approx(occupied_s, abs=1e-6)
+            assert row.mileage_m == pytest.approx(empty_m + occupied_m, abs=1e-6)
+            worked = row.idle_s + row.empty_drive_s + row.occupied_s
+            assert worked == pytest.approx(row.shift_s, abs=1e-6)
+            # the realized shift may overshoot the scheduled one, never undershoot
+            spec = specs[row.driver_id]
+            assert row.shift_s >= spec.shift_end - spec.shift_start - 1e-6
 
 
 def test_opted_out_driver_row():
@@ -296,6 +340,54 @@ def test_node_aggregates_by_origin_and_home():
 
 
 # ------------------------------------------------------------------ CSV I/O
+
+def test_meta_text_golden(tmp_path):
+    detail = dict(request_id=3, platform_id=1, driver_id=4, eta_s=60.0,
+                  fare=1.2, payout=0.9, cut=0.3, dist_m=600.0, target=5,
+                  reason="horizon")
+    expected = {
+        "UNSERVED": "reason=horizon",
+        "RECEIVES_OFFER": "platform_id=1;driver_id=4;fare=1.2;eta_s=60",
+        "ACCEPTS_OFFER": "platform_id=1;driver_id=4;fare=1.2;eta_s=60",
+        "REJECTS_OFFER": "platform_id=1;driver_id=4;fare=1.2;eta_s=60",
+        "PICKED_UP": "driver_id=4;platform_id=1",
+        "RECEIVES_REQUEST": "request_id=3;platform_id=1;eta_s=60",
+        "ACCEPTS_REQUEST": "request_id=3;platform_id=1;eta_s=60",
+        "DECLINES_REQUEST": "request_id=3;platform_id=1",
+        "ARRIVES_PICKUP": "request_id=3;platform_id=1;dist_m=600",
+        "DEPARTS_WITH_TRAVELLER": "request_id=3;platform_id=1",
+        "COMPLETES_RIDE":
+            "request_id=3;platform_id=1;dist_m=600;fare=1.2;payout=0.9;cut=0.3",
+        "STARTS_REPOSITIONING": "target=5",
+        "ARRIVES_REPOSITION": "dist_m=600",
+        "MATCH": "request_id=3;driver_id=4;eta_s=60;fare=1.2",
+        "BATCH_MATCH": "request_id=3;driver_id=4;eta_s=60;fare=1.2",
+    }
+    assert set(expected) == set(_META_KEYS)
+    events = list(expected) + ["PLANS"]          # an event with no details
+    log = [EventRecord(0, 1.5, "DRIVER", 7, e, 2, **detail) for e in events]
+    path = tmp_path / "events.csv"
+    write_events_csv(path, log)
+    lines = path.read_text().splitlines()[1:]
+    assert [line.split(",", 6)[6] for line in lines] == \
+        [expected[e] for e in expected] + [""]
+    assert lines[-1] == "0,1.5,DRIVER,7,PLANS,2,"
+    # reading back yields exactly the fields the meta column carries
+    back = read_events_csv(path)
+    for rec in back:
+        kept = {k: v for k, v in detail.items() if k in _META_KEYS.get(rec.event, ())}
+        assert rec == EventRecord(0, 1.5, "DRIVER", 7, rec.event, 2, **kept)
+        for key, value in kept.items():
+            assert type(getattr(rec, key)) is type(value)
+
+
+def test_read_events_csv_rejects_unknown_meta_key(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("day,t_s,agent_kind,agent_id,event,node,meta\n"
+                    "0,0,TRAVELLER,0,UNSERVED,0,colour=red\n")
+    with pytest.raises(LogValidationError, match="malformed row"):
+        read_events_csv(path)
+
 
 def test_event_csv_round_trip(tmp_path):
     res, *_ = busy_result(seed=41)

@@ -229,28 +229,21 @@ def test_offer_eta_and_trip_time_from_skim():
 # ------------------------------------------------------------- settlement
 
 def test_settle_splits_fare():
-    state = PlatformState(spec=offer_spec(0.0, 1.0, commission=0.25))
-    assert settle(state, 10.0) == (7.5, 2.5)
-    assert state.revenue_total == 10.0
+    assert settle(offer_spec(0.0, 1.0, commission=0.25), 10.0) == (7.5, 2.5)
 
 
 def test_settle_zero_and_full_commission():
-    zero = PlatformState(spec=offer_spec(0.0, 1.0, commission=0.0))
-    assert settle(zero, 8.0) == (8.0, 0.0)
-    full = PlatformState(spec=offer_spec(0.0, 1.0, commission=1.0))
-    assert settle(full, 8.0) == (0.0, 8.0)
+    assert settle(offer_spec(0.0, 1.0, commission=0.0), 8.0) == (8.0, 0.0)
+    assert settle(offer_spec(0.0, 1.0, commission=1.0), 8.0) == (0.0, 8.0)
 
 
 def test_settle_conserves_money():
     rng = np.random.default_rng(21)
-    state = PlatformState(spec=offer_spec(0.0, 1.0, commission=0.37))
-    total = 0.0
+    spec = offer_spec(0.0, 1.0, commission=0.37)
     for _ in range(500):
         fare = float(rng.uniform(0.0, 30.0))
-        payout, cut = settle(state, fare)
+        payout, cut = settle(spec, fare)
         assert abs(payout + cut - fare) < 1e-12
-        total += fare
-    assert abs(state.revenue_total - total) < 1e-9
 
 
 # ------------------------------------------------------------ queue state
