@@ -32,8 +32,6 @@ from ridesim.experiments import (
     day_to_day,
     parse_plan,
     run_grid,
-    write_day_csv,
-    write_results_csv,
 )
 from ridesim.netgraph import grid_city, save_graph
 from ridesim.scenario import (
@@ -130,21 +128,21 @@ def cmd_run(args) -> int:
         kpi.validate_log(result.log)
         logs = [result.log]
     else:
-        # day_to_day has validated every day's log
+        # day_to_day has validated every day's log and built its system row
         res = day_to_day(config, LearningParams(max_days=args.days))
         config, inputs, logs = res.config, res.inputs, list(res.logs)
-        write_day_csv(out / "day_to_day.csv", res.trajectory)
+        system_rows = list(res.system_rows)
+        kpi.write_system_csv(out / "day_to_day.csv", res.trajectory)
         written.append("day_to_day.csv")
 
     all_events = [rec for log in logs for rec in log]
     kpi.write_events_csv(out / "events.csv", all_events)
 
-    system_rows = []
-    for log in logs:
-        t_rows = kpi.traveller_kpis(log)
-        d_rows = kpi.driver_kpis(log)
-        system_rows.append(kpi.system_kpis(t_rows, d_rows, config.platforms, log))
     # per-traveller/driver/node files describe the last simulated day
+    t_rows = kpi.traveller_kpis(logs[-1])
+    d_rows = kpi.driver_kpis(logs[-1])
+    if args.days == 1:
+        system_rows = [kpi.system_kpis(t_rows, d_rows, config.platforms, logs[-1])]
     kpi.write_traveller_csv(out / "kpi_travellers.csv", t_rows)
     kpi.write_driver_csv(out / "kpi_drivers.csv", d_rows)
     kpi.write_system_csv(out / "kpi_system.csv", system_rows)
@@ -171,7 +169,7 @@ def cmd_experiment(args) -> int:
     out = _out_dir(args.out)
     started = _now()
     rows = run_grid(plan, threads=threads)
-    write_results_csv(out / "experiment_results.csv", rows)
+    kpi.write_system_csv(out / "experiment_results.csv", rows)
     _write_manifest(out, ["experiment_results.csv"], plan.base_seed,
                     _sha256(text.encode("utf-8")), started)
     print(f"experiment complete: {len(rows)} rows, outputs in {out}")

@@ -2,8 +2,9 @@
 
 One run simulates a single day. Travellers plan, request, receive offers and
 ride; drivers work shifts, serve matched requests and optionally reposition;
-platforms match their two-sided queues instantly or per batch window. Every
-observable step appends to an event log from which all KPIs derive.
+platforms match the one queue of waiting requests with their own idle
+drivers, instantly or per batch window. Every observable step appends to an
+event log from which all KPIs derive.
 
 Event ordering: the queue pops by (time, phase, agent kind, agent id, seq).
 Phases at one timestamp run state changes first (arrivals, shift edges),
@@ -12,8 +13,9 @@ wrap-up, so matching always sees every state change at time t before agents
 react to its outcome.
 """
 
+import bisect
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional
 
 from ridesim import platforms as plat
@@ -46,6 +48,13 @@ _PH_FINAL = 3      # horizon wrap-up
 
 DEFAULT_RESERVATION_WAGE = 2.5     # currency per hour, used when unset
 
+# traveller statuses a day may end in
+_FINAL_STATUSES = {"arrived", "opted_out", "unserved", "rejected_waiting"}
+
+
+def _queue_key(request):
+    return request.t_request, request.request_id
+
 
 class EventRecord(NamedTuple):
     """One logged transition. The optional fields carry the event's details;
@@ -77,24 +86,18 @@ class DriverCarry:
 
 @dataclass(frozen=True)
 class DayState:
-    drivers: Mapping = None
-    traveller_outcomes: Mapping = None
-
-
-@dataclass(frozen=True)
-class DriverDaySummary:
-    participated: bool
-    earnings: float
-    scheduled_hours: float
+    """What a day learns from the days before it: driver id -> DriverCarry,
+    and traveller id -> yesterday's outcome (``kpi.TravellerKpi.outcome``)."""
+    drivers: Mapping = field(default_factory=dict)
+    traveller_outcomes: Mapping = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class DayResult:
+    """One simulated day. Participation, earnings and traveller outcomes are
+    read from ``log`` by the ``kpi`` builders."""
     day: int
     log: tuple
-    driver_summaries: dict
-    traveller_outcomes: dict
-    fleet_participating: int
 
 
 class _TravellerSim:
@@ -108,16 +111,11 @@ class _TravellerSim:
 
 
 class _DriverSim:
-    __slots__ = (
-        "spec", "status", "position", "earnings", "pending_offer",
-        "wants_off", "serving",
-    )
+    __slots__ = ("spec", "position", "pending_offer", "wants_off", "serving")
 
     def __init__(self, spec):
         self.spec = spec
-        self.status = "offline"
         self.position = spec.home_node
-        self.earnings = 0.0
         self.pending_offer = None
         self.wants_off = False
         self.serving = None           # request currently aboard or en route
@@ -128,9 +126,9 @@ def run_day(
     inputs: ScenarioInputs,
     decisions: DecisionSet,
     day: int = 0,
-    day_state: Optional[DayState] = None,
+    day_state: DayState = DayState(),
 ) -> DayResult:
-    """Simulate one day; returns the event log and end-of-day summaries.
+    """Simulate one day; returns the day and its event log.
 
     Identical (config, inputs, decisions, day, day_state) produce an
     identical log. Hooks draw only from the day's decision sub-stream.
@@ -166,7 +164,7 @@ class _Sim:
         self.inputs = inputs
         self.decisions = decisions
         self.day = day
-        self.day_state = day_state or DayState(drivers={}, traveller_outcomes={})
+        self.day_state = day_state
         self.skim = inputs.skim
         self.horizon = config.horizon_s
         self.params = dict(config.behaviour)
@@ -184,10 +182,10 @@ class _Sim:
             r.traveller_id: _TravellerSim(r) for r in inputs.requests
         }
         self.requests_by_id = {r.request_id: r for r in inputs.requests}
-        self.traveller_of_request = {
-            r.request_id: r.traveller_id for r in inputs.requests
-        }
         self.drivers = {d.driver_id: _DriverSim(d) for d in inputs.drivers}
+        # the one request queue every platform matches from
+        self.waiting = []              # Requests, (t_request, request_id) order
+        self.waiting_ids = set()       # request ids in ``waiting``
         self.open_counts = {}          # origin node -> requests waiting there
         self.excluded = set()          # (request_id, driver_id), cleared per timestamp
         self.excluded_t = 0.0
@@ -241,10 +239,10 @@ class _Sim:
                 self.excluded.clear()
             self.excluded_t = t
             fn()
-        return self._result(participating)
+        return self._result()
 
     def _consult_driver_out(self):
-        carry = self.day_state.drivers or {}
+        carry = self.day_state.drivers
         wage = float(self.params.get(
             "reservation_wage_per_hour", DEFAULT_RESERVATION_WAGE
         ))
@@ -268,57 +266,38 @@ class _Sim:
                 out.add(d_id)
         return {d_id for d_id in self.drivers if d_id not in out}
 
-    def _result(self, participating):
-        summaries = {}
-        for d_id in sorted(self.drivers):
-            driver = self.drivers[d_id]
-            hours = (driver.spec.shift_end - driver.spec.shift_start) / 3600.0
-            summaries[d_id] = DriverDaySummary(
-                participated=d_id in participating,
-                earnings=driver.earnings,
-                scheduled_hours=hours,
-            )
-        outcomes = {}
+    def _result(self):
         for t_id in sorted(self.travellers):
-            trav = self.travellers[t_id]
-            outcomes[t_id] = {
-                "arrived": "ARRIVED",
-                "opted_out": "OPTED_OUT",
-                "unserved": "UNSERVED",
-                "rejected_waiting": "REJECTED_OFFER",
-            }.get(trav.status)
-            if outcomes[t_id] is None:
-                self.fail(f"traveller {t_id} finished in state {trav.status}")
-        return DayResult(
-            day=self.day,
-            log=tuple(self.log),
-            driver_summaries=summaries,
-            traveller_outcomes=outcomes,
-            fleet_participating=len(participating),
-        )
+            status = self.travellers[t_id].status
+            if status not in _FINAL_STATUSES:
+                self.fail(f"traveller {t_id} finished in state {status}")
+        return DayResult(day=self.day, log=tuple(self.log))
 
     # -------------------------------------------------------- driver events
 
     def on_driver_opt_out(self, driver):
         self.record(DRIVER, driver.spec.driver_id, "OPTS_OUT", driver.position)
-        driver.status = "opted_out"
 
     def on_shift_start(self, driver):
-        driver.status = "idle"
         self.record(DRIVER, driver.spec.driver_id, "STARTS_SHIFT", driver.position)
         self._add_idle(driver)
         self.schedule_matching()
 
     def on_shift_end(self, driver):
         driver.wants_off = True
-        if driver.status == "idle" and driver.pending_offer is None:
+        if self._is_idle(driver):
             self._remove_idle(driver)
             self._finish_shift(driver)
         # busy drivers wrap up when their current task releases them
 
     def _finish_shift(self, driver):
-        driver.status = "off_shift"
         self.record(DRIVER, driver.spec.driver_id, "ENDS_SHIFT", driver.position)
+
+    def _is_idle(self, driver):
+        """Whether the driver is free to match: a driver is in all of its
+        platforms' idle sets or in none."""
+        return any(driver.spec.driver_id in self.platforms[pid].idle
+                   for pid in driver.spec.platform_ids)
 
     def _add_idle(self, driver):
         for pid in driver.spec.platform_ids:
@@ -364,7 +343,7 @@ class _Sim:
         self.record(TRAVELLER, t_id, "PLANS", trav.request.origin)
         ctx = TravOutCtx(
             traveller_id=t_id, request=trav.request, day=self.day,
-            yesterday_outcome=(self.day_state.traveller_outcomes or {}).get(t_id),
+            yesterday_outcome=self.day_state.traveller_outcomes.get(t_id),
             params=self.params, rng=self.rng,
         )
         opts_out = self.decisions.f_trav_out(ctx)
@@ -382,36 +361,37 @@ class _Sim:
     # ------------------------------------------------------------- queues
 
     def _enqueue(self, request):
-        """Put a request on every platform's queue."""
-        for pid in self.platform_order:
-            self.platforms[pid].enqueue(request)
+        """Put a request on the queue that every platform matches from."""
+        bisect.insort(self.waiting, request, key=_queue_key)
+        self.waiting_ids.add(request.request_id)
         self.open_counts[request.origin] = self.open_counts.get(request.origin, 0) + 1
 
     def _dequeue(self, request):
-        """Take a request off every platform's queue; a no-op if it is not
-        waiting."""
-        removed = False
-        for pid in self.platform_order:
-            removed |= self.platforms[pid].remove_request(request)
-        if removed:
-            left = self.open_counts[request.origin] - 1
-            if left:
-                self.open_counts[request.origin] = left
-            else:
-                del self.open_counts[request.origin]
+        """Take a request off the queue; a no-op if it is not waiting."""
+        if request.request_id not in self.waiting_ids:
+            return
+        del self.waiting[bisect.bisect_left(self.waiting, _queue_key(request),
+                                            key=_queue_key)]
+        self.waiting_ids.remove(request.request_id)
+        left = self.open_counts[request.origin] - 1
+        if left:
+            self.open_counts[request.origin] = left
+        else:
+            del self.open_counts[request.origin]
 
     # ------------------------------------------------------------- matching
 
     def schedule_matching(self):
         """Ensure an instant matching pass and any needed batch boundaries
-        are on the queue for the current state of the two-sided queues."""
+        are on the event queue for the current state of the request queue
+        and the idle sets."""
         if self.now <= self.horizon and self.resolve_pending != self.now:
             if self.has_instant:
                 self.resolve_pending = self.now
                 self.push(self.now, _PH_MATCH, PLATFORM, 0, self.on_instant_pass)
         for pid in self.platform_order:
             state = self.platforms[pid]
-            if state.spec.matching != "batched" or not state.waiting:
+            if state.spec.matching != "batched" or not self.waiting:
                 continue
             if state.next_batch_at is not None:
                 continue
@@ -444,12 +424,12 @@ class _Sim:
         proposals = self._run_match(state)
         offered = self._enact(state, proposals, batch=True)
         self._conclude_pass(offered)
-        if state.waiting:
+        if self.waiting:
             self.schedule_matching()
 
     def _run_match(self, state):
         mode = state.spec.matching
-        requests = tuple(state.waiting)
+        requests = tuple(self.waiting)
         positions = {
             d: self.drivers[d].position for d in sorted(state.idle)
         }
@@ -474,7 +454,7 @@ class _Sim:
                 self.fail(f"f_match paired request {rid} or driver {did} twice")
             seen_r.add(rid)
             seen_d.add(did)
-            if not state.has_request(rid):
+            if rid not in self.waiting_ids:
                 self.fail(f"f_match matched request {rid} not waiting on "
                           f"platform {state.spec.platform_id}")
             if did not in state.idle:
@@ -490,7 +470,7 @@ class _Sim:
         for rid, did in proposals:
             request = self.requests_by_id[rid]
             driver = self.drivers[did]
-            trav = self.travellers[self.traveller_of_request[rid]]
+            trav = self.travellers[request.traveller_id]
             offer = plat.make_offer(state.spec, request, did, driver.position,
                                     self.skim)
             self.record(DRIVER, did, "RECEIVES_REQUEST", driver.position,
@@ -522,11 +502,12 @@ class _Sim:
         return offered
 
     def _conclude_pass(self, offered):
-        """Move requests holding fresh offers out of every queue and line up
+        """Move requests holding fresh offers out of the queue and line up
         their travellers' reactions."""
         for rid in offered:
-            self._dequeue(self.requests_by_id[rid])
-            t_id = self.traveller_of_request[rid]
+            request = self.requests_by_id[rid]
+            self._dequeue(request)
+            t_id = request.traveller_id
             trav = self.travellers[t_id]
             if trav.status != "unserved":
                 # a request can die of rejections in the same pass; its
@@ -607,7 +588,6 @@ class _Sim:
         driver = self.drivers[chosen.driver_id]
         driver.pending_offer = None
         driver.serving = chosen
-        driver.status = "en_route_pickup"
         self.move(driver, trav.request.origin,
                   lambda dist, d=driver: self.on_pickup_arrival(d, dist))
 
@@ -630,7 +610,6 @@ class _Sim:
         request = self.requests_by_id[offer.request_id]
         trav = self.travellers[request.traveller_id]
         d_id = driver.spec.driver_id
-        driver.status = "with_traveller"
         self.record(DRIVER, d_id, "DEPARTS_WITH_TRAVELLER", request.origin,
                     request_id=request.request_id, platform_id=offer.platform_id)
         trav.status = "in_vehicle"
@@ -652,7 +631,6 @@ class _Sim:
         trav = self.travellers[request.traveller_id]
         d_id = driver.spec.driver_id
         payout, cut = plat.settle(self.platforms[offer.platform_id].spec, offer.fare)
-        driver.earnings += payout
         self.record(DRIVER, d_id, "COMPLETES_RIDE", request.destination,
                     request_id=request.request_id, platform_id=offer.platform_id,
                     dist_m=dist, fare=offer.fare, payout=payout, cut=cut)
@@ -660,7 +638,6 @@ class _Sim:
         self.record(TRAVELLER, request.traveller_id, "ARRIVES",
                     request.destination)
         driver.serving = None
-        driver.status = "idle"
         if driver.wants_off:
             self._finish_shift(driver)
             return
@@ -669,15 +646,12 @@ class _Sim:
             self._add_idle(driver)
             self.schedule_matching()
             return
-        driver.status = "repositioning"
         self.record(DRIVER, d_id, "STARTS_REPOSITIONING", driver.position,
                     target=target)
         self.move(driver, target,
                   lambda dist2, d=driver, to=target: self.on_repos_arrival(d, to, dist2))
 
     def _consult_repos(self, driver):
-        # every platform queues every request, so the driver's platforms
-        # together hold exactly the engine-wide waiting set
         ctx = DriverReposCtx(
             driver_id=driver.spec.driver_id, position=driver.position,
             open_requests=dict(self.open_counts), n_nodes=self.inputs.net.n,
@@ -700,7 +674,6 @@ class _Sim:
         if driver.wants_off:
             self._finish_shift(driver)
             return
-        driver.status = "idle"
         self._add_idle(driver)
         self.schedule_matching()
 

@@ -226,10 +226,6 @@ def run_grid(plan: Plan, threads: int | None = None) -> list[dict]:
     return rows
 
 
-def write_results_csv(path, rows) -> None:
-    kpi.write_system_csv(path, rows)
-
-
 # ------------------------------------------------------------ day-to-day
 
 @dataclass(frozen=True)
@@ -248,6 +244,7 @@ class LearningParams:
 class DayToDayResult:
     trajectory: tuple
     logs: tuple
+    system_rows: tuple       # kpi.system_kpis of each day's log
     config: ScenarioConfig
     inputs: ScenarioInputs
     converged: bool
@@ -277,6 +274,9 @@ def day_to_day(
     inputs = materialize(cfg, skim_cache=skim_cache if skim_cache is not None else {})
     dec = build_decision_set(cfg.decisions, cfg.behaviour)
     wage = float(behaviour["reservation_wage_per_hour"])
+    hours = {
+        d.driver_id: (d.shift_end - d.shift_start) / 3600.0 for d in inputs.drivers
+    }
 
     learned = {d.driver_id: wage for d in inputs.drivers}
     participated: dict[int, bool | None] = {
@@ -285,6 +285,7 @@ def day_to_day(
     outcomes: dict[int, str] = {}
     trajectory = []
     logs = []
+    system_rows = []
     streak = 0
     prev_fleet = None
     for day in range(learning.max_days):
@@ -296,37 +297,40 @@ def day_to_day(
                 )
                 for i in learned
             },
-            traveller_outcomes=dict(outcomes),
+            traveller_outcomes=outcomes,
         )
         res = run_day(cfg, inputs, dec, day=day, day_state=state)
         kpi.validate_log(res.log)
         logs.append(res.log)
-        outcomes = res.traveller_outcomes
+        t_rows = kpi.traveller_kpis(res.log)
+        d_rows = kpi.driver_kpis(res.log)
+        system = kpi.system_kpis(t_rows, d_rows, cfg.platforms, res.log)
+        system_rows.append(system)
+        outcomes = {row.traveller_id: row.outcome for row in t_rows}
 
         incomes = []
-        for d_id, summary in res.driver_summaries.items():
-            participated[d_id] = summary.participated
-            if summary.participated:
-                realized = summary.earnings / summary.scheduled_hours
-                learned[d_id] = (
-                    (1.0 - learning.alpha) * learned[d_id]
+        for row in d_rows:
+            participated[row.driver_id] = row.participated
+            if row.participated:
+                realized = row.revenue / hours[row.driver_id]
+                learned[row.driver_id] = (
+                    (1.0 - learning.alpha) * learned[row.driver_id]
                     + learning.alpha * realized
                 )
                 incomes.append(realized)
-        vals = list(res.traveller_outcomes.values())
         trajectory.append({
             "day": day,
-            "fleet_participating": res.fleet_participating,
+            "fleet_participating": system["fleet_participating"],
             "mean_income_per_hour":
                 sum(incomes) / len(incomes) if incomes else None,
-            "mean_wait_s": _mean_wait(res.log),
-            "n_served": vals.count("ARRIVED"),
-            "n_unserved": vals.count("UNSERVED"),
-            "n_rejected": vals.count("REJECTED_OFFER"),
-            "n_opted_out": vals.count("OPTED_OUT"),
+            "mean_wait_s": system["wait_mean_s"],
+            "n_served": system["n_served"],
+            "n_unserved": system["n_unserved"],
+            "n_rejected": system["n_rejected"],
+            "n_opted_out": system["n_opted_out"],
         })
 
-        fleet = res.fleet_participating
+        fleet = system["fleet_participating"]
         if prev_fleet is not None:
             if abs(fleet - prev_fleet) / max(prev_fleet, 1) < learning.convergence_delta:
                 streak += 1
@@ -337,18 +341,7 @@ def day_to_day(
             break
     return DayToDayResult(
         trajectory=tuple(trajectory), logs=tuple(logs),
-        config=cfg, inputs=inputs,
+        system_rows=tuple(system_rows), config=cfg, inputs=inputs,
         converged=streak >= learning.convergence_window,
         learned_income=dict(learned),
     )
-
-
-def _mean_wait(log) -> float | None:
-    waits = [
-        r.wait_s for r in kpi.traveller_kpis(log) if r.wait_s is not None
-    ]
-    return sum(waits) / len(waits) if waits else None
-
-
-def write_day_csv(path, trajectory) -> None:
-    kpi.write_system_csv(path, list(trajectory))

@@ -8,6 +8,7 @@ and the distance of that same minimizing path, so fares (per km) and ETAs
 
 import csv
 import heapq
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,13 +105,15 @@ def _validate(nodes: list[Node], edges: list[Edge], source: str) -> RoadNetwork:
             raise GraphValidationError(
                 f"{source}: edge {i} ({e.src}->{e.dst}) references a missing node"
             )
-        if e.length_m <= 0:
+        if not 0 < e.length_m < math.inf:
             raise GraphValidationError(
-                f"{source}: edge {i} ({e.src}->{e.dst}) has non-positive length {e.length_m}"
+                f"{source}: edge {i} ({e.src}->{e.dst}) has non-positive or "
+                f"non-finite length {e.length_m}"
             )
-        if e.speed_mps <= 0:
+        if not 0 < e.speed_mps < math.inf:
             raise GraphValidationError(
-                f"{source}: edge {i} ({e.src}->{e.dst}) has non-positive speed {e.speed_mps}"
+                f"{source}: edge {i} ({e.src}->{e.dst}) has non-positive or "
+                f"non-finite speed {e.speed_mps}"
             )
     net = RoadNetwork(nodes=tuple(nodes), edges=tuple(edges))
     _check_strong_connectivity(net, source)

@@ -1,4 +1,4 @@
-"""Platform-side state: two-sided queues, matching, offers and settlement.
+"""Platform-side state: idle drivers, matching, offers and settlement.
 
 Matching comes in two modes. Instant mode pairs each waiting request with the
 closest idle driver the moment either side of the queue changes. Batched mode
@@ -6,7 +6,6 @@ accumulates requests and solves one minimum-cost bipartite assignment per
 window boundary.
 """
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,35 +33,14 @@ class Assignment:
     unmatched_drivers: tuple[int, ...]
 
 
-def _queue_key(request: Request) -> tuple[float, int]:
-    return request.t_request, request.request_id
-
-
 @dataclass
 class PlatformState:
-    """Mutable per-run queue state for one platform."""
+    """Mutable per-run state for one platform. Requests wait on one queue
+    that the engine keeps for all platforms."""
 
     spec: PlatformSpec
-    waiting: list = field(default_factory=list)   # Requests, (t_request, request_id) order
-    waiting_ids: set = field(default_factory=set)  # request ids in ``waiting``
     idle: set = field(default_factory=set)
     next_batch_at: float | None = None
-
-    def enqueue(self, request: Request) -> None:
-        bisect.insort(self.waiting, request, key=_queue_key)
-        self.waiting_ids.add(request.request_id)
-
-    def remove_request(self, request: Request) -> bool:
-        """Drop a waiting request; returns False when it was not waiting."""
-        if request.request_id not in self.waiting_ids:
-            return False
-        i = bisect.bisect_left(self.waiting, _queue_key(request), key=_queue_key)
-        del self.waiting[i]
-        self.waiting_ids.remove(request.request_id)
-        return True
-
-    def has_request(self, request_id: int) -> bool:
-        return request_id in self.waiting_ids
 
 
 def match_instant(

@@ -7,6 +7,8 @@ are either generated from seeded sub-streams or loaded from CSV files.
 
 import csv
 import json
+import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -151,8 +153,9 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         if not isinstance(weights, list) or not weights:
             raise ConfigError("demand_weights", "must be a non-empty list of numbers")
         for i, w in enumerate(weights):
-            if not isinstance(w, (int, float)) or isinstance(w, bool) or w < 0:
-                raise ConfigError(f"demand_weights[{i}]", "must be a number >= 0")
+            if not isinstance(w, (int, float)) or isinstance(w, bool) \
+                    or not 0 <= w <= sys.float_info.max:
+                raise ConfigError(f"demand_weights[{i}]", "must be a finite number >= 0")
         if sum(weights) <= 0:
             raise ConfigError("demand_weights", "must have a positive sum")
         weights = tuple(float(w) for w in weights)
@@ -184,6 +187,9 @@ def _number(d: dict, key: str, required: bool = False, path: str | None = None):
     v = d[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(path, f"expected a number, got {type(v).__name__}")
+    # only floats: an integer too large for a float fails its range check
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(path, f"expected a finite number, got {v}")
     return v
 
 
@@ -298,12 +304,12 @@ def _parse_graph(raw: dict, base_dir: Path) -> GraphSpec:
 
 
 def _parse_behaviour(raw: dict) -> dict:
-    b = dict(raw.get("behaviour") or {})
-    if not isinstance(raw.get("behaviour", {}), dict):
+    b = raw.get("behaviour", {})
+    if not isinstance(b, dict):
         raise ConfigError("behaviour", "expected an object")
-    for key, v in b.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"behaviour.{key}", "behaviour values must be numbers")
+    b = dict(b)
+    for key in b:
+        _number(b, key, path=f"behaviour.{key}")
     b.setdefault("t_board_s", 0.0)
     b.setdefault("t_alight_s", 0.0)
     b.setdefault("service_variability", 0.0)

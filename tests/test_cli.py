@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ridesim import kpi
+from ridesim import kpi, presets
 from ridesim.cli import main
 
 RUN_FILES = {"events.csv", "kpi_travellers.csv", "kpi_drivers.csv",
@@ -70,6 +70,59 @@ def test_run_invalid_config_value_exits_1(tmp_path, capsys):
     p.write_text(json.dumps(small_config(n_travellers=-3)))
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
     assert "n_travellers" in capsys.readouterr().err
+
+
+def _with(path, value):
+    """small_config with the value at a dotted path replaced."""
+    raw = small_config()
+    *parents, last = path.split(".")
+    target = raw
+    for key in parents:
+        target = target[key][0] if key == "platforms" else target[key]
+    target[last] = value
+    return raw
+
+
+def _nan_edge_config(tmp_path):
+    city = tmp_path / "city"
+    city.mkdir()
+    (city / "nodes.csv").write_text("node_id,x,y\n0,0,0\n1,100,0\n")
+    (city / "edges.csv").write_text(
+        "from,to,length_m,speed_mps\n0,1,nan,10\n1,0,100,10\n")
+    return small_config(graph={"nodes": "city/nodes.csv", "edges": "city/edges.csv"})
+
+
+BAD_VALUES = {
+    "behaviour_list": (lambda tmp: small_config(behaviour=[1]), "behaviour"),
+    "behaviour_string": (lambda tmp: small_config(behaviour="xy"), "behaviour"),
+    "horizon_nan": (lambda tmp: _with("horizon_s", float("nan")), "horizon_s"),
+    "horizon_inf": (lambda tmp: _with("horizon_s", float("inf")), "horizon_s"),
+    "fare_nan": (lambda tmp: _with("platforms.fare_per_km", float("nan")),
+                 "platforms[0].fare_per_km"),
+    "max_wait_nan": (lambda tmp: small_config(behaviour={"max_wait_s": float("nan")}),
+                     "behaviour.max_wait_s"),
+    "board_inf": (lambda tmp: small_config(behaviour={"t_board_s": float("inf")}),
+                  "behaviour.t_board_s"),
+    "spacing_inf": (lambda tmp: _with("graph.grid.spacing_m", float("inf")),
+                    "graph.grid.spacing_m"),
+    "edge_length_nan": (_nan_edge_config, "edge 0 (0->1)"),
+    "demand_weight_nan": (lambda tmp: small_config(demand_weights=[1.0] * 8 + [float("nan")]),
+                          "demand_weights[8]"),
+    "demand_weight_huge": (lambda tmp: small_config(demand_weights=[1] * 8 + [10 ** 400]),
+                           "demand_weights[8]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_run_non_finite_or_malformed_value_exits_1(case, tmp_path, capsys):
+    make, where = BAD_VALUES[case]
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(make(tmp_path)))      # writes NaN and Infinity
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_run_out_path_is_a_file_exits_2(config_file, tmp_path):
@@ -163,6 +216,23 @@ def test_run_days_validates_each_log_once(config_file, tmp_path, monkeypatch):
     assert main(["run", "--config", str(config_file), "--out", str(out),
                  "--days", "3"]) == 0
     assert len(calls) == 3
+
+
+def test_run_days_builds_traveller_rows_once_per_day(config_file, tmp_path,
+                                                     monkeypatch):
+    calls = []
+    build = kpi.traveller_kpis
+
+    def counting(log):
+        calls.append(len(log))
+        return build(log)
+
+    monkeypatch.setattr(kpi, "traveller_kpis", counting)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out),
+                 "--days", "3"]) == 0
+    # one per simulated day, plus the last day's per-traveller file
+    assert len(calls) <= 4
 
 
 # -------------------------------------------------------------- experiment
@@ -280,3 +350,108 @@ def test_console_script_version():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("ridesim ")
+
+
+# ------------------------------------------------------------ golden outputs
+
+def _golden_mixed_config():
+    """Two platforms, one instant and one batched, with declines, a rejection
+    cap, repositioning and dwell-time variability."""
+    return small_config(
+        horizon_s=3600, n_travellers=120, n_drivers=8, seed=17,
+        platforms=[
+            {"platform_id": 0, "base_fare": 1.0, "fare_per_km": 1.0,
+             "commission_rate": 0.2, "matching": "instant", "fleet": 3},
+            {"platform_id": 1, "base_fare": 0.5, "fare_per_km": 1.2,
+             "commission_rate": 0.25, "matching": {"batched": {"window_s": 60}}},
+        ],
+        graph={"grid": {"rows": 6, "cols": 6, "spacing_m": 500, "speed_mps": 8}},
+        behaviour={"decline_eta_s": 250, "max_wait_s": 150, "max_rejections": 2,
+                   "t_board_s": 20, "t_alight_s": 15, "service_variability": 0.3},
+        decisions={"f_driver_decline": "decline_far_pickup",
+                   "f_trav_mode": "max_wait",
+                   "f_driver_repos": "repos_to_demand"},
+    )
+
+
+def _golden_e3_cut():
+    plan = json.loads(presets.read_text("e3"))
+    plan["grid"] = {"n_drivers": [25, 40], "platforms[1].fare_per_km": [0.6, 1.4]}
+    plan["replications"] = 2
+    return plan
+
+
+# SHA-256 of every output except manifest.json. Outputs are byte-identical
+# for a fixed config and seed, so a refactor leaves these unchanged; only a
+# deliberate change of output may update them.
+GOLDEN = {
+    "e1": {
+        "events.csv":
+            "edb3288479793850ccdf0da14f02ca71b930a3248fa058b6317379327daf22af",
+        "kpi_drivers.csv":
+            "3e7cdba19f63e829f4b89a251f3956d23309a7fc0f2609808123f42687e51e55",
+        "kpi_nodes.csv":
+            "c569d48aa05d4c8a17387dc6d1aab217dfe0f9412cd12304ee2a739858122681",
+        "kpi_system.csv":
+            "e291495c1030464e37fc6495eaf23f48663161992ef174c3009e1d82a0626e97",
+        "kpi_travellers.csv":
+            "850fd4c0e35584f28a278631813ccee393e8887cfe8f33032ef0c45b185ef4b4",
+    },
+    "e4_days4": {
+        "day_to_day.csv":
+            "beb6239872dcefe773f95121e491e7f78fada78b49d969d8e2ff2b3cec69dc0e",
+        "events.csv":
+            "ea8b30e7a614d59dc1597b1c610bc6c40d0da01154607fa9c58372f5608e97b7",
+        "kpi_drivers.csv":
+            "b8172907ee1b58757676638ca0b69993045cff1d7c136f152f42915f6f604730",
+        "kpi_nodes.csv":
+            "e9e21673f605e578c27e06434aaf02cfbee41b3a6c8e8ca1b7bb5ab518984e92",
+        "kpi_system.csv":
+            "5dd9e3734ceb3bdc7868a3d41af262af048b0e566330b673f26b6b9d4fbf3ec4",
+        "kpi_travellers.csv":
+            "ecfc8279cb3df9f3d085e3e0ad39f0a272c627717f27bd6e1345d2dd2487edfa",
+    },
+    "mixed": {
+        "events.csv":
+            "72db30815e1b68f2a5fa9011d820615d3416dde51e018a479043c8a18c8b9dd5",
+        "kpi_drivers.csv":
+            "b2482761a2007fe5d51537c99bcf8d6561e3f0779e53c5e3337612cab80df634",
+        "kpi_nodes.csv":
+            "02dd120f75f606c761baec168bc0eed1df86573171e639527b4a954a16ca7cc2",
+        "kpi_system.csv":
+            "474d4a3c8dd9f05f1b1365316b4167bdbd2b60c500093660b5a07debf73ee7de",
+        "kpi_travellers.csv":
+            "894280efb51e69776d7191ba9d9ab9ad1310c033d98f8a69a889e0437630786d",
+    },
+    "e3_cut": {
+        "experiment_results.csv":
+            "cb94ee9f4127eefefdbcdbf18c0cfa05bb578e32f6df98c34098d821edf90aa8",
+    },
+}
+
+
+def _golden_argv(case, tmp_path):
+    out = tmp_path / case
+    if case == "e1":
+        return ["run", "--config", "e1", "--out", str(out)], out
+    if case == "e4_days4":
+        return ["run", "--config", "e4", "--days", "4", "--out", str(out)], out
+    if case == "mixed":
+        p = tmp_path / "mixed.json"
+        p.write_text(json.dumps(_golden_mixed_config()))
+        return ["run", "--config", str(p), "--out", str(out)], out
+    p = tmp_path / "e3_cut.json"
+    p.write_text(json.dumps(_golden_e3_cut()))
+    return ["experiment", "--plan", str(p), "--out", str(out), "--threads", "1"], out
+
+
+@pytest.mark.parametrize("case", ["e1", "e4_days4", "mixed", "e3_cut"])
+def test_golden_outputs(case, tmp_path):
+    argv, out = _golden_argv(case, tmp_path)
+    assert main(argv) == 0
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in sorted(read_outputs(out).items())
+        if name != "manifest.json"
+    }
+    assert digests == GOLDEN[case]

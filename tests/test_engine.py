@@ -54,13 +54,18 @@ def line_net():
     return RoadNetwork(nodes, edges)
 
 
-def run(cfg, net, requests, drivers, day=0, day_state=None, decision_set=None):
+def run(cfg, net, requests, drivers, day=0, day_state=DayState(), decision_set=None):
     inputs = ScenarioInputs(
         net=net, skim=build_skim(net),
         requests=tuple(requests), drivers=tuple(drivers),
     )
     dec = decision_set or build_decision_set(cfg.decisions, cfg.behaviour)
     return run_day(cfg, inputs, dec, day=day, day_state=day_state)
+
+
+def outcomes(res):
+    """Traveller id -> outcome, read from the day's log."""
+    return {row.traveller_id: row.outcome for row in kpi.traveller_kpis(res.log)}
 
 
 def names(log, kind=None, agent=None):
@@ -150,17 +155,16 @@ def test_driver_day_accounting():
         [Request(0, 0, 1, 2, 100.0)],
         [DriverSpec(0, 0, 0.0, 1000.0, (0,))],
     )
-    s = res.driver_summaries[0]
-    assert s.participated
-    assert s.earnings == pytest.approx(1.2)
-    assert s.scheduled_hours == pytest.approx(1000.0 / 3600.0)
     row = kpi.driver_kpis(res.log)[0]
+    assert row.participated
+    assert row.revenue == pytest.approx(1.2)
+    assert row.shift_s == pytest.approx(1000.0)
     assert row.idle_s == pytest.approx(820.0)
     assert row.empty_drive_s == pytest.approx(60.0)
     assert row.occupied_s == pytest.approx(120.0)
     assert row.mileage_m == pytest.approx(1800.0)
     assert row.idle_s + row.empty_drive_s + row.occupied_s == pytest.approx(1000.0)
-    assert res.traveller_outcomes[0] == "ARRIVED"
+    assert outcomes(res)[0] == "ARRIVED"
     system = kpi.system_kpis(kpi.traveller_kpis(res.log), [row], cfg.platforms,
                              res.log)
     assert system["revenue_platform_0"] == pytest.approx(1.2)
@@ -195,8 +199,6 @@ def test_identical_runs_identical_logs():
     a = run(cfg, net, requests, drivers)
     b = run(cfg, net, requests, drivers)
     assert a.log == b.log
-    assert a.driver_summaries == b.driver_summaries
-    assert a.traveller_outcomes == b.traveller_outcomes
 
 
 def test_conservation_random_scenario():
@@ -226,15 +228,16 @@ def test_conservation_random_scenario():
     system = kpi.system_kpis(kpi.traveller_kpis(res.log), drows, cfg.platforms,
                              res.log)
     assert system["revenue_platform_0"] == pytest.approx(fares, abs=1e-9)
-    earned = sum(s.earnings for s in res.driver_summaries.values())
+    earned = sum(r.revenue for r in drows)
     assert earned == pytest.approx(payouts, abs=1e-9)
 
+    specs = {d.driver_id: d for d in drivers}
     for row in drows:
         if not row.participated:
             continue
         worked = row.idle_s + row.empty_drive_s + row.occupied_s
-        scheduled = res.driver_summaries[row.driver_id].scheduled_hours
-        assert worked >= scheduled * 3600.0 - 1e-6
+        spec = specs[row.driver_id]
+        assert worked >= spec.shift_end - spec.shift_start - 1e-6
 
 
 def test_outcomes_partition_travellers():
@@ -244,8 +247,8 @@ def test_outcomes_partition_travellers():
     requests = generate_demand(net, 40, 1800.0, 5)
     drivers = generate_supply(net, 3, 1800.0, 5)
     res = run(cfg, net, requests, drivers)
-    assert sorted(res.traveller_outcomes) == list(range(40))
-    assert set(res.traveller_outcomes.values()) <= {
+    assert sorted(outcomes(res)) == list(range(40))
+    assert set(outcomes(res).values()) <= {
         "ARRIVED", "UNSERVED", "OPTED_OUT", "REJECTED_OFFER",
     }
 
@@ -267,7 +270,7 @@ def test_driver_decline_leaves_request_unserved():
     assert unserved.t == 1000.0
     assert unserved.reason == "horizon"
     assert "MATCH" not in names(res.log)
-    assert res.traveller_outcomes[0] == "UNSERVED"
+    assert outcomes(res)[0] == "UNSERVED"
 
 
 def test_max_rejections_kills_request():
@@ -297,7 +300,7 @@ def test_rejected_then_rematched_later():
     match = first(res.log, "MATCH")
     assert match.t == 200.0
     assert match.driver_id == 1
-    assert res.traveller_outcomes[0] == "ARRIVED"
+    assert outcomes(res)[0] == "ARRIVED"
 
 
 def test_rejected_offer_outcome_without_rematch():
@@ -309,7 +312,7 @@ def test_rejected_offer_outcome_without_rematch():
     )
     assert names(res.log).count("REJECTS_OFFER") == 1
     assert "UNSERVED" not in names(res.log)
-    assert res.traveller_outcomes[0] == "REJECTED_OFFER"
+    assert outcomes(res)[0] == "REJECTED_OFFER"
 
 
 # ------------------------------------------------------------------ batching
@@ -331,7 +334,7 @@ def test_batched_matching_fires_on_window_boundaries():
     assert matches[0].t == 60.0
     assert all(m.t % 60.0 == 0.0 for m in matches)
     assert first(res.log, "PICKED_UP", agent=0).t == 60.0
-    assert res.traveller_outcomes == {0: "ARRIVED", 1: "ARRIVED"}
+    assert outcomes(res) == {0: "ARRIVED", 1: "ARRIVED"}
 
 
 def test_request_at_boundary_joins_that_window():
@@ -426,7 +429,7 @@ def test_losing_driver_serves_next_traveller():
     second = [r for r in res.log if r.event == "MATCH"][1]
     assert second.t == 150.0
     assert second.driver_id == 0      # released loser is available again
-    assert res.traveller_outcomes == {0: "ARRIVED", 1: "ARRIVED"}
+    assert outcomes(res) == {0: "ARRIVED", 1: "ARRIVED"}
 
 
 # ------------------------------------------------------- service durations
@@ -485,7 +488,7 @@ def test_no_new_match_at_shift_end():
     )
     assert "MATCH" not in names(res.log)
     assert first(res.log, "ENDS_SHIFT").t == 100.0
-    assert res.traveller_outcomes[0] == "UNSERVED"
+    assert outcomes(res)[0] == "UNSERVED"
 
 
 # ------------------------------------------------------------ repositioning
@@ -506,7 +509,7 @@ def test_repositioning_towards_open_demand():
     assert stop.node == 0
     assert stop.t == start.t + 180.0
     assert first(res.log, "PICKED_UP", agent=1).t == stop.t
-    assert res.traveller_outcomes == {0: "ARRIVED", 1: "ARRIVED"}
+    assert outcomes(res) == {0: "ARRIVED", 1: "ARRIVED"}
 
 
 # ------------------------------------------------------ cross-day behaviour
@@ -520,20 +523,16 @@ def test_driver_opt_out_from_learned_income():
             0: DriverCarry(learned_income=1.0, participated_yesterday=True),
             1: DriverCarry(learned_income=9.0, participated_yesterday=True),
         },
-        traveller_outcomes={},
     )
     res = run(cfg, net, [], drivers, day=1, day_state=state)
     assert names(res.log, agent=0) == ["OPTS_OUT"]
     assert names(res.log, agent=1) == ["STARTS_SHIFT", "ENDS_SHIFT"]
-    assert res.fleet_participating == 1
-    assert not res.driver_summaries[0].participated
+    assert [row.participated for row in kpi.driver_kpis(res.log)] == [False, True]
 
 
 def test_traveller_opt_out_after_bad_day():
     cfg = make_cfg(2, 1, decisions={"f_trav_out": "opt_out_if_unserved"})
-    state = DayState(
-        drivers={}, traveller_outcomes={0: "UNSERVED", 1: "ARRIVED"},
-    )
+    state = DayState(traveller_outcomes={0: "UNSERVED", 1: "ARRIVED"})
     res = run(
         cfg, line_net(),
         [Request(0, 0, 1, 2, 10.0), Request(1, 1, 1, 2, 400.0)],
@@ -541,8 +540,8 @@ def test_traveller_opt_out_after_bad_day():
         day=1, day_state=state,
     )
     assert names(res.log, "TRAVELLER", 0) == ["PLANS", "OPTS_OUT"]
-    assert res.traveller_outcomes[0] == "OPTED_OUT"
-    assert res.traveller_outcomes[1] == "ARRIVED"
+    assert outcomes(res)[0] == "OPTED_OUT"
+    assert outcomes(res)[1] == "ARRIVED"
 
 
 # ------------------------------------------------------------- hook guards
@@ -582,21 +581,50 @@ def test_bad_repos_hook_rejected_up_front():
 # ---------------------------------------------------------- queue invariants
 
 def check_queues(sim):
-    """The engine's waiting counts by origin equal a rescan of the queues;
-    each queue is in (t_request, request_id) order and matches its id set.
-    Returns the rescanned counts."""
-    counts, seen = {}, set()
-    for state in sim.platforms.values():
-        keys = [(r.t_request, r.request_id) for r in state.waiting]
-        assert keys == sorted(keys)
-        assert len(keys) == len(state.waiting_ids)
-        assert {r.request_id for r in state.waiting} == state.waiting_ids
-        for r in state.waiting:
-            if r.request_id not in seen:
-                seen.add(r.request_id)
-                counts[r.origin] = counts.get(r.origin, 0) + 1
+    """The engine's waiting counts by origin equal a rescan of its request
+    queue; the queue is in (t_request, request_id) order, matches its id set
+    and holds exactly the travellers waiting for an offer. Returns the
+    rescanned counts."""
+    keys = [(r.t_request, r.request_id) for r in sim.waiting]
+    assert keys == sorted(keys)
+    assert len(keys) == len(sim.waiting_ids)
+    assert {r.request_id for r in sim.waiting} == sim.waiting_ids
+    waiting = {t.request.request_id for t in sim.travellers.values()
+               if t.status == "waiting"}
+    assert waiting <= sim.waiting_ids
+    counts = {}
+    for r in sim.waiting:
+        counts[r.origin] = counts.get(r.origin, 0) + 1
     assert sim.open_counts == counts
     return counts
+
+
+def test_request_queue_stays_ordered():
+    cfg = make_cfg(4, 0)
+    reqs = {rid: Request(rid, rid, rid % 2, 2, t)
+            for rid, t in [(2, 30.0), (7, 10.0), (1, 10.0), (4, 20.0)]}
+    inputs = ScenarioInputs(net=line_net(), skim=build_skim(line_net()),
+                            requests=tuple(reqs.values()), drivers=())
+    sim = engine._Sim(cfg, inputs, build_decision_set(None, cfg.behaviour),
+                      0, DayState())
+    for rid in (2, 7, 1, 4):
+        sim._enqueue(reqs[rid])
+
+    def order():
+        check_queues(sim)
+        return [(r.t_request, r.request_id) for r in sim.waiting]
+
+    assert order() == [(10.0, 1), (10.0, 7), (20.0, 4), (30.0, 2)]
+    assert sim.open_counts == {0: 2, 1: 2}
+    sim._dequeue(reqs[7])
+    assert order() == [(10.0, 1), (20.0, 4), (30.0, 2)]
+    sim._dequeue(reqs[7])                   # not waiting: a no-op
+    assert order() == [(10.0, 1), (20.0, 4), (30.0, 2)]
+    sim._dequeue(reqs[4])                   # from the middle
+    assert order() == [(10.0, 1), (30.0, 2)]
+    assert sim.waiting_ids == {1, 2} and sim.open_counts == {0: 1, 1: 1}
+    sim._enqueue(reqs[7])
+    assert order() == [(10.0, 1), (10.0, 7), (30.0, 2)]
 
 
 INSTANT = {"platform_id": 0, "base_fare": 0.0, "fare_per_km": 1.0,

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from ridesim import experiments, scenario
+from ridesim import experiments, kpi, presets, scenario
 from ridesim.errors import ConfigError
 from ridesim.experiments import (
     LearningParams,
@@ -16,8 +16,6 @@ from ridesim.experiments import (
     parse_plan,
     replicate,
     run_grid,
-    write_day_csv,
-    write_results_csv,
 )
 from ridesim.netgraph import build_skim
 from ridesim.scenario import parse_config
@@ -215,7 +213,7 @@ def test_results_csv_written(tmp_path):
     plan = parse_plan(plan_raw(replications=1))
     rows = run_grid(plan)
     out = tmp_path / "experiment_results.csv"
-    write_results_csv(out, rows)
+    kpi.write_system_csv(out, rows)
     lines = out.read_text().strip().splitlines()
     assert len(lines) == len(rows) + 1
     header = lines[0].split(",")
@@ -296,7 +294,34 @@ def test_day_csv(tmp_path):
     cfg = parse_config(base_raw(decisions={"f_driver_out": "learned_participation"}))
     res = day_to_day(cfg, learning(max_days=4))
     out = tmp_path / "day_to_day.csv"
-    write_day_csv(out, res.trajectory)
+    kpi.write_system_csv(out, res.trajectory)
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("day,fleet_participating,mean_income_per_hour")
     assert len(lines) == len(res.trajectory) + 1
+
+
+def test_learning_matches_ema_oracle():
+    cfg = parse_config(json.loads(presets.read_text("e4")))
+    params = LearningParams(max_days=6)
+    res = day_to_day(cfg, params)
+    assert len(res.logs) == 6
+    hours = {d.driver_id: (d.shift_end - d.shift_start) / 3600.0
+             for d in res.inputs.drivers}
+    belief = {d: res.config.behaviour["reservation_wage_per_hour"] for d in hours}
+    fleets = []
+    for log, day in zip(res.logs, res.trajectory):
+        worked, paid = set(), dict.fromkeys(hours, 0.0)
+        for rec in log:
+            if rec.event == "STARTS_SHIFT":
+                worked.add(rec.agent_id)
+            elif rec.event == "COMPLETES_RIDE":
+                paid[rec.agent_id] += rec.payout
+        incomes = [paid[d] / hours[d] for d in sorted(worked)]
+        for d, income in zip(sorted(worked), incomes):
+            belief[d] = (1.0 - params.alpha) * belief[d] + params.alpha * income
+        assert day["fleet_participating"] == len(worked)
+        assert day["mean_income_per_hour"] == pytest.approx(
+            sum(incomes) / len(incomes), rel=1e-12)
+        fleets.append(len(worked))
+    assert res.learned_income == pytest.approx(belief, rel=1e-12)
+    assert len(set(fleets)) > 1             # participation moved with learning

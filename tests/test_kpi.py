@@ -22,6 +22,7 @@ from ridesim.kpi import (
     write_traveller_csv,
 )
 from ridesim.netgraph import build_skim, grid_city
+from ridesim.platforms import settle
 from ridesim.scenario import (
     DriverSpec,
     Request,
@@ -45,8 +46,8 @@ def single_ride_result():
 
 
 def busy_result(seed=31, n_trav=40, n_drv=5, horizon=3600.0, behaviour=None,
-                decisions=None):
-    cfg = make_cfg(n_trav, n_drv, horizon=horizon, seed=seed,
+                decisions=None, platforms=None):
+    cfg = make_cfg(n_trav, n_drv, horizon=horizon, seed=seed, platforms=platforms,
                    behaviour=behaviour, decisions=decisions)
     net = grid_city(4, 4, 250.0, 10.0)
     requests = generate_demand(net, n_trav, horizon, seed)
@@ -184,20 +185,28 @@ def test_driver_rows_match_skim_oracle():
     plain = busy_result(seed=13)
     repos = busy_result(
         seed=13, n_trav=120, behaviour={"t_board_s": 20.0, "t_alight_s": 15.0},
-        decisions={"f_driver_repos": "repos_to_demand"})
+        decisions={"f_driver_repos": "repos_to_demand"},
+        platforms=[{"platform_id": 0, "base_fare": 0.5, "fare_per_km": 1.0,
+                    "commission_rate": 0.2, "matching": "instant"}])
     assert any(r.event == "STARTS_REPOSITIONING" for r in repos[0].log)
     for (res, cfg, net, requests, drivers), t_alight in ((plain, 0.0), (repos, 15.0)):
         oracle = leg_oracle(res.log, requests, build_skim(net), t_alight)
         specs = {d.driver_id: d for d in drivers}
+        # a driver's revenue is the payout of every ride it was matched to
+        by_platform = {p.platform_id: p for p in cfg.platforms}
+        payouts = {}
+        for rec in res.log:
+            if rec.event in ("MATCH", "BATCH_MATCH"):
+                payout = settle(by_platform[rec.agent_id], rec.fare)[0]
+                payouts[rec.driver_id] = payouts.get(rec.driver_id, 0.0) + payout
         rows = driver_kpis(res.log)
         assert sum(r.participated for r in rows) > 0
         for row in rows:
-            summary = res.driver_summaries[row.driver_id]
-            assert row.participated == summary.participated
             if not row.participated:
                 continue
             empty_m, empty_s, occupied_m, occupied_s = oracle[row.driver_id]
-            assert row.revenue == pytest.approx(summary.earnings, abs=1e-9)
+            assert row.revenue == pytest.approx(payouts.get(row.driver_id, 0.0),
+                                                abs=1e-9)
             assert row.empty_drive_m == pytest.approx(empty_m, abs=1e-6)
             assert row.empty_drive_s == pytest.approx(empty_s, abs=1e-6)
             assert row.occupied_m == pytest.approx(occupied_m, abs=1e-6)

@@ -14,7 +14,6 @@ import pytest
 from ridesim.netgraph import SkimMatrix, build_skim, grid_city
 from ridesim.platforms import (
     Assignment,
-    PlatformState,
     match_batch,
     match_instant,
     make_offer,
@@ -244,31 +243,6 @@ def test_settle_conserves_money():
         fare = float(rng.uniform(0.0, 30.0))
         payout, cut = settle(spec, fare)
         assert abs(payout + cut - fare) < 1e-12
-
-
-# ------------------------------------------------------------ queue state
-
-def test_waiting_queue_stays_ordered():
-    state = PlatformState(spec=offer_spec(0.0, 1.0))
-    reqs = {rid: Request(rid, rid, 0, 1, t)
-            for rid, t in [(2, 30.0), (7, 10.0), (1, 10.0), (4, 20.0)]}
-    for rid in (2, 7, 1, 4):
-        state.enqueue(reqs[rid])
-
-    def order():
-        return [(r.t_request, r.request_id) for r in state.waiting]
-
-    assert order() == [(10.0, 1), (10.0, 7), (20.0, 4), (30.0, 2)]
-    assert state.remove_request(reqs[7])
-    assert order() == [(10.0, 1), (20.0, 4), (30.0, 2)]
-    assert state.has_request(1) and not state.has_request(7)
-    assert not state.remove_request(reqs[7])
-    assert state.remove_request(reqs[4])    # from the middle
-    assert order() == [(10.0, 1), (30.0, 2)]
-    assert state.waiting_ids == {1, 2}
-    state.enqueue(reqs[7])
-    assert order() == [(10.0, 1), (10.0, 7), (30.0, 2)]
-    assert state.has_request(7) and not state.has_request(4)
 
 
 def test_next_batch_boundary():

@@ -115,6 +115,8 @@ def test_seed_range_checked():
         parse_config(minimal_raw(seed=-1))
     with pytest.raises(ConfigError, match="seed"):
         parse_config(minimal_raw(seed=2 ** 64))
+    with pytest.raises(ConfigError, match="64-bit"):     # no float overflow
+        parse_config(minimal_raw(seed=10 ** 400))
 
 
 def test_negative_counts_rejected():
