@@ -7,12 +7,13 @@ and the distance of that same minimizing path, so fares (per km) and ETAs
 """
 
 import csv
-import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from ridesim.errors import GraphParseError, GraphValidationError
 from ridesim.util import fmt_num
@@ -51,13 +52,6 @@ class RoadNetwork:
     def n(self) -> int:
         return len(self.nodes)
 
-    def adjacency(self) -> list[list[tuple[int, float, float]]]:
-        """Outgoing edges per node as (dst, travel_time_s, length_m)."""
-        adj: list[list[tuple[int, float, float]]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            adj[e.src].append((e.dst, e.travel_time_s, e.length_m))
-        return adj
-
     def content_key(self) -> str:
         """Canonical string identifying the graph's content (for caching)."""
         parts = [f"n:{nd.node_id},{nd.x!r},{nd.y!r}" for nd in self.nodes]
@@ -71,8 +65,8 @@ class SkimMatrix:
 
     ``travel_time[u, v]`` is the minimal time in seconds; ``distance[u, v]``
     the length in meters of the same minimizing path (ties broken by minimal
-    distance, then lexicographically smallest node sequence). Diagonals are
-    exactly zero; strong connectivity guarantees all entries finite.
+    distance). Diagonals are exactly zero; strong connectivity guarantees all
+    entries finite.
     """
 
     travel_time: np.ndarray
@@ -121,33 +115,17 @@ def _validate(nodes: list[Node], edges: list[Edge], source: str) -> RoadNetwork:
 
 
 def _check_strong_connectivity(net: RoadNetwork, source: str) -> None:
-    fwd: list[list[int]] = [[] for _ in range(net.n)]
-    rev: list[list[int]] = [[] for _ in range(net.n)]
-    for e in net.edges:
-        fwd[e.src].append(e.dst)
-        rev[e.dst].append(e.src)
-    for label, adj in (("from", fwd), ("towards", rev)):
-        reached = _bfs(adj, 0)
-        if len(reached) != net.n:
-            missing = min(set(range(net.n)) - reached)
+    src = [e.src for e in net.edges]
+    dst = [e.dst for e in net.edges]
+    graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(net.n, net.n))
+    for label, adj in (("from", graph), ("towards", graph.T)):
+        cut_off = np.ones(net.n, dtype=bool)
+        cut_off[breadth_first_order(adj, 0, return_predecessors=False)] = False
+        if cut_off.any():
             raise GraphValidationError(
                 f"{source}: graph is not strongly connected; "
-                f"node {missing} is unreachable {label} node 0"
+                f"node {np.argmax(cut_off)} is unreachable {label} node 0"
             )
-
-
-def _bfs(adj: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
 
 
 def grid_city(rows: int, cols: int, spacing: float, speed: float) -> RoadNetwork:
@@ -249,43 +227,29 @@ def save_graph(net: RoadNetwork, out_dir: str | Path) -> tuple[Path, Path]:
 def build_skim(net: RoadNetwork) -> SkimMatrix:
     """All-pairs shortest paths under the lexicographic (time, distance) cost.
 
-    Per source, a Dijkstra search keyed on (travel_time, distance, node) makes
-    tie-breaking deterministic: minimal time first, then minimal distance,
-    then the lexicographically smallest node sequence.
+    One Dijkstra search over all sources gives the travel times. Per source,
+    a second search over the edges that lie on a fastest path (``t[s, u] +
+    et == t[s, v]``), weighted by length, gives the shortest of those paths.
     """
     n = net.n
-    adj = net.adjacency()
-    tt = np.zeros((n, n))
-    dist = np.zeros((n, n))
+    src = np.array([e.src for e in net.edges], dtype=np.int64)
+    dst = np.array([e.dst for e in net.edges], dtype=np.int64)
+    et = np.array([e.travel_time_s for e in net.edges])
+    el = np.array([e.length_m for e in net.edges])
+    # parallel edges: keep the fastest, ties to the shorter, so the matrix
+    # has one entry per node pair (scipy sums duplicates when it
+    # canonicalises a matrix)
+    order = np.lexsort((el, et, dst, src))
+    src, dst, et, el = src[order], dst[order], et[order], el[order]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    src, dst, et, el = src[first], dst[first], et[first], el[first]
+    indptr = np.searchsorted(src, np.arange(n + 1))
+    graph = csr_matrix((et.copy(), dst, indptr), shape=(n, n))
+    tt = dijkstra(graph)
+    dist = np.empty((n, n))
     for s in range(n):
-        t_row, d_row = _dijkstra_lex(adj, n, s)
-        tt[s, :] = t_row
-        dist[s, :] = d_row
+        row = tt[s]
+        graph.data[:] = np.where(row[src] + et == row[dst], el, np.inf)
+        dist[s] = dijkstra(graph, indices=s)
     return SkimMatrix(travel_time=tt, distance=dist)
-
-
-def _dijkstra_lex(adj, n: int, source: int) -> tuple[list[float], list[float]]:
-    inf = float("inf")
-    best_t = [inf] * n
-    best_d = [inf] * n
-    best_t[source] = 0.0
-    best_d[source] = 0.0
-    heap: list[tuple[float, float, int]] = [(0.0, 0.0, source)]
-    done = [False] * n
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        t, d, u = pop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, et, el in adj[u]:
-            if done[v]:
-                continue
-            nt = t + et
-            nd = d + el
-            if nt < best_t[v] or (nt == best_t[v] and nd < best_d[v]):
-                best_t[v] = nt
-                best_d[v] = nd
-                push(heap, (nt, nd, v))
-    return best_t, best_d

@@ -55,13 +55,14 @@ def match_instant(
     ``excluded`` holds driver ids barred for this request (they already
     declined it in the current matching pass).
     """
+    pickup_tt = skim.travel_time[:, request.origin]
     best = None
     best_tt = None
-    for d in sorted(idle):
+    for d in idle:
         if d in excluded:
             continue
-        tt = skim.travel_time[positions[d], request.origin]
-        if best_tt is None or tt < best_tt:
+        tt = pickup_tt[positions[d]]
+        if best is None or tt < best_tt or (tt == best_tt and d < best):
             best, best_tt = d, tt
     return best
 

@@ -143,7 +143,7 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     if not (0 <= seed < 2 ** 64):
         raise ConfigError("seed", "must be a 64-bit unsigned integer")
 
-    platforms = _parse_platforms(raw, n_drivers)
+    platforms = _parse_platforms(raw, n_drivers, horizon)
     graph = _parse_graph(raw, Path(base_dir))
     behaviour = _parse_behaviour(raw)
     decisions = _parse_decisions(raw)
@@ -203,7 +203,7 @@ def _integer(d: dict, key: str, required: bool = False, path: str | None = None)
     return v
 
 
-def _parse_platforms(raw: dict, n_drivers: int) -> tuple[PlatformSpec, ...]:
+def _parse_platforms(raw: dict, n_drivers: int, horizon: float) -> tuple[PlatformSpec, ...]:
     plats = raw.get("platforms")
     if not isinstance(plats, list) or not plats:
         raise ConfigError("platforms", "at least one platform is required")
@@ -230,7 +230,7 @@ def _parse_platforms(raw: dict, n_drivers: int) -> tuple[PlatformSpec, ...]:
             raise ConfigError(f"{at}.fare_per_km", "must be >= 0")
         if not (0 <= cut <= 1):
             raise ConfigError(f"{at}.commission_rate", f"must be in [0, 1], got {cut}")
-        mode, window = _parse_matching(p.get("matching"), f"{at}.matching")
+        mode, window = _parse_matching(p.get("matching"), f"{at}.matching", horizon)
         fleet = _integer(p, "fleet", path=f"{at}.fleet")
         if fleet is not None and fleet < 0:
             raise ConfigError(f"{at}.fleet", "must be >= 0")
@@ -255,7 +255,7 @@ def _parse_platforms(raw: dict, n_drivers: int) -> tuple[PlatformSpec, ...]:
     return tuple(out)
 
 
-def _parse_matching(v, at: str) -> tuple[str, float | None]:
+def _parse_matching(v, at: str, horizon: float) -> tuple[str, float | None]:
     if v is None:
         raise ConfigError(at, "required key missing")
     if v == "instant":
@@ -267,6 +267,10 @@ def _parse_matching(v, at: str) -> tuple[str, float | None]:
         window = _number(inner, "window_s", required=True, path=f"{at}.batched.window_s")
         if window <= 0:
             raise ConfigError(f"{at}.batched.window_s", "must be > 0")
+        # below this, k * window_s stops resolving multiples of the window
+        # within the horizon and next_batch_boundary cannot step past now
+        if window < horizon / 2 ** 40:
+            raise ConfigError(f"{at}.batched.window_s", "must be >= horizon_s / 2**40")
         return "batched", float(window)
     raise ConfigError(at, 'must be "instant" or {"batched": {"window_s": W}}')
 

@@ -1,11 +1,14 @@
 """Network, skim and graph I/O tests.
 
 Skim results are checked against an independent brute-force oracle that
-enumerates every simple path (feasible for graphs up to 8 nodes) and against
+enumerates every simple path (feasible for graphs up to 8 nodes), against the
+per-source heap Dijkstra the package used before its scipy search, and against
 hand-computed values on grids and line graphs.
 """
 
+import heapq
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +51,43 @@ def oracle_skim(n, edges):
     for s in range(n):
         walk(s, s, 0.0, 0.0, {s})
     return tt, dist
+
+
+def _dijkstra_lex(adj, n: int, source: int) -> tuple[list[float], list[float]]:
+    inf = float("inf")
+    best_t = [inf] * n
+    best_d = [inf] * n
+    best_t[source] = 0.0
+    best_d[source] = 0.0
+    heap: list[tuple[float, float, int]] = [(0.0, 0.0, source)]
+    done = [False] * n
+    push = heapq.heappush
+    pop = heapq.heappop
+    while heap:
+        t, d, u = pop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, et, el in adj[u]:
+            if done[v]:
+                continue
+            nt = t + et
+            nd = d + el
+            if nt < best_t[v] or (nt == best_t[v] and nd < best_d[v]):
+                best_t[v] = nt
+                best_d[v] = nd
+                push(heap, (nt, nd, v))
+    return best_t, best_d
+
+
+def heap_skim(net):
+    """All-pairs (travel_time, distance) from one lexicographic heap search
+    per source, keyed on (time, distance, node)."""
+    adj = [[] for _ in range(net.n)]
+    for e in net.edges:
+        adj[e.src].append((e.dst, e.travel_time_s, e.length_m))
+    rows = [_dijkstra_lex(adj, net.n, s) for s in range(net.n)]
+    return [t for t, _ in rows], [d for _, d in rows]
 
 
 def reachable_from(n, directed_edges, start):
@@ -198,6 +238,59 @@ def test_skim_matches_bruteforce_with_ragged_speeds():
         assert sk.distance.tolist() == dist
 
 
+def test_skim_matches_heap_search_on_benchmark_city():
+    # the 30x30 city of the perfbench instant and batched workloads
+    net = grid_city(30, 30, 500.0, 10.0)
+    sk = build_skim(net)
+    tt, dist = heap_skim(net)
+    assert sk.travel_time.tolist() == tt
+    assert sk.distance.tolist() == dist
+
+
+def test_skim_matches_heap_search_with_parallel_edges():
+    rng = np.random.default_rng(2011)
+    for i in range(60):
+        n = int(rng.integers(2, 40))
+        edges = random_strongly_connected(rng, n)
+        # repeat some edges with new weights: parallel edges
+        for k in rng.integers(0, len(edges), size=int(rng.integers(1, n + 1))):
+            a, b, _, _ = edges[k]
+            edges.append((a, b, float(rng.choice([100.0, 200.0])), float(rng.choice([5.0, 10.0]))))
+        if i % 2:
+            edges = [(a, b, ln * float(rng.uniform(0.7, 1.3)), sp / 3.0)
+                     for a, b, ln, sp in edges]
+        net = make_net(n, edges)
+        sk = build_skim(net)
+        tt, dist = heap_skim(net)
+        assert sk.travel_time.tolist() == tt
+        assert sk.distance.tolist() == dist
+
+
+def test_parallel_edges_hand_computed():
+    # three roads 0->1: 10 s/100 m, 10 s/50 m and 30 s/300 m; summing them
+    # would give 50 s, keeping the wrong 10 s road 100 m
+    net = make_net(2, [
+        (0, 1, 100.0, 10.0), (0, 1, 50.0, 5.0), (0, 1, 300.0, 10.0),
+        (1, 0, 100.0, 10.0),
+    ])
+    sk = build_skim(net)
+    assert sk.travel_time[0, 1] == 10.0
+    assert sk.distance[0, 1] == 50.0
+
+
+def test_skim_peak_memory_bounded():
+    # two n x n result matrices plus per-source rows; an n x E temporary
+    # would add about 3.9 * 8 n^2 on this grid
+    net = grid_city(30, 30, 500.0, 10.0)
+    tracemalloc.start()
+    try:
+        build_skim(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * net.n ** 2
+
+
 def test_triangle_inequality_on_random_graph():
     rng = np.random.default_rng(99)
     edges = random_strongly_connected(rng, 8)
@@ -239,7 +332,7 @@ def test_unreachable_node_named(tmp_path):
     edges = [(0, 1), (1, 2), (2, 0), (3, 0)]
     assert 3 not in reachable_from(4, edges, 0)  # oracle agrees it is cut off
     _write_graph(tmp_path, 4, edges)
-    with pytest.raises(GraphValidationError, match="3"):
+    with pytest.raises(GraphValidationError, match="node 3 is unreachable from node 0"):
         load_graph(tmp_path)
 
 
@@ -248,7 +341,7 @@ def test_sink_component_rejected(tmp_path):
     edges = [(0, 1), (1, 2), (2, 0), (0, 3)]
     assert 0 not in reachable_from(4, edges, 3)
     _write_graph(tmp_path, 4, edges)
-    with pytest.raises(GraphValidationError):
+    with pytest.raises(GraphValidationError, match="node 3 is unreachable towards node 0"):
         load_graph(tmp_path)
 
 

@@ -262,3 +262,17 @@ def test_next_batch_boundary_properties():
         assert b == k * window
         assert b >= now
         assert (k - 1) * window < now
+
+
+def test_next_batch_boundary_at_smallest_accepted_window():
+    # parse_config accepts window_s down to horizon_s / 2**40
+    rng = np.random.default_rng(17)
+    for horizon in (1.0, 3600.0, 86400.0, 1e7):
+        window = horizon / 2 ** 40
+        for _ in range(200):
+            now = float(rng.uniform(0.0, horizon))
+            b = next_batch_boundary(window, now)
+            k = round(b / window)
+            assert b == k * window
+            assert b >= now
+            assert (k - 1) * window < now

@@ -3,6 +3,7 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -101,6 +102,19 @@ def test_bad_matching_rejected(matching):
     raw["platforms"][0]["matching"] = matching
     with pytest.raises(ConfigError, match="matching"):
         parse_config(raw)
+
+
+def test_tiny_batch_window_rejected():
+    # a window this small would stall next_batch_boundary; it must fail fast
+    for horizon in (1, 3600, 1e7):
+        smallest = horizon / 2 ** 40
+        raw = minimal_raw(horizon_s=horizon)
+        raw["platforms"][0]["matching"] = {"batched": {"window_s": smallest}}
+        assert parse_config(raw).platforms[0].batch_window_s == smallest
+        for window in (1e-300, float(np.nextafter(smallest, 0.0))):
+            raw["platforms"][0]["matching"] = {"batched": {"window_s": window}}
+            with pytest.raises(ConfigError, match=r"platforms\[0\]\.matching\.batched\.window_s"):
+                parse_config(raw)
 
 
 def test_duplicate_platform_id_rejected():
