@@ -187,6 +187,9 @@ def _env_threads() -> int | None:
 
 
 def cmd_generate(args) -> int:
+    for flag, count in (("--demand", args.demand), ("--supply", args.supply)):
+        if count is not None and count < 0:
+            raise ConfigError(flag, "must be >= 0")
     out = _out_dir(args.out)
     started = _now()
     seed = args.seed

@@ -12,7 +12,7 @@ Modules are selected by name from scenario config, e.g.
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import AbstractSet, Callable, Mapping, Optional
 
 import numpy as np
 
@@ -20,8 +20,6 @@ from ridesim import platforms
 from ridesim.errors import ConfigError
 from ridesim.platforms import Offer
 from ridesim.scenario import DECISION_SLOTS, DriverSpec, Request
-
-DEFAULT_EPSILON = 0.05      # re-entry probability of a driver who sat out, when unset
 
 
 # ----------------------------------------------------------- hook contexts
@@ -103,16 +101,17 @@ class PlatformChoiceCtx:
 class MatchCtx:
     """One platform's matching problem at an instant pass or window boundary.
 
-    An instant platform's hook runs on every instant pass, including passes
-    with no idle driver or no waiting request; a batched platform's hook
-    runs only at its window boundaries. ``requests`` holds the waiting
-    requests in (t_request, request_id) order.
+    The hook runs on instant passes (instant platforms) or at window
+    boundaries (batched platforms), and only when the platform has an idle
+    driver and a request waits. ``requests`` holds the waiting requests in
+    (t_request, request_id) order. ``idle`` and ``positions`` are read-only
+    live views of the engine's idle drivers, valid only during the call.
     """
     platform_id: int
     mode: str                   # "instant" or "batched"
     requests: tuple             # waiting Request objects, (t_request, id) order
-    idle: frozenset
-    positions: Mapping          # driver_id -> node
+    idle: AbstractSet           # idle driver ids
+    positions: Mapping          # idle driver_id -> node
     excluded: frozenset         # (request_id, driver_id) pairs barred this pass
     skim: object
     params: Mapping
@@ -135,16 +134,14 @@ class DecisionSet:
 def default_driver_out(ctx: DriverOutCtx) -> bool:
     """Day 0: everyone works. Later days: stay in while smoothed income
     clears the reservation wage; a driver who was out re-enters with the
-    exploration probability ``epsilon`` (behaviour key, default
-    ``DEFAULT_EPSILON``)."""
+    exploration probability ``behaviour.epsilon``."""
     if ctx.day == 0 or ctx.learned_income_per_hour is None:
         return False
     if ctx.learned_income_per_hour >= ctx.reservation_wage_per_hour:
         return False
     if ctx.participated_yesterday:
         return True
-    epsilon = float(ctx.params.get("epsilon", DEFAULT_EPSILON))
-    return not bool(ctx.rng.random() < epsilon)
+    return not bool(ctx.rng.random() < ctx.params["epsilon"])
 
 
 def default_driver_decline(ctx: DriverDeclineCtx) -> bool:
@@ -213,10 +210,8 @@ def default_match(ctx: MatchCtx) -> list:
     (request_id, driver_id) pairs."""
     if ctx.mode == "batched":
         assignment = platforms.match_batch(
-            list(ctx.requests), set(ctx.idle), dict(ctx.positions), ctx.skim
-        )
-        return [p for p in assignment.pairs
-                if p not in ctx.excluded]
+            ctx.requests, ctx.idle, ctx.positions, ctx.skim)
+        return [p for p in assignment.pairs if p not in ctx.excluded]
     barred = {}
     for rid, d in ctx.excluded:
         barred.setdefault(rid, set()).add(d)

@@ -16,6 +16,7 @@ react to its outcome.
 import bisect
 import heapq
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from ridesim import platforms as plat
@@ -45,8 +46,6 @@ _PH_STATE = 0      # arrivals, shift edges, request submissions
 _PH_MATCH = 1      # platform matching passes and batch boundaries
 _PH_REACT = 2      # travellers resolving their pending offers
 _PH_FINAL = 3      # horizon wrap-up
-
-DEFAULT_RESERVATION_WAGE = 2.5     # currency per hour, used when unset
 
 # traveller statuses a day may end in
 _FINAL_STATUSES = {"arrived", "opted_out", "unserved", "rejected_waiting"}
@@ -191,9 +190,9 @@ class _Sim:
         self.excluded_t = 0.0
         self.resolve_pending = None    # timestamp of a scheduled instant pass
         self.reaction_pending = set()  # traveller ids with a scheduled reaction
-        self.has_instant = any(
-            p.matching == "instant" for p in config.platforms
-        )
+        # states of the platforms an instant pass matches, in id order
+        self.instant = [self.platforms[pid] for pid in self.platform_order
+                        if self.platforms[pid].spec.matching == "instant"]
         self.last_boundary = {}        # platform id -> timestamp last fired
 
     # ------------------------------------------------------------ plumbing
@@ -243,9 +242,7 @@ class _Sim:
 
     def _consult_driver_out(self):
         carry = self.day_state.drivers
-        wage = float(self.params.get(
-            "reservation_wage_per_hour", DEFAULT_RESERVATION_WAGE
-        ))
+        wage = float(self.params["reservation_wage_per_hour"])
         out = set()
         for d_id in sorted(self.drivers):
             c = carry.get(d_id)
@@ -295,17 +292,17 @@ class _Sim:
 
     def _is_idle(self, driver):
         """Whether the driver is free to match: a driver is in all of its
-        platforms' idle sets or in none."""
+        platforms' idle maps or in none."""
         return any(driver.spec.driver_id in self.platforms[pid].idle
                    for pid in driver.spec.platform_ids)
 
     def _add_idle(self, driver):
         for pid in driver.spec.platform_ids:
-            self.platforms[pid].idle.add(driver.spec.driver_id)
+            self.platforms[pid].idle[driver.spec.driver_id] = driver.position
 
     def _remove_idle(self, driver):
         for pid in driver.spec.platform_ids:
-            self.platforms[pid].idle.discard(driver.spec.driver_id)
+            self.platforms[pid].idle.pop(driver.spec.driver_id, None)
 
     def _release_driver(self, driver):
         """Return a reserved driver to circulation after a lost or rejected
@@ -384,9 +381,9 @@ class _Sim:
     def schedule_matching(self):
         """Ensure an instant matching pass and any needed batch boundaries
         are on the event queue for the current state of the request queue
-        and the idle sets."""
+        and the idle maps."""
         if self.now <= self.horizon and self.resolve_pending != self.now:
-            if self.has_instant:
+            if self.instant:
                 self.resolve_pending = self.now
                 self.push(self.now, _PH_MATCH, PLATFORM, 0, self.on_instant_pass)
         for pid in self.platform_order:
@@ -407,44 +404,40 @@ class _Sim:
 
     def on_instant_pass(self):
         self.resolve_pending = None
-        if self.now > self.horizon:
-            return
         offered = []
-        for pid in self.platform_order:
-            state = self.platforms[pid]
-            if state.spec.matching == "instant":
-                offered.extend(self._enact(state, self._run_match(state)))
+        for state in self.instant:
+            offered.extend(self._enact(state, self._run_match(state)))
         self._conclude_pass(offered)
 
     def on_batch_boundary(self, state):
         state.next_batch_at = None
         self.last_boundary[state.spec.platform_id] = self.now
-        if self.now > self.horizon:
-            return
-        proposals = self._run_match(state)
-        offered = self._enact(state, proposals, batch=True)
-        self._conclude_pass(offered)
+        self._conclude_pass(self._enact(state, self._run_match(state)))
         if self.waiting:
             self.schedule_matching()
 
     def _run_match(self, state):
-        mode = state.spec.matching
-        requests = tuple(self.waiting)
-        positions = {
-            d: self.drivers[d].position for d in sorted(state.idle)
-        }
+        """The platform's proposed (request_id, driver_id) pairs; f_match is
+        not called when no driver is idle or no request waits."""
+        if not state.idle or not self.waiting:
+            return []
         ctx = MatchCtx(
             platform_id=state.spec.platform_id,
-            mode=mode,
-            requests=requests,
-            idle=frozenset(state.idle),
-            positions=positions,
+            mode=state.spec.matching,
+            requests=tuple(self.waiting),
+            idle=state.idle.keys(),
+            positions=MappingProxyType(state.idle),
             excluded=frozenset(self.excluded),
             skim=self.skim,
             params=self.params,
             rng=self.rng,
         )
-        pairs = self.decisions.f_match(ctx)
+        result = self.decisions.f_match(ctx)
+        try:
+            it = iter(result)
+        except TypeError:
+            self.fail(f"f_match returned {result!r}, expected an iterable of pairs")
+        pairs = list(it)
         seen_r, seen_d = set(), set()
         for pair in pairs:
             if not (isinstance(pair, tuple) and len(pair) == 2):
@@ -460,9 +453,9 @@ class _Sim:
             if did not in state.idle:
                 self.fail(f"f_match matched driver {did} not idle on "
                           f"platform {state.spec.platform_id}")
-        return list(pairs)
+        return pairs
 
-    def _enact(self, state, proposals, batch=False):
+    def _enact(self, state, proposals):
         """Offer construction for one platform's proposed pairs. Returns the
         request ids that now hold a pending offer."""
         offered = []
@@ -490,7 +483,7 @@ class _Sim:
                             request_id=rid, platform_id=pid)
                 self.excluded.add((rid, did))
                 self._count_rejection(trav)
-                if not batch:
+                if state.spec.matching == "instant":
                     self.schedule_matching()
                 continue
             self.record(DRIVER, did, "ACCEPTS_REQUEST", driver.position,

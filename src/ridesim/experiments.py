@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ridesim import kpi
-from ridesim.decisions import DEFAULT_EPSILON, build_decision_set
-from ridesim.engine import DEFAULT_RESERVATION_WAGE, DayState, DriverCarry, run_day
+from ridesim.decisions import build_decision_set
+from ridesim.engine import DayState, DriverCarry, run_day
 from ridesim.errors import ConfigError
 from ridesim.netgraph import build_skim
 from ridesim.scenario import ScenarioConfig, ScenarioInputs, materialize, parse_config
@@ -105,7 +105,10 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
         base_path = base_dir / base
         if not base_path.exists():
             raise ConfigError("base", f"config file {base_path} not found")
-        base = json.loads(base_path.read_text(encoding="utf-8"))
+        try:
+            base = json.loads(base_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError("base", f"invalid JSON in {base_path}: {exc}") from None
         base_dir = base_path.parent
     elif not isinstance(base, dict):
         raise ConfigError("base", "must be a config object or file path")
@@ -233,8 +236,6 @@ class LearningParams:
     """Income learning and participation dynamics across days."""
 
     alpha: float = 0.2                    # learning rate on realized income
-    epsilon: float = DEFAULT_EPSILON      # re-entry probability when out
-    reservation_wage_per_hour: float = DEFAULT_RESERVATION_WAGE
     convergence_delta: float = 0.02       # relative fleet change counted stable
     convergence_window: int = 5           # consecutive stable days to stop
     max_days: int = 50
@@ -258,22 +259,17 @@ def day_to_day(
 ) -> DayToDayResult:
     """Iterate a scenario over days until the fleet stabilizes.
 
-    Drivers start with their reservation wage as the income belief, update
+    Drivers start with their reservation wage
+    (``behaviour.reservation_wage_per_hour``) as the income belief, update
     it with an exponential moving average of realized income per scheduled
     hour on days they work, and sit out when the belief drops below the
-    wage. Travellers re-decide from yesterday's outcome when the configured
-    opt-out hook uses it. Config behaviour values win over LearningParams
-    defaults for the wage and re-entry probability.
+    wage; a driver who sat out re-enters with probability
+    ``behaviour.epsilon``. Travellers re-decide from yesterday's outcome
+    when the configured opt-out hook uses it.
     """
-    behaviour = dict(config.behaviour)
-    behaviour.setdefault(
-        "reservation_wage_per_hour", learning.reservation_wage_per_hour
-    )
-    behaviour.setdefault("epsilon", learning.epsilon)
-    cfg = replace(config, behaviour=behaviour)
-    inputs = materialize(cfg, skim_cache=skim_cache if skim_cache is not None else {})
-    dec = build_decision_set(cfg.decisions, cfg.behaviour)
-    wage = float(behaviour["reservation_wage_per_hour"])
+    inputs = materialize(config, skim_cache=skim_cache if skim_cache is not None else {})
+    dec = build_decision_set(config.decisions, config.behaviour)
+    wage = float(config.behaviour["reservation_wage_per_hour"])
     hours = {
         d.driver_id: (d.shift_end - d.shift_start) / 3600.0 for d in inputs.drivers
     }
@@ -299,12 +295,12 @@ def day_to_day(
             },
             traveller_outcomes=outcomes,
         )
-        res = run_day(cfg, inputs, dec, day=day, day_state=state)
+        res = run_day(config, inputs, dec, day=day, day_state=state)
         kpi.validate_log(res.log)
         logs.append(res.log)
         t_rows = kpi.traveller_kpis(res.log)
         d_rows = kpi.driver_kpis(res.log)
-        system = kpi.system_kpis(t_rows, d_rows, cfg.platforms, res.log)
+        system = kpi.system_kpis(t_rows, d_rows, config.platforms, res.log)
         system_rows.append(system)
         outcomes = {row.traveller_id: row.outcome for row in t_rows}
 
@@ -341,7 +337,7 @@ def day_to_day(
             break
     return DayToDayResult(
         trajectory=tuple(trajectory), logs=tuple(logs),
-        system_rows=tuple(system_rows), config=cfg, inputs=inputs,
+        system_rows=tuple(system_rows), config=config, inputs=inputs,
         converged=streak >= learning.convergence_window,
         learned_income=dict(learned),
     )

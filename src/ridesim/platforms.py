@@ -7,6 +7,7 @@ window boundary.
 """
 
 from dataclasses import dataclass, field
+from typing import AbstractSet, Mapping
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -36,17 +37,18 @@ class Assignment:
 @dataclass
 class PlatformState:
     """Mutable per-run state for one platform. Requests wait on one queue
-    that the engine keeps for all platforms."""
+    that the engine keeps for all platforms. ``idle`` maps each idle driver
+    to the node where it waits; idle drivers do not move."""
 
     spec: PlatformSpec
-    idle: set = field(default_factory=set)
+    idle: dict = field(default_factory=dict)
     next_batch_at: float | None = None
 
 
 def match_instant(
     request: Request,
-    idle: set,
-    positions: dict,
+    idle: AbstractSet,
+    positions: Mapping,
     skim: SkimMatrix,
     excluded: frozenset = frozenset(),
 ) -> int | None:
@@ -69,8 +71,8 @@ def match_instant(
 
 def match_batch(
     requests: list,
-    idle: set,
-    positions: dict,
+    idle: AbstractSet,
+    positions: Mapping,
     skim: SkimMatrix,
 ) -> Assignment:
     """Minimum-total-pickup-time assignment of min(|requests|, |idle|) pairs.

@@ -318,6 +318,8 @@ def _parse_behaviour(raw: dict) -> dict:
     b.setdefault("t_alight_s", 0.0)
     b.setdefault("service_variability", 0.0)
     b.setdefault("max_rejections", 5)
+    b.setdefault("reservation_wage_per_hour", 2.5)
+    b.setdefault("epsilon", 0.05)
     if b["t_board_s"] < 0:
         raise ConfigError("behaviour.t_board_s", "must be >= 0")
     if b["t_alight_s"] < 0:
@@ -329,9 +331,9 @@ def _parse_behaviour(raw: dict) -> dict:
     b["max_rejections"] = int(b["max_rejections"])
     if "max_wait_s" in b and b["max_wait_s"] < 0:
         raise ConfigError("behaviour.max_wait_s", "must be >= 0")
-    if "epsilon" in b and not (0 <= b["epsilon"] <= 1):
+    if not (0 <= b["epsilon"] <= 1):
         raise ConfigError("behaviour.epsilon", "must be in [0, 1]")
-    if "reservation_wage_per_hour" in b and b["reservation_wage_per_hour"] < 0:
+    if b["reservation_wage_per_hour"] < 0:
         raise ConfigError("behaviour.reservation_wage_per_hour", "must be >= 0")
     return b
 
@@ -534,7 +536,13 @@ def _read_csv(path: str, header: list[str]):
                 str(p), f"expected header {','.join(header)}, "
                 f"got {','.join(reader.fieldnames or ['<empty>'])}"
             )
-        return [(lineno, row) for lineno, row in enumerate(reader, start=2)]
+        rows = list(enumerate(reader, start=2))
+    for lineno, row in rows:
+        # DictReader files surplus fields under None and fills missing ones with None
+        if None in row or None in row.values():
+            raise ConfigError(f"{path}:row {lineno}",
+                              f"expected {len(header)} fields")
+    return rows
 
 
 def save_requests_csv(requests: list[Request], path: str | Path) -> None:

@@ -634,11 +634,10 @@ def test_c9_randomized_properties(capsys):
         raw["n_travellers"] = max(raw["n_travellers"], 4)
         raw["decisions"] = {"f_driver_out": "learned_participation"}
         raw["behaviour"].pop("max_wait_s", None)
-        config = parse_config(raw)
         wage = float(rng.choice([1.0, 2.5, 4.0]))
-        params = LearningParams(epsilon=0.0, reservation_wage_per_hour=wage,
-                                max_days=8)
-        res = day_to_day(config, params, skim_cache=_SKIMS)
+        raw["behaviour"].update(epsilon=0.0, reservation_wage_per_hour=wage)
+        config = parse_config(raw)
+        res = day_to_day(config, LearningParams(max_days=8), skim_cache=_SKIMS)
         fleet = [row["fleet_participating"] for row in res.trajectory]
         if any(b > a for a, b in zip(fleet, fleet[1:])):
             failures.append(f"fleet grew with epsilon=0: {fleet}")

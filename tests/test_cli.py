@@ -92,6 +92,13 @@ def _nan_edge_config(tmp_path):
     return small_config(graph={"nodes": "city/nodes.csv", "edges": "city/edges.csv"})
 
 
+def _csv_config(tmp_path, key, text):
+    """small_config reading its requests or drivers from a CSV with ``text``."""
+    name = key.replace("_csv", ".csv")
+    (tmp_path / name).write_text(text)
+    return small_config(**{key: name})
+
+
 BAD_VALUES = {
     "behaviour_list": (lambda tmp: small_config(behaviour=[1]), "behaviour"),
     "behaviour_string": (lambda tmp: small_config(behaviour="xy"), "behaviour"),
@@ -110,6 +117,16 @@ BAD_VALUES = {
                           "demand_weights[8]"),
     "demand_weight_huge": (lambda tmp: small_config(demand_weights=[1] * 8 + [10 ** 400]),
                            "demand_weights[8]"),
+    "requests_csv_short_row": (
+        lambda tmp: _csv_config(tmp, "requests_csv",
+                                "request_id,traveller_id,origin,destination,t_request_s\n"
+                                "0,0,1,2,10\n1,1,2\n"),
+        "requests.csv:row 3"),
+    "drivers_csv_long_row": (
+        lambda tmp: _csv_config(tmp, "drivers_csv",
+                                "driver_id,home_node,shift_start_s,shift_end_s,platform_ids\n"
+                                "0,1,0,600,0,7\n"),
+        "drivers.csv:row 2"),
 }
 
 
@@ -341,6 +358,17 @@ def test_generate_demand_without_config_exits_1(tmp_path, capsys):
     code = main(["generate", "--demand", "10", "--out", str(tmp_path / "out")])
     assert code == 1
     assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--demand", "--supply"])
+def test_generate_negative_count_exits_1(flag, config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["generate", flag, "-5", "--config", str(config_file),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
 
 
 # ----------------------------------------------------------- entry points

@@ -557,6 +557,29 @@ def test_bad_match_hook_rejected():
             decision_set=bad)
 
 
+@pytest.mark.parametrize("result", [None, 5])
+def test_non_iterable_match_result_rejected(result):
+    cfg = make_cfg(1, 1)
+    dec = build_decision_set(None, cfg.behaviour)
+    bad = dataclasses.replace(dec, f_match=lambda ctx: result)
+    with pytest.raises(SimulationError, match="f_match"):
+        run(cfg, line_net(),
+            [Request(0, 0, 1, 2, 100.0)],
+            [DriverSpec(0, 0, 0.0, 1000.0, (0,))],
+            decision_set=bad)
+
+
+def test_match_generator_result_equals_list():
+    cfg = make_cfg(20, 4, horizon=3600.0, seed=11)
+    net, requests, drivers = busy_inputs(cfg)
+    dec = build_decision_set(None, cfg.behaviour)
+    lazy = dataclasses.replace(
+        dec, f_match=lambda ctx: (pair for pair in default_match(ctx)))
+    expected = run(cfg, net, requests, drivers, decision_set=dec)
+    assert "MATCH" in names(expected.log)
+    assert run(cfg, net, requests, drivers, decision_set=lazy).log == expected.log
+
+
 def test_bad_choice_hook_rejected():
     cfg = make_cfg(1, 1)
     dec = build_decision_set(None, cfg.behaviour)
@@ -644,6 +667,13 @@ def test_queue_counts_match_rescan(sims, platforms):
     def match(ctx):
         sim = sims[-1]
         counts = check_queues(sim)
+        # called only when a pair can form, with live read-only idle views
+        assert ctx.idle and ctx.requests
+        assert set(ctx.idle) == set(ctx.positions)
+        for d in ctx.idle:
+            assert ctx.positions[d] == sim.drivers[d].position
+        with pytest.raises(TypeError):
+            ctx.positions[next(iter(ctx.idle))] = 0
         seen["match"] += bool(counts)
         return default_match(ctx)
 
@@ -675,3 +705,21 @@ def test_queue_counts_match_rescan(sims, platforms):
     assert seen["match"] > 0 and seen["repos"] > 0
     assert {"DECLINES_REQUEST", "REJECTS_OFFER", "UNSERVED",
             "STARTS_REPOSITIONING"} <= seen["events"]
+
+
+@pytest.mark.parametrize("platform", [INSTANT, dict(BATCHED, platform_id=0)],
+                         ids=["instant", "batched"])
+def test_no_match_call_without_drivers(platform):
+    cfg = make_cfg(3, 0, platforms=[platform])
+    calls = []
+
+    def spy(ctx):
+        calls.append(ctx.platform_id)
+        return default_match(ctx)
+
+    dec = dataclasses.replace(build_decision_set(None, cfg.behaviour), f_match=spy)
+    res = run(cfg, line_net(),
+              [Request(i, i, 0, 2, 100.0 * i) for i in range(3)], [],
+              decision_set=dec)
+    assert calls == []
+    assert set(outcomes(res).values()) == {"UNSERVED"}

@@ -102,12 +102,15 @@ def test_parse_plan_defaults():
     (lambda r: r.update(base_seed=-1), "base_seed"),
     (lambda r: r.update(threads=0), "threads"),
     (lambda r: r.update(surprise=1), "surprise"),
+    pytest.param(lambda r: r.update(base="broken.json"), "invalid JSON.*: base$",
+                 id="base_invalid_json"),
 ])
-def test_parse_plan_rejects(mutate, needle):
+def test_parse_plan_rejects(mutate, needle, tmp_path):
+    (tmp_path / "broken.json").write_text("{not json")
     raw = plan_raw()
     mutate(raw)
     with pytest.raises(ConfigError, match=needle):
-        parse_plan(raw)
+        parse_plan(raw, base_dir=tmp_path)
 
 
 def test_parse_plan_rejects_bad_override_path_up_front():
@@ -225,15 +228,26 @@ def test_results_csv_written(tmp_path):
 # -------------------------------------------------------------- day-to-day
 
 def learning(**over):
-    kw = dict(alpha=0.2, epsilon=0.0, reservation_wage_per_hour=2.5,
-              convergence_delta=0.02, convergence_window=5, max_days=20)
+    kw = dict(alpha=0.2, convergence_delta=0.02, convergence_window=5,
+              max_days=20)
     kw.update(over)
     return LearningParams(**kw)
 
 
+def learning_config(wage=2.5, epsilon=0.0, **over):
+    """A scenario whose reservation wage and re-entry probability are set
+    through ``behaviour``."""
+    return parse_config(base_raw(
+        behaviour={"reservation_wage_per_hour": wage, "epsilon": epsilon},
+        **over))
+
+
+LEARNED = {"f_driver_out": "learned_participation"}
+
+
 def test_unreachable_wage_empties_fleet():
-    cfg = parse_config(base_raw(decisions={"f_driver_out": "learned_participation"}))
-    res = day_to_day(cfg, learning(reservation_wage_per_hour=1e6))
+    cfg = learning_config(wage=1e6, decisions=LEARNED)
+    res = day_to_day(cfg, learning())
     fleets = [row["fleet_participating"] for row in res.trajectory]
     assert fleets[0] == 3                   # everyone tries the first day
     assert fleets[1:] == [0] * (len(fleets) - 1)
@@ -242,8 +256,8 @@ def test_unreachable_wage_empties_fleet():
 
 
 def test_zero_wage_keeps_everyone_driving():
-    cfg = parse_config(base_raw(decisions={"f_driver_out": "learned_participation"}))
-    res = day_to_day(cfg, learning(reservation_wage_per_hour=0.0))
+    cfg = learning_config(wage=0.0, decisions=LEARNED)
+    res = day_to_day(cfg, learning())
     fleets = [row["fleet_participating"] for row in res.trajectory]
     assert all(f == 3 for f in fleets)
     assert len(fleets) == 6                 # converges immediately
@@ -252,46 +266,43 @@ def test_zero_wage_keeps_everyone_driving():
 
 
 def test_no_reentry_fleet_monotone():
-    cfg = parse_config(base_raw(
-        n_travellers=6, n_drivers=5,
-        decisions={"f_driver_out": "learned_participation"},
-    ))
-    res = day_to_day(cfg, learning(reservation_wage_per_hour=3.0))
+    cfg = learning_config(wage=3.0, n_travellers=6, n_drivers=5,
+                          decisions=LEARNED)
+    res = day_to_day(cfg, learning())
     fleets = [row["fleet_participating"] for row in res.trajectory]
     assert all(b <= a for a, b in zip(fleets, fleets[1:]))
 
 
-def test_behaviour_config_wins_over_learning_defaults():
+def test_behaviour_reservation_wage_sets_the_wage():
+    defaults = parse_config(base_raw()).behaviour
+    assert defaults["reservation_wage_per_hour"] == 2.5
+    assert defaults["epsilon"] == 0.05
     cfg = parse_config(base_raw(
-        behaviour={"reservation_wage_per_hour": 1e6},
-        decisions={"f_driver_out": "learned_participation"},
-    ))
-    res = day_to_day(cfg, learning(reservation_wage_per_hour=0.0))
+        behaviour={"reservation_wage_per_hour": 1e6}, decisions=LEARNED))
+    res = day_to_day(cfg, learning(max_days=2))
     assert res.trajectory[1]["fleet_participating"] == 0
-    assert res.config.behaviour["reservation_wage_per_hour"] == 1e6
 
 
 def test_traveller_outcome_feedback():
-    cfg = parse_config(base_raw(
-        horizon_s=300, n_travellers=30, n_drivers=1,
-        decisions={"f_trav_out": "opt_out_if_unserved"},
-    ))
-    res = day_to_day(cfg, learning(max_days=3, reservation_wage_per_hour=0.0))
+    cfg = learning_config(wage=0.0, horizon_s=300, n_travellers=30,
+                          n_drivers=1,
+                          decisions={"f_trav_out": "opt_out_if_unserved"})
+    res = day_to_day(cfg, learning(max_days=3))
     day0, day1 = res.trajectory[0], res.trajectory[1]
     assert day0["n_unserved"] > 0
     assert day1["n_opted_out"] == day0["n_unserved"]
 
 
 def test_day_to_day_deterministic():
-    cfg = parse_config(base_raw(decisions={"f_driver_out": "learned_participation"}))
-    a = day_to_day(cfg, learning(reservation_wage_per_hour=3.0, epsilon=0.1))
-    b = day_to_day(cfg, learning(reservation_wage_per_hour=3.0, epsilon=0.1))
+    cfg = learning_config(wage=3.0, epsilon=0.1, decisions=LEARNED)
+    a = day_to_day(cfg, learning())
+    b = day_to_day(cfg, learning())
     assert a.trajectory == b.trajectory
     assert a.logs == b.logs
 
 
 def test_day_csv(tmp_path):
-    cfg = parse_config(base_raw(decisions={"f_driver_out": "learned_participation"}))
+    cfg = learning_config(decisions=LEARNED)
     res = day_to_day(cfg, learning(max_days=4))
     out = tmp_path / "day_to_day.csv"
     kpi.write_system_csv(out, res.trajectory)

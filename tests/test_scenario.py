@@ -394,6 +394,27 @@ def test_drivers_csv_rejects_bad_shift(tmp_path):
         load_drivers_csv(str(path), net, 3600.0, {0})
 
 
+@pytest.mark.parametrize("loader,header,row", [
+    ("requests", "request_id,traveller_id,origin,destination,t_request_s",
+     "0,0,1,2"),
+    ("requests", "request_id,traveller_id,origin,destination,t_request_s",
+     "0,0,1,2,10,99"),
+    ("drivers", "driver_id,home_node,shift_start_s,shift_end_s,platform_ids",
+     "0,1,0"),
+    ("drivers", "driver_id,home_node,shift_start_s,shift_end_s,platform_ids",
+     "0,1,0,100,0,5"),
+], ids=["requests_short", "requests_long", "drivers_short", "drivers_long"])
+def test_csv_rejects_wrong_field_count(tmp_path, loader, header, row):
+    path = tmp_path / f"{loader}.csv"
+    path.write_text(f"{header}\n{row}\n")
+    net = grid_city(3, 3, 100.0, 10.0)
+    with pytest.raises(ConfigError, match=r"expected 5 fields: .*:row 2"):
+        if loader == "requests":
+            load_requests_csv(str(path), net, 3600.0)
+        else:
+            load_drivers_csv(str(path), net, 3600.0, {0})
+
+
 def test_materialize_checks_csv_counts(tmp_path):
     net = grid_city(3, 3, 100.0, 10.0)
     reqs = generate_demand(net, 4, 3600.0, 9)
