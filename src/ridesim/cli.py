@@ -36,6 +36,7 @@ from ridesim.experiments import (
 from ridesim.netgraph import grid_city, save_graph
 from ridesim.scenario import (
     assign_fleets,
+    check_seed,
     generate_demand,
     generate_supply,
     materialize,
@@ -112,7 +113,7 @@ def cmd_run(args) -> int:
     raw = _parse_json(text, args.config)
     config = parse_config(raw, base_dir=base_dir or ".")
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = replace(config, seed=check_seed(args.seed, "--seed"))
     if args.days < 1:
         raise ConfigError("--days", "must be >= 1")
 
@@ -190,9 +191,11 @@ def cmd_generate(args) -> int:
     for flag, count in (("--demand", args.demand), ("--supply", args.supply)):
         if count is not None and count < 0:
             raise ConfigError(flag, "must be >= 0")
+    seed = args.seed
+    if seed is not None:
+        check_seed(seed, "--seed")
     out = _out_dir(args.out)
     started = _now()
-    seed = args.seed
 
     if args.grid is not None:
         try:

@@ -32,7 +32,6 @@ class DriverOutCtx:
     day: int
     learned_income_per_hour: Optional[float]    # None on day 0
     participated_yesterday: Optional[bool]
-    reservation_wage_per_hour: float
     params: Mapping
     rng: np.random.Generator
 
@@ -133,11 +132,12 @@ class DecisionSet:
 
 def default_driver_out(ctx: DriverOutCtx) -> bool:
     """Day 0: everyone works. Later days: stay in while smoothed income
-    clears the reservation wage; a driver who was out re-enters with the
-    exploration probability ``behaviour.epsilon``."""
+    clears the reservation wage ``behaviour.reservation_wage_per_hour``; a
+    driver who was out re-enters with the exploration probability
+    ``behaviour.epsilon``."""
     if ctx.day == 0 or ctx.learned_income_per_hour is None:
         return False
-    if ctx.learned_income_per_hour >= ctx.reservation_wage_per_hour:
+    if ctx.learned_income_per_hour >= ctx.params["reservation_wage_per_hour"]:
         return False
     if ctx.participated_yesterday:
         return True

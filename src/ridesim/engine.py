@@ -30,7 +30,7 @@ from ridesim.decisions import (
     TravModeCtx,
     TravOutCtx,
 )
-from ridesim.errors import ConfigError, SimulationError
+from ridesim.errors import ConfigError, RidesimError, SimulationError
 from ridesim.platforms import PlatformState
 from ridesim.scenario import ScenarioConfig, ScenarioInputs
 from ridesim.seeds import substream
@@ -135,28 +135,6 @@ def run_day(
     return _Sim(config, inputs, decisions, day, day_state).run()
 
 
-def probe_repos_hook(config: ScenarioConfig, net_n: int, decisions: DecisionSet) -> None:
-    """Call f_driver_repos once on synthetic input and type-check the result.
-
-    Raises a config error before the run starts when the hook returns
-    something that is not None or a valid node id.
-    """
-    ctx = DriverReposCtx(
-        driver_id=0, position=0, open_requests={0: 1}, n_nodes=net_n,
-        params=dict(config.behaviour), rng=substream(config.seed, "probe"),
-    )
-    target = decisions.f_driver_repos(ctx)
-    if target is not None and not (
-        isinstance(target, int) and not isinstance(target, bool)
-        and 0 <= target < net_n
-    ):
-        raise ConfigError(
-            "decisions.f_driver_repos",
-            f"probe call returned {target!r}, expected None or a node id in "
-            f"[0, {net_n})",
-        )
-
-
 class _Sim:
     def __init__(self, config, inputs, decisions, day, day_state):
         self.config = config
@@ -205,13 +183,27 @@ class _Sim:
         self.log.append(EventRecord(
             self.day, self.now, kind, agent_id, event, node, **detail))
 
+    def hook(self, slot, ctx, kind, agent_id):
+        """Call one decision hook. An exception it raises that is not a
+        ``RidesimError`` becomes a ``SimulationError`` naming the slot, the
+        agent and the simulated time, chained from the original."""
+        try:
+            return getattr(self.decisions, slot)(ctx)
+        except RidesimError:
+            raise
+        except Exception as exc:
+            raise SimulationError(
+                f"t={fmt_num(self.now)}: {slot} raised {type(exc).__name__} for "
+                f"{kind} {agent_id}: {exc}"
+            ) from exc
+
     def fail(self, message):
         raise SimulationError(f"t={fmt_num(self.now)}: {message}")
 
     # ------------------------------------------------------------- set-up
 
     def run(self) -> DayResult:
-        probe_repos_hook(self.config, self.inputs.net.n, self.decisions)
+        self._probe_repos_hook()
         participating = self._consult_driver_out()
         for d_id in sorted(self.drivers):
             driver = self.drivers[d_id]
@@ -240,9 +232,29 @@ class _Sim:
             fn()
         return self._result()
 
+    def _probe_repos_hook(self):
+        """Call f_driver_repos once on synthetic input and type-check the
+        result. Raises a config error before the run starts when the hook
+        returns something that is not None or a valid node id."""
+        n = self.inputs.net.n
+        ctx = DriverReposCtx(
+            driver_id=0, position=0, open_requests={0: 1}, n_nodes=n,
+            params=dict(self.config.behaviour),
+            rng=substream(self.config.seed, "probe"),
+        )
+        target = self.hook("f_driver_repos", ctx, "probe driver", 0)
+        if target is not None and not (
+            isinstance(target, int) and not isinstance(target, bool)
+            and 0 <= target < n
+        ):
+            raise ConfigError(
+                "decisions.f_driver_repos",
+                f"probe call returned {target!r}, expected None or a node id in "
+                f"[0, {n})",
+            )
+
     def _consult_driver_out(self):
         carry = self.day_state.drivers
-        wage = float(self.params["reservation_wage_per_hour"])
         out = set()
         for d_id in sorted(self.drivers):
             c = carry.get(d_id)
@@ -252,11 +264,10 @@ class _Sim:
                 day=self.day,
                 learned_income_per_hour=c.learned_income if c else None,
                 participated_yesterday=c.participated_yesterday if c else None,
-                reservation_wage_per_hour=wage,
                 params=self.params,
                 rng=self.rng,
             )
-            stays_out = self.decisions.f_driver_out(ctx)
+            stays_out = self.hook("f_driver_out", ctx, "driver", d_id)
             if not isinstance(stays_out, bool):
                 self.fail(f"f_driver_out returned {stays_out!r} for driver {d_id}")
             if stays_out:
@@ -343,7 +354,7 @@ class _Sim:
             yesterday_outcome=self.day_state.traveller_outcomes.get(t_id),
             params=self.params, rng=self.rng,
         )
-        opts_out = self.decisions.f_trav_out(ctx)
+        opts_out = self.hook("f_trav_out", ctx, "traveller", t_id)
         if not isinstance(opts_out, bool):
             self.fail(f"f_trav_out returned {opts_out!r} for traveller {t_id}")
         if opts_out:
@@ -432,7 +443,7 @@ class _Sim:
             params=self.params,
             rng=self.rng,
         )
-        result = self.decisions.f_match(ctx)
+        result = self.hook("f_match", ctx, "platform", state.spec.platform_id)
         try:
             it = iter(result)
         except TypeError:
@@ -475,7 +486,7 @@ class _Sim:
                 payout=offer.fare * (1.0 - state.spec.commission_rate),
                 params=self.params, rng=self.rng,
             )
-            declines = self.decisions.f_driver_decline(ctx)
+            declines = self.hook("f_driver_decline", ctx, "driver", did)
             if not isinstance(declines, bool):
                 self.fail(f"f_driver_decline returned {declines!r}")
             if declines:
@@ -546,7 +557,7 @@ class _Sim:
         ctx = PlatformChoiceCtx(
             traveller_id=t_id, offers=offers, params=self.params, rng=self.rng,
         )
-        choice = self.decisions.f_platform_choice(ctx)
+        choice = self.hook("f_platform_choice", ctx, "traveller", t_id)
         if not isinstance(choice, int) or isinstance(choice, bool) \
                 or not (0 <= choice < len(offers)):
             self.fail(f"f_platform_choice returned {choice!r} "
@@ -558,7 +569,7 @@ class _Sim:
         mode_ctx = TravModeCtx(
             traveller_id=t_id, offer=chosen, params=self.params, rng=self.rng,
         )
-        accepts = self.decisions.f_trav_mode(mode_ctx)
+        accepts = self.hook("f_trav_mode", mode_ctx, "traveller", t_id)
         if not isinstance(accepts, bool):
             self.fail(f"f_trav_mode returned {accepts!r}")
         if not accepts:
@@ -650,7 +661,7 @@ class _Sim:
             open_requests=dict(self.open_counts), n_nodes=self.inputs.net.n,
             params=self.params, rng=self.rng,
         )
-        target = self.decisions.f_driver_repos(ctx)
+        target = self.hook("f_driver_repos", ctx, "driver", driver.spec.driver_id)
         if target is None:
             return None
         if not isinstance(target, int) or isinstance(target, bool) \

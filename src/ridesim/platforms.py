@@ -3,7 +3,9 @@
 Matching comes in two modes. Instant mode pairs each waiting request with the
 closest idle driver the moment either side of the queue changes. Batched mode
 accumulates requests and solves one minimum-cost bipartite assignment per
-window boundary.
+window boundary: a single ``linear_sum_assignment`` call, after which the
+tie rule among optimal assignments is applied on the edges its dual marks
+tight, without another solve.
 """
 
 from dataclasses import dataclass, field
@@ -80,65 +82,162 @@ def match_batch(
     Among all minimum-cost maximum-size assignments, returns the one whose
     (request_id, driver_id) pair list is lexicographically smallest: requests
     are fixed in ascending id order, each to the smallest driver id that
-    keeps the optimal total attainable.
+    keeps the optimal total attainable; a request stays unmatched only when
+    no driver can keep it.
+
+    One ``linear_sum_assignment`` solve gives an optimal assignment. Dual
+    potentials read off it mark the tight edges and the nodes every optimal
+    assignment covers (:func:`_optimal_support`), and the tie rule is then
+    applied on the tight edges by alternating-path search (:func:`_reroute`),
+    with no second solve.
     """
     req_ids = sorted(r.request_id for r in requests)
-    by_id = {r.request_id: r for r in requests}
     drv_ids = sorted(idle)
     if not req_ids or not drv_ids:
         return Assignment(
             pairs=(), unmatched_requests=tuple(req_ids), unmatched_drivers=tuple(drv_ids)
         )
-    cost = np.array([
-        [skim.travel_time[positions[d], by_id[r].origin] for d in drv_ids]
-        for r in req_ids
-    ])
-    target = _lap_cost(cost)
-    pairs = []
-    dropped = []
-    open_req = list(range(len(req_ids)))
-    open_drv = list(range(len(drv_ids)))
-    fixed_cost = 0.0
-    n_pairs = min(len(req_ids), len(drv_ids))
-    while len(pairs) < n_pairs:
-        ri = open_req[0]
-        rest_req = open_req[1:]
-        chosen = None
-        for dj in open_drv:
-            rest_drv = [d for d in open_drv if d != dj]
-            trial = fixed_cost + cost[ri, dj] + _lap_cost(cost[np.ix_(rest_req, rest_drv)])
-            if _close(trial, target):
-                chosen = dj
+    by_id = {r.request_id: r for r in requests}
+    origins = [by_id[r].origin for r in req_ids]
+    nodes = np.array([positions[d] for d in drv_ids])
+    cost = skim.travel_time[nodes[:, None], origins].T      # rows: requests
+    col_of, tight, required = _optimal_support(cost)
+    nr, nd = cost.shape
+    row_of = [-1] * nd
+    for i, j in enumerate(col_of):
+        if j >= 0:
+            row_of[j] = i
+    adj = [[] for _ in range(nr)]          # tight drivers per request, ascending
+    rows, cols = np.nonzero(tight)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        adj[i].append(j)
+    if nr > nd:
+        # surplus requests: those not every optimum covers may go unmatched
+        may_drop = (~required).tolist()
+        may_free = [False] * nd
+    else:
+        may_drop = [False] * nr
+        may_free = (~required).tolist()
+    for i in range(nr):
+        # a request that no tight driver can take keeps its current state,
+        # which is then unmatched: dropping is the last option
+        old = col_of[i]
+        for j in adj[i]:
+            if j == old:
                 break
-        if chosen is None:
-            # only possible with surplus requests: this one stays unmatched
-            if _close(fixed_cost + _lap_cost(cost[np.ix_(rest_req, open_drv)]), target):
-                dropped.append(ri)
-                open_req = rest_req
-                continue
-            raise AssertionError("optimal assignment reconstruction failed")
-        pairs.append((req_ids[ri], drv_ids[chosen]))
-        fixed_cost += cost[ri, chosen]
-        open_req = rest_req
-        open_drv = [d for d in open_drv if d != chosen]
+            if 0 <= row_of[j] < i:
+                continue                    # held by an already fixed request
+            if _reroute(i, j, col_of, row_of, adj, may_drop, may_free):
+                break
     return Assignment(
-        pairs=tuple(pairs),
-        unmatched_requests=tuple(req_ids[i] for i in sorted(dropped + open_req)),
-        unmatched_drivers=tuple(drv_ids[j] for j in open_drv),
+        pairs=tuple((req_ids[i], drv_ids[j]) for i, j in enumerate(col_of) if j >= 0),
+        unmatched_requests=tuple(req_ids[i] for i, j in enumerate(col_of) if j < 0),
+        unmatched_drivers=tuple(drv_ids[j] for j, i in enumerate(row_of) if i < 0),
     )
 
 
-def _lap_cost(cost: np.ndarray) -> float:
-    if cost.size == 0:
-        return 0.0
+def _optimal_support(cost: np.ndarray) -> tuple:
+    """One assignment solve and the dual read off it.
+
+    Returns ``(col_of, tight, required)``: an optimal assignment as a list
+    mapping each row to its column (-1 when unmatched), the boolean matrix
+    of edges with zero reduced cost (within 1e-9 of the total absolute
+    cost), and a boolean vector over the larger side marking the nodes every
+    optimal assignment covers. By complementary slackness an assignment of
+    min(rows, cols) pairs is optimal iff it uses tight edges only and covers
+    every required node.
+
+    The smaller side S is fully matched by M; the larger side L carries
+    potentials ``v <= 0``. On the matched L-nodes, ``v`` is the shortest
+    distance over edges M(a) -> M(b) of weight C[a, M(b)] - C[a, M(a)] with
+    every node starting at 0 (min-plus Bellman-Ford; M optimal means no
+    negative cycle); one more relaxation gives the unmatched L-nodes, and
+    ``u_a = C[a, M(a)] - v[M(a)]``.
+    """
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+    flip = cost.shape[0] > cost.shape[1]
+    a = cost.T if flip else cost
+    k = a.shape[0]
+    match = np.empty(k, dtype=np.intp)
+    if flip:
+        match[cols] = rows
+    else:
+        match[rows] = cols
+    a_m = a[np.arange(k), match]
+    step = a[:, match] - a_m[:, None]
+    dist = np.zeros(k)
+    for _ in range(k + 1):
+        relaxed = (dist[:, None] + step).min(axis=0)
+        if np.array_equal(relaxed, dist):
+            break
+        dist = relaxed
+    v = np.minimum(0.0, (dist[:, None] + a - a_m[:, None]).min(axis=0))
+    u = a_m - v[match]
+    tol = 1e-9 * max(1.0, float(np.abs(cost).sum()))
+    tight = a - u[:, None] - v <= tol
+    col_of = [-1] * cost.shape[0]
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        col_of[r] = c
+    return col_of, (tight.T if flip else tight), v < -tol
 
 
-def _close(a: float, b: float) -> bool:
-    # float travel-time sums may associate differently between the full and
-    # the fixed-plus-remainder solve; integer-valued costs stay exact
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+def _reroute(i, target, col_of, row_of, adj, may_drop, may_free) -> bool:
+    """Move row ``i`` to column ``target`` and repair the assignment along
+    one alternating path of tight edges, leaving rows before ``i`` as they
+    are. Returns False, changing nothing, when no such path exists.
+
+    Free columns and unmatched rows stand in for dummy nodes of a square
+    problem, modelled by one implicit node each: a dummy row owns every free
+    column and may take any column in ``may_free``; a dummy column is owned
+    by every unmatched row and may be taken by any row in ``may_drop``.
+    The search ends when some row takes the slot ``i`` left.
+    """
+    dummy = len(col_of)                  # key of the implicit dummy row
+    old = col_of[i]
+    parent = {}                          # displaced row -> (row that took its slot, slot)
+    queue = []
+
+    def displace(by, col):
+        if col < 0:
+            owners = [q for q in range(i + 1, len(col_of)) if col_of[q] < 0]
+        else:
+            o = row_of[col]
+            owners = [dummy if o < 0 else o]
+            if owners[0] in parent or 0 <= o < i:
+                return
+        for q in owners:
+            parent[q] = (by, col)
+            queue.append(q)
+
+    displace(i, target)
+    dropped_done = False
+    for x in queue:
+        if x == dummy:
+            options = [j for j, free in enumerate(may_free) if free]
+        else:
+            options = adj[x] + ([-1] if may_drop[x] else [])
+        for y in options:
+            if y == old:
+                _apply(x, y, i, parent, col_of, row_of, dummy)
+                return True
+            if y < 0:
+                if dropped_done:
+                    continue
+                dropped_done = True
+            displace(x, y)
+    return False
+
+
+def _apply(x, y, i, parent, col_of, row_of, dummy) -> None:
+    """Enact the alternating path that ends with row ``x`` taking ``y``."""
+    while True:
+        if x != dummy:
+            col_of[x] = y
+        if y >= 0:
+            row_of[y] = -1 if x == dummy else x
+        if x == i:
+            return
+        x, y = parent[x]
 
 
 def make_offer(

@@ -118,6 +118,14 @@ def load_config(path: str | Path) -> ScenarioConfig:
     return parse_config(raw, base_dir=p.parent)
 
 
+def check_seed(seed: int, path: str) -> int:
+    """The seed, if it fits the 64-bit unsigned range every sub-stream
+    derives from; a config error naming ``path`` otherwise."""
+    if not (0 <= seed < 2 ** 64):
+        raise ConfigError(path, "must be a 64-bit unsigned integer")
+    return seed
+
+
 def parse_config(raw: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     """Validate a raw scenario dict. Errors name the offending JSON path."""
     if not isinstance(raw, dict):
@@ -139,9 +147,7 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     n_drivers = _integer(raw, "n_drivers", required=True)
     if n_drivers < 0:
         raise ConfigError("n_drivers", "must be >= 0")
-    seed = _integer(raw, "seed", required=True)
-    if not (0 <= seed < 2 ** 64):
-        raise ConfigError("seed", "must be a 64-bit unsigned integer")
+    seed = check_seed(_integer(raw, "seed", required=True), "seed")
 
     platforms = _parse_platforms(raw, n_drivers, horizon)
     graph = _parse_graph(raw, Path(base_dir))

@@ -531,7 +531,7 @@ def test_c9_randomized_properties(capsys):
             driver_id=0, spec=spec_drv, day=day,
             learned_income_per_hour=learned,
             participated_yesterday=yesterday,
-            reservation_wage_per_hour=2.5, params={"epsilon": eps}, rng=g)
+            params={"reservation_wage_per_hour": 2.5, "epsilon": eps}, rng=g)
 
     def decline_ctx(r):
         eta = float(r.integers(0, 1000))

@@ -9,6 +9,7 @@ import pytest
 
 from ridesim import kpi, presets
 from ridesim.cli import main
+from ridesim.decisions import register
 
 RUN_FILES = {"events.csv", "kpi_travellers.csv", "kpi_drivers.csv",
              "kpi_system.csv", "kpi_nodes.csv", "manifest.json"}
@@ -147,6 +148,57 @@ def test_run_out_path_is_a_file_exits_2(config_file, tmp_path):
     blocker.write_text("")
     code = main(["run", "--config", str(config_file), "--out", str(blocker)])
     assert code == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_run_seed_out_of_range_exits_1(seed, config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--out", str(out),
+                 "--seed", seed])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("what", [["--grid", "3", "3", "100", "10"], ["--demand", "5"]])
+def test_generate_seed_out_of_range_exits_1(seed, what, config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["generate", *what, "--config", str(config_file), "--out", str(out),
+                 "--seed", seed])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_run_seed_at_range_ends_accepted(config_file, tmp_path):
+    for seed in (0, 2 ** 64 - 1):
+        out = tmp_path / str(seed)
+        assert main(["run", "--config", str(config_file), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+
+
+def _raising_hook(ctx):
+    raise ValueError("hook bug")
+
+
+@pytest.mark.parametrize("slot,agent", [("f_trav_mode", "traveller"),
+                                        ("f_match", "platform 0")])
+def test_run_hook_exception_exits_2_with_context(slot, agent, tmp_path, capsys):
+    register(slot, "test_raises", _raising_hook)
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(small_config(decisions={slot: "test_raises"})))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ridesim: t=")
+    assert f"{slot} raised ValueError for {agent}" in err and "hook bug" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_rerun_byte_identical(config_file, tmp_path):

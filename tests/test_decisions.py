@@ -45,7 +45,8 @@ def out_ctx(day, learned, yesterday, wage=10.0, seed=0, params=None):
     return DriverOutCtx(
         driver_id=0, spec=driver_spec(), day=day,
         learned_income_per_hour=learned, participated_yesterday=yesterday,
-        reservation_wage_per_hour=wage, params=params or {}, rng=rng_at(seed),
+        params={"reservation_wage_per_hour": wage, **(params or {})},
+        rng=rng_at(seed),
     )
 
 

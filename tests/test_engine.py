@@ -591,6 +591,72 @@ def test_bad_choice_hook_rejected():
             decision_set=bad)
 
 
+def _raise(exc):
+    def hook(ctx):
+        raise exc
+    return hook
+
+
+@pytest.mark.parametrize("slot,agent", [
+    ("f_driver_out", "driver 0"), ("f_trav_out", "traveller 0"),
+    ("f_match", "platform 0"), ("f_driver_decline", "driver 0"),
+    ("f_platform_choice", "traveller 0"), ("f_trav_mode", "traveller 0"),
+    ("f_driver_repos", "probe driver 0"),
+])
+def test_hook_exception_becomes_simulation_error(slot, agent):
+    cfg = make_cfg(1, 1)
+    dec = build_decision_set(None, cfg.behaviour)
+    bad = dataclasses.replace(dec, **{slot: _raise(ValueError("boom"))})
+    with pytest.raises(SimulationError) as info:
+        run(cfg, line_net(),
+            [Request(0, 0, 1, 2, 100.0)],
+            [DriverSpec(0, 0, 0.0, 1000.0, (0,))],
+            decision_set=bad)
+    message = str(info.value)
+    assert message.startswith("t=")
+    assert f"{slot} raised ValueError for {agent}: boom" in message
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_hook_exception_names_simulated_time_and_repos_driver():
+    cfg = make_cfg(1, 1)
+    dec = build_decision_set(None, cfg.behaviour)
+    calls = []
+
+    def repos(ctx):
+        calls.append(ctx.driver_id)
+        if len(calls) > 1:                  # the first call is the probe
+            raise KeyError("lost")
+        return None
+
+    bad = dataclasses.replace(dec, f_driver_repos=repos)
+    with pytest.raises(SimulationError,
+                       match=r"^t=[0-9.]+: f_driver_repos raised KeyError for driver 3"):
+        run(cfg, line_net(),
+            [Request(0, 0, 1, 2, 100.0)],
+            [DriverSpec(3, 0, 0.0, 1000.0, (0,))],
+            decision_set=bad)
+    bad = dataclasses.replace(dec, f_trav_mode=_raise(ValueError("late")))
+    with pytest.raises(SimulationError, match=r"^t=1\d\d(\.\d+)?: f_trav_mode"):
+        run(cfg, line_net(),
+            [Request(0, 0, 1, 2, 100.0)],
+            [DriverSpec(0, 0, 0.0, 1000.0, (0,))],
+            decision_set=bad)
+
+
+def test_hook_ridesim_error_passes_through():
+    cfg = make_cfg(1, 1)
+    dec = build_decision_set(None, cfg.behaviour)
+    err = ConfigError("behaviour.custom", "hook rejects its parameter")
+    bad = dataclasses.replace(dec, f_trav_mode=_raise(err))
+    with pytest.raises(ConfigError) as info:
+        run(cfg, line_net(),
+            [Request(0, 0, 1, 2, 100.0)],
+            [DriverSpec(0, 0, 0.0, 1000.0, (0,))],
+            decision_set=bad)
+    assert info.value is err
+
+
 def test_bad_repos_hook_rejected_up_front():
     cfg = make_cfg(0, 1)
     dec = build_decision_set(None, cfg.behaviour)

@@ -2,15 +2,20 @@
 
 match_instant is checked against a brute-force argmin; match_batch against
 exhaustive enumeration of every maximum-size assignment, including the
-lexicographic tie-break. Enumeration instances use integer costs so equality
-is exact.
+lexicographic tie-break, and against the re-solve reconstruction it replaced
+(one assignment solve per candidate pair). Enumeration instances use integer
+costs so equality is exact.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from ridesim import platforms
+from ridesim.decisions import build_decision_set
+from ridesim.engine import run_day
 from ridesim.netgraph import SkimMatrix, build_skim, grid_city
 from ridesim.platforms import (
     Assignment,
@@ -20,7 +25,7 @@ from ridesim.platforms import (
     next_batch_boundary,
     settle,
 )
-from ridesim.scenario import PlatformSpec, Request
+from ridesim.scenario import PlatformSpec, Request, materialize, parse_config
 
 
 # ---------------------------------------------------------------- oracles
@@ -68,6 +73,78 @@ def skim_from_cost(req_ids, drv_ids, cost):
     requests = [Request(rid, rid, nd + i, 0, 0.0) for i, rid in enumerate(req_ids)]
     positions = {d: j for j, d in enumerate(drv_ids)}
     return skim, requests, positions
+
+
+def reference_match_batch(
+    requests: list,
+    idle,
+    positions,
+    skim: SkimMatrix,
+) -> Assignment:
+    """Minimum-total-pickup-time assignment of min(|requests|, |idle|) pairs.
+
+    Among all minimum-cost maximum-size assignments, returns the one whose
+    (request_id, driver_id) pair list is lexicographically smallest: requests
+    are fixed in ascending id order, each to the smallest driver id that
+    keeps the optimal total attainable.
+    """
+    req_ids = sorted(r.request_id for r in requests)
+    by_id = {r.request_id: r for r in requests}
+    drv_ids = sorted(idle)
+    if not req_ids or not drv_ids:
+        return Assignment(
+            pairs=(), unmatched_requests=tuple(req_ids), unmatched_drivers=tuple(drv_ids)
+        )
+    cost = np.array([
+        [skim.travel_time[positions[d], by_id[r].origin] for d in drv_ids]
+        for r in req_ids
+    ])
+    target = _lap_cost(cost)
+    pairs = []
+    dropped = []
+    open_req = list(range(len(req_ids)))
+    open_drv = list(range(len(drv_ids)))
+    fixed_cost = 0.0
+    n_pairs = min(len(req_ids), len(drv_ids))
+    while len(pairs) < n_pairs:
+        ri = open_req[0]
+        rest_req = open_req[1:]
+        chosen = None
+        for dj in open_drv:
+            rest_drv = [d for d in open_drv if d != dj]
+            trial = fixed_cost + cost[ri, dj] + _lap_cost(cost[np.ix_(rest_req, rest_drv)])
+            if _close(trial, target):
+                chosen = dj
+                break
+        if chosen is None:
+            # only possible with surplus requests: this one stays unmatched
+            if _close(fixed_cost + _lap_cost(cost[np.ix_(rest_req, open_drv)]), target):
+                dropped.append(ri)
+                open_req = rest_req
+                continue
+            raise AssertionError("optimal assignment reconstruction failed")
+        pairs.append((req_ids[ri], drv_ids[chosen]))
+        fixed_cost += cost[ri, chosen]
+        open_req = rest_req
+        open_drv = [d for d in open_drv if d != chosen]
+    return Assignment(
+        pairs=tuple(pairs),
+        unmatched_requests=tuple(req_ids[i] for i in sorted(dropped + open_req)),
+        unmatched_drivers=tuple(drv_ids[j] for j in open_drv),
+    )
+
+
+def _lap_cost(cost: np.ndarray) -> float:
+    if cost.size == 0:
+        return 0.0
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
+
+
+def _close(a: float, b: float) -> bool:
+    # float travel-time sums may associate differently between the full and
+    # the fixed-plus-remainder solve; integer-valued costs stay exact
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
 # ------------------------------------------------------------ match_instant
@@ -172,6 +249,86 @@ def test_batch_matches_enumeration_square_and_rectangular():
         matched_d = {d for _, d in got.pairs}
         assert set(got.unmatched_requests) == set(req_ids) - matched_r
         assert set(got.unmatched_drivers) == set(drv_ids) - matched_d
+
+
+def random_ids(rng, n):
+    return sorted(int(x) for x in rng.choice(1000, size=n, replace=False))
+
+
+def assert_matches_reference(requests, drv_ids, positions, skim):
+    got = match_batch(requests, set(drv_ids), positions, skim)
+    want = reference_match_batch(requests, set(drv_ids), positions, skim)
+    assert got == want
+
+
+def test_batch_matches_reference_on_tie_heavy_instances():
+    rng = np.random.default_rng(808)
+    for k in range(600):
+        nr = int(rng.integers(1, 9))
+        nd = int(rng.integers(1, 9))
+        req_ids, drv_ids = random_ids(rng, nr), random_ids(rng, nd)
+        cost = rng.integers(0, 4, size=(nr, nd)).astype(float)
+        if k % 2:
+            cost *= 0.37
+        skim, requests, positions = skim_from_cost(req_ids, drv_ids, cost.tolist())
+        assert_matches_reference(requests, drv_ids, positions, skim)
+
+
+def test_batch_matches_reference_on_float_instances():
+    rng = np.random.default_rng(809)
+    for _ in range(200):
+        nr = int(rng.integers(1, 31))
+        nd = int(rng.integers(1, 31))
+        req_ids, drv_ids = random_ids(rng, nr), random_ids(rng, nd)
+        cost = rng.uniform(0.0, 600.0, size=(nr, nd))
+        skim, requests, positions = skim_from_cost(req_ids, drv_ids, cost.tolist())
+        assert_matches_reference(requests, drv_ids, positions, skim)
+
+
+@pytest.fixture(scope="module")
+def city_skim():
+    return build_skim(grid_city(30, 30, 500.0, 10.0))
+
+
+@pytest.mark.parametrize("nr,nd", [(38, 9), (72, 14), (72, 340), (340, 20)])
+def test_batch_matches_reference_on_city_skim(city_skim, nr, nd):
+    # grid travel times are whole multiples of one block, so ties are common;
+    # both surplus directions occur
+    n_nodes = city_skim.travel_time.shape[0]
+    rng = np.random.default_rng(nr * 1000 + nd)
+    for _ in range(2):
+        req_ids, drv_ids = random_ids(rng, nr), random_ids(rng, nd)
+        requests = [Request(r, r, int(rng.integers(0, n_nodes)), 0, 0.0)
+                    for r in req_ids]
+        positions = {d: int(rng.integers(0, n_nodes)) for d in drv_ids}
+        assert_matches_reference(requests, drv_ids, positions, city_skim)
+
+
+def test_batched_run_solves_once_per_batch(monkeypatch):
+    counts = {"solve": 0, "batch": 0}
+    solve, batch = platforms.linear_sum_assignment, platforms.match_batch
+
+    def counted_solve(cost):
+        counts["solve"] += 1
+        return solve(cost)
+
+    def counted_batch(*args):
+        counts["batch"] += 1
+        return batch(*args)
+
+    monkeypatch.setattr(platforms, "linear_sum_assignment", counted_solve)
+    monkeypatch.setattr(platforms, "match_batch", counted_batch)
+    config = parse_config({
+        "horizon_s": 3600, "n_travellers": 150, "n_drivers": 8, "seed": 3,
+        "graph": {"grid": {"rows": 5, "cols": 5, "spacing_m": 500, "speed_mps": 10}},
+        "platforms": [{"platform_id": 0, "base_fare": 0.0, "fare_per_km": 1.0,
+                       "commission_rate": 0.0,
+                       "matching": {"batched": {"window_s": 60.0}}}],
+    })
+    run_day(config, materialize(config),
+            build_decision_set(config.decisions, config.behaviour))
+    assert counts["batch"] > 10
+    assert counts["solve"] == counts["batch"]
 
 
 def test_batch_no_duplicate_sides():
