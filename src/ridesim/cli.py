@@ -131,7 +131,7 @@ def cmd_run(args) -> int:
     else:
         # day_to_day has validated every day's log and built its system row
         res = day_to_day(config, LearningParams(max_days=args.days))
-        config, inputs, logs = res.config, res.inputs, list(res.logs)
+        inputs, logs = res.inputs, list(res.logs)
         system_rows = list(res.system_rows)
         kpi.write_system_csv(out / "day_to_day.csv", res.trajectory)
         written.append("day_to_day.csv")

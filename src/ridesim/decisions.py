@@ -182,16 +182,12 @@ def opt_out_if_unserved(ctx: TravOutCtx) -> bool:
 
 def default_trav_mode(ctx: TravModeCtx) -> bool:
     """Accept, unless behaviour.max_wait_s is set and the pickup estimate
-    exceeds it (the boundary itself is acceptable)."""
+    exceeds it (the boundary itself is acceptable). Also registered as the
+    ``max_wait`` module, which requires behaviour.max_wait_s."""
     max_wait = ctx.params.get("max_wait_s")
     if max_wait is None:
         return True
     return ctx.offer.pickup_eta <= max_wait
-
-
-def max_wait_mode(ctx: TravModeCtx) -> bool:
-    """Accept exactly when pickup_eta <= behaviour.max_wait_s."""
-    return ctx.offer.pickup_eta <= ctx.params["max_wait_s"]
 
 
 def default_platform_choice(ctx: PlatformChoiceCtx) -> int:
@@ -278,7 +274,7 @@ for _slot, _name, _fn, _requires in [
     ("f_trav_out", "default", default_trav_out, ()),
     ("f_trav_out", "opt_out_if_unserved", opt_out_if_unserved, ()),
     ("f_trav_mode", "default", default_trav_mode, ()),
-    ("f_trav_mode", "max_wait", max_wait_mode, ("max_wait_s",)),
+    ("f_trav_mode", "max_wait", default_trav_mode, ("max_wait_s",)),
     ("f_platform_choice", "default", default_platform_choice, ()),
     ("f_match", "default", default_match, ()),
 ]:

@@ -19,7 +19,8 @@ from ridesim.decisions import build_decision_set
 from ridesim.engine import DayState, DriverCarry, run_day
 from ridesim.errors import ConfigError
 from ridesim.netgraph import build_skim
-from ridesim.scenario import ScenarioConfig, ScenarioInputs, materialize, parse_config
+from ridesim.scenario import (ScenarioConfig, ScenarioInputs, check_seed, materialize,
+                              parse_config)
 
 _SEGMENT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)\Z")
 
@@ -124,6 +125,7 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
     seed = raw["base_seed"]
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("base_seed", "must be an integer >= 0")
+    check_seed(seed + reps - 1, "base_seed")     # the last replication's seed
     threads = raw.get("threads", 1)
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise ConfigError("threads", "must be an integer >= 1")
@@ -135,98 +137,79 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
                 base_seed=seed, threads=threads, base_dir=str(base_dir))
 
 
-# ------------------------------------------------------------- replications
+# ------------------------------------------------------------------ runner
 
-def _network(config: ScenarioConfig, skim_cache: dict):
-    """Build the config's network and fetch its skim from ``skim_cache``,
-    building and storing it on a miss. The check and fill are not locked:
-    call this before handing the network to worker threads."""
-    net = config.graph.build()
-    key = net.content_key()
-    if key not in skim_cache:
-        skim_cache[key] = build_skim(net)
-    return net, skim_cache[key]
+def _network(graph):
+    """Build a graph spec's network and its skim."""
+    net = graph.build()
+    return net, build_skim(net)
 
 
-def replicate(
-    config: ScenarioConfig,
-    n: int,
-    base_seed: int | None = None,
-    threads: int = 1,
-    skim_cache: dict | None = None,
-) -> list[dict]:
+def _day(config, inputs, decisions, day, state):
+    """Run one day and validate its log; return the log and its traveller,
+    driver and system rows."""
+    log = run_day(config, inputs, decisions, day=day, day_state=state).log
+    kpi.validate_log(log)
+    t_rows = kpi.traveller_kpis(log)
+    d_rows = kpi.driver_kpis(log)
+    return log, t_rows, d_rows, kpi.system_kpis(t_rows, d_rows, config.platforms, log)
+
+
+def _run(tasks, threads, networks) -> list[dict]:
+    """One single-day row (seed, then system KPIs) per ``(config, seed)``
+    task, in task order whatever the thread count. ``networks`` maps each
+    task's graph spec to its (net, skim); workers only read it."""
+    def one(task) -> dict:
+        config, seed = task
+        cfg = replace(config, seed=seed)
+        net, skim = networks[cfg.graph]
+        inputs = materialize(cfg, net=net, skim=skim)
+        dec = build_decision_set(cfg.decisions, cfg.behaviour)
+        return {"seed": seed, **_day(cfg, inputs, dec, 0, DayState())[3]}
+
+    if threads <= 1:
+        return [one(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one, tasks))
+
+
+def replicate(config: ScenarioConfig, n: int, base_seed: int | None = None,
+              threads: int = 1) -> list[dict]:
     """Run n single-day replications with seeds base_seed, base_seed+1, ...
 
+    The network and skim are built once and shared by every replication.
     Returns one system-KPI dict per replication, in replication order,
     independent of the thread count.
     """
     first = config.seed if base_seed is None else base_seed
-    net, skim = _network(config, {} if skim_cache is None else skim_cache)
-    return _replicate(config, n, first, threads, net, skim)
-
-
-def _replicate(config, n, first, threads, net, skim) -> list[dict]:
-    def one(k: int) -> dict:
-        cfg = replace(config, seed=first + k)
-        inputs = materialize(cfg, net=net, skim=skim)
-        dec = build_decision_set(cfg.decisions, cfg.behaviour)
-        res = run_day(cfg, inputs, dec)
-        kpi.validate_log(res.log)
-        trows = kpi.traveller_kpis(res.log)
-        drows = kpi.driver_kpis(res.log)
-        row = {"seed": first + k}
-        row.update(kpi.system_kpis(trows, drows, cfg.platforms, res.log))
-        return row
-
-    if threads <= 1:
-        return [one(k) for k in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(n)))
+    return _run([(config, first + k) for k in range(n)], threads,
+                {config.graph: _network(config.graph)})
 
 
 def run_grid(plan: Plan, threads: int | None = None) -> list[dict]:
     """Execute every grid cell x replication of a plan.
 
-    Rows are ordered by cell (grid keys in plan order, row-major) then
-    replication, and carry the cell's parameter values, the replication
-    index and seed, and the system KPIs.
+    Each distinct graph's network and skim is built once, in the calling
+    thread, before any worker starts; the pool then runs one task per cell
+    and replication. Rows are ordered by cell (grid keys in plan order,
+    row-major) then replication, and carry the cell's parameter values, the
+    replication index and seed, and the system KPIs.
     """
     keys = list(plan.grid)
-    cells = [
-        dict(zip(keys, combo))
-        for combo in itertools.product(*(plan.grid[k] for k in keys))
-    ]
-    tasks = []
-    cache: dict = {}
-    networks = {}       # graph spec -> (net, skim), all built before any worker starts
-    for cell in cells:
+    labels, tasks, networks = [], [], {}
+    for combo in itertools.product(*(plan.grid[k] for k in keys)):
+        cell = dict(zip(keys, combo))
         raw = copy.deepcopy(plan.base)
         for path, value in cell.items():
             apply_override(raw, path, value)
         cfg = parse_config(raw, base_dir=plan.base_dir)
         if cfg.graph not in networks:
-            networks[cfg.graph] = _network(cfg, cache)
-        tasks.append((cell, cfg))
-    nthreads = plan.threads if threads is None else threads
-
-    def run_cell(task):
-        cell, cfg = task
-        return _replicate(cfg, plan.replications, plan.base_seed, 1,
-                          *networks[cfg.graph])
-
-    if nthreads <= 1:
-        per_cell = [run_cell(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            per_cell = list(pool.map(run_cell, tasks))
-    rows = []
-    for (cell, _), reps in zip(tasks, per_cell):
-        for k, rep in enumerate(reps):
-            row = dict(cell)
-            row["replication"] = k
-            row.update(rep)
-            rows.append(row)
-    return rows
+            networks[cfg.graph] = _network(cfg.graph)
+        for k in range(plan.replications):
+            labels.append({**cell, "replication": k})
+            tasks.append((cfg, plan.base_seed + k))
+    rows = _run(tasks, plan.threads if threads is None else threads, networks)
+    return [{**label, **row} for label, row in zip(labels, rows)]
 
 
 # ------------------------------------------------------------ day-to-day
@@ -246,17 +229,13 @@ class DayToDayResult:
     trajectory: tuple
     logs: tuple
     system_rows: tuple       # kpi.system_kpis of each day's log
-    config: ScenarioConfig
     inputs: ScenarioInputs
     converged: bool
     learned_income: dict     # driver_id -> final income belief
 
 
-def day_to_day(
-    config: ScenarioConfig,
-    learning: LearningParams = LearningParams(),
-    skim_cache: dict | None = None,
-) -> DayToDayResult:
+def day_to_day(config: ScenarioConfig,
+               learning: LearningParams = LearningParams()) -> DayToDayResult:
     """Iterate a scenario over days until the fleet stabilizes.
 
     Drivers start with their reservation wage
@@ -267,7 +246,7 @@ def day_to_day(
     ``behaviour.epsilon``. Travellers re-decide from yesterday's outcome
     when the configured opt-out hook uses it.
     """
-    inputs = materialize(config, skim_cache=skim_cache if skim_cache is not None else {})
+    inputs = materialize(config)
     dec = build_decision_set(config.decisions, config.behaviour)
     wage = float(config.behaviour["reservation_wage_per_hour"])
     hours = {
@@ -295,12 +274,8 @@ def day_to_day(
             },
             traveller_outcomes=outcomes,
         )
-        res = run_day(config, inputs, dec, day=day, day_state=state)
-        kpi.validate_log(res.log)
-        logs.append(res.log)
-        t_rows = kpi.traveller_kpis(res.log)
-        d_rows = kpi.driver_kpis(res.log)
-        system = kpi.system_kpis(t_rows, d_rows, config.platforms, res.log)
+        log, t_rows, d_rows, system = _day(config, inputs, dec, day, state)
+        logs.append(log)
         system_rows.append(system)
         outcomes = {row.traveller_id: row.outcome for row in t_rows}
 
@@ -337,7 +312,7 @@ def day_to_day(
             break
     return DayToDayResult(
         trajectory=tuple(trajectory), logs=tuple(logs),
-        system_rows=tuple(system_rows), config=config, inputs=inputs,
+        system_rows=tuple(system_rows), inputs=inputs,
         converged=streak >= learning.convergence_window,
         learned_income=dict(learned),
     )

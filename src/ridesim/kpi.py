@@ -446,14 +446,17 @@ def _write_rows(path, rows, header) -> None:
             w.writerow([_cell(v) for v in row])
 
 
-def write_traveller_csv(path, rows: Sequence[TravellerKpi]) -> None:
-    header = [f.name for f in fields(TravellerKpi)]
+def _write_records(path, rows, cls) -> None:
+    header = [f.name for f in fields(cls)]
     _write_rows(path, ([getattr(r, h) for h in header] for r in rows), header)
+
+
+def write_traveller_csv(path, rows: Sequence[TravellerKpi]) -> None:
+    _write_records(path, rows, TravellerKpi)
 
 
 def write_driver_csv(path, rows: Sequence[DriverKpi]) -> None:
-    header = [f.name for f in fields(DriverKpi)]
-    _write_rows(path, ([getattr(r, h) for h in header] for r in rows), header)
+    _write_records(path, rows, DriverKpi)
 
 
 def write_system_csv(path, day_rows: Sequence[dict]) -> None:
@@ -467,5 +470,4 @@ def write_system_csv(path, day_rows: Sequence[dict]) -> None:
 
 
 def write_node_csv(path, rows: Sequence[NodeKpi]) -> None:
-    header = [f.name for f in fields(NodeKpi)]
-    _write_rows(path, ([getattr(r, h) for h in header] for r in rows), header)
+    _write_records(path, rows, NodeKpi)

@@ -467,6 +467,7 @@ def load_requests_csv(path: str, net: RoadNetwork, horizon: float) -> list[Reque
     rows = _read_csv(path, REQUESTS_HEADER)
     out = []
     seen: set[int] = set()
+    travellers: set[int] = set()
     for lineno, row in rows:
         at = f"{path}:row {lineno}"
         try:
@@ -482,6 +483,10 @@ def load_requests_csv(path: str, net: RoadNetwork, horizon: float) -> list[Reque
         if req.request_id in seen:
             raise ConfigError(at, f"duplicate request_id {req.request_id}")
         seen.add(req.request_id)
+        # the engine tracks one request per traveller and day
+        if req.traveller_id in travellers:
+            raise ConfigError(at, f"duplicate traveller_id {req.traveller_id}")
+        travellers.add(req.traveller_id)
         if not (0 <= req.origin < net.n) or not (0 <= req.destination < net.n):
             raise ConfigError(at, "origin or destination is not a valid node")
         if req.origin == req.destination:
@@ -574,17 +579,15 @@ def save_drivers_csv(drivers: list[DriverSpec], path: str | Path) -> None:
 
 def materialize(
     config: ScenarioConfig,
-    skim_cache: dict | None = None,
     *,
     net: RoadNetwork | None = None,
     skim: SkimMatrix | None = None,
 ) -> ScenarioInputs:
     """Build the network, skim, demand and supply for one scenario.
 
-    ``skim_cache`` maps a graph content key to its SkimMatrix so experiment
-    grids over one city do not recompute shortest paths per cell. ``net``
-    and ``skim``, when given, must come from ``config.graph``; replications
-    of one scenario pass them so the graph is neither rebuilt nor re-keyed.
+    ``net`` and ``skim``, when given, must come from ``config.graph``; the
+    experiment runner builds them once per graph and passes them to every
+    run on it, so shortest paths are not recomputed per run.
     """
     if net is None:
         net = config.graph.build()
@@ -594,13 +597,7 @@ def materialize(
             f"expected {net.n} weights (one per node), got {len(config.demand_weights)}",
         )
     if skim is None:
-        key = net.content_key()
-        if skim_cache is not None and key in skim_cache:
-            skim = skim_cache[key]
-        else:
-            skim = build_skim(net)
-            if skim_cache is not None:
-                skim_cache[key] = skim
+        skim = build_skim(net)
 
     if config.requests_csv is not None:
         requests = load_requests_csv(config.requests_csv, net, config.horizon_s)

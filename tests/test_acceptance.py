@@ -32,7 +32,6 @@ from ridesim.decisions import (
     default_driver_out,
     default_platform_choice,
     default_trav_mode,
-    max_wait_mode,
     opt_out_if_unserved,
     repos_to_demand,
 )
@@ -53,7 +52,7 @@ from ridesim.experiments import (
     run_grid,
 )
 
-_SKIMS = {}
+_NETWORKS = {}      # graph spec -> (net, skim), shared across tests
 
 
 def verdict(capsys, n, ok, text):
@@ -64,7 +63,11 @@ def verdict(capsys, n, ok, text):
 
 
 def shared_inputs(config):
-    return materialize(config, skim_cache=_SKIMS)
+    if config.graph not in _NETWORKS:
+        net = config.graph.build()
+        _NETWORKS[config.graph] = net, build_skim(net)
+    net, skim = _NETWORKS[config.graph]
+    return materialize(config, net=net, skim=skim)
 
 
 def run_config(raw):
@@ -307,11 +310,10 @@ def test_c4_conservation_laws(capsys):
         config, _, result = run_config(raw)
         problems += conservation_violations(config, result.log)
         checked += 1
-    multi = day_to_day(
-        parse_config(rich_raw()),
-        LearningParams(max_days=6), skim_cache=_SKIMS)
+    rich = parse_config(rich_raw())
+    multi = day_to_day(rich, LearningParams(max_days=6))
     for log in multi.logs:
-        problems += conservation_violations(multi.config, log)
+        problems += conservation_violations(rich, log)
         checked += 1
     elapsed = time.perf_counter() - t0
     verdict(capsys, 4, not problems,
@@ -360,8 +362,7 @@ def test_c6_fleet_learning_dynamics(capsys):
     config = parse_config(json.loads(presets.read_text("e4")))
     drops, stable = 0, []
     for seed in range(10):
-        res = day_to_day(replace(config, seed=seed), LearningParams(),
-                         skim_cache=_SKIMS)
+        res = day_to_day(replace(config, seed=seed), LearningParams())
         fleet = [row["fleet_participating"] for row in res.trajectory]
         drops += any(f < 90 for f in fleet[:10])
         tail = fleet[-10:]
@@ -572,7 +573,8 @@ def test_c9_randomized_properties(capsys):
                      (repos_to_demand, repos_ctx),
                      (opt_out_if_unserved, trav_out_ctx),
                      (default_trav_mode, mode_ctx),
-                     (max_wait_mode, mode_ctx)):
+                     # again, as the registered "max_wait" module
+                     (default_trav_mode, mode_ctx)):
         agree, n = _pairs(rng, fn, make, 60)
         if agree != n:
             failures.append(f"{fn.__name__} not pure: {agree}/{n}")
@@ -637,7 +639,7 @@ def test_c9_randomized_properties(capsys):
         wage = float(rng.choice([1.0, 2.5, 4.0]))
         raw["behaviour"].update(epsilon=0.0, reservation_wage_per_hour=wage)
         config = parse_config(raw)
-        res = day_to_day(config, LearningParams(max_days=8), skim_cache=_SKIMS)
+        res = day_to_day(config, LearningParams(max_days=8))
         fleet = [row["fleet_participating"] for row in res.trajectory]
         if any(b > a for a, b in zip(fleet, fleet[1:])):
             failures.append(f"fleet grew with epsilon=0: {fleet}")

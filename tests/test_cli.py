@@ -123,6 +123,11 @@ BAD_VALUES = {
                                 "request_id,traveller_id,origin,destination,t_request_s\n"
                                 "0,0,1,2,10\n1,1,2\n"),
         "requests.csv:row 3"),
+    "requests_csv_duplicate_traveller": (
+        lambda tmp: _csv_config(tmp, "requests_csv",
+                                "request_id,traveller_id,origin,destination,t_request_s\n"
+                                "0,7,1,2,10\n1,7,2,3,20\n"),
+        "requests.csv:row 3"),
     "drivers_csv_long_row": (
         lambda tmp: _csv_config(tmp, "drivers_csv",
                                 "driver_id,home_node,shift_start_s,shift_end_s,platform_ids\n"
@@ -355,6 +360,16 @@ def test_experiment_bad_threads_env_exits_1(tmp_path, monkeypatch, capsys, value
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "RIDESIM_THREADS" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_experiment_last_seed_out_of_range_exits_1(tmp_path, capsys):
+    # replication 1 of 2 would run seed 2**64
+    out = tmp_path / "out"
+    p = plan_file(tmp_path, base_seed=2 ** 64 - 1)
+    assert main(["experiment", "--plan", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "base_seed" in err and "Traceback" not in err
     assert not (out / "manifest.json").exists()
 
 

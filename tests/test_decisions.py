@@ -22,7 +22,6 @@ from ridesim.decisions import (
     default_platform_choice,
     default_trav_mode,
     default_trav_out,
-    max_wait_mode,
     opt_out_if_unserved,
     register,
     repos_to_demand,
@@ -186,8 +185,11 @@ def test_mode_default_honours_max_wait_when_configured():
 
 
 def test_max_wait_module_boundary():
-    assert max_wait_mode(mode_ctx(601.0, {"max_wait_s": 600.0})) is False
-    assert max_wait_mode(mode_ctx(600.0, {"max_wait_s": 600.0})) is True
+    params = {"max_wait_s": 600.0}
+    max_wait = build_decision_set({"f_trav_mode": "max_wait"}, params).f_trav_mode
+    assert max_wait is default_trav_mode
+    assert max_wait(mode_ctx(601.0, params)) is False
+    assert max_wait(mode_ctx(600.0, params)) is True
 
 
 # ------------------------------------------------------- f_platform_choice
@@ -334,7 +336,7 @@ def test_build_decision_set_by_name():
         {"f_trav_mode": "max_wait", "f_driver_repos": "repos_to_demand"},
         {"max_wait_s": 600.0},
     )
-    assert ds.f_trav_mode is max_wait_mode
+    assert ds.f_trav_mode is default_trav_mode
     assert ds.f_driver_repos is repos_to_demand
 
 

@@ -100,6 +100,8 @@ def test_parse_plan_defaults():
     (lambda r: r.update(replications=0), "replications"),
     (lambda r: r.update(replications=True), "replications"),
     (lambda r: r.update(base_seed=-1), "base_seed"),
+    pytest.param(lambda r: r.update(base_seed=2 ** 64 - 1), "base_seed",
+                 id="last_replication_seed_too_large"),     # 2 replications
     (lambda r: r.update(threads=0), "threads"),
     (lambda r: r.update(surprise=1), "surprise"),
     pytest.param(lambda r: r.update(base="broken.json"), "invalid JSON.*: base$",
@@ -111,6 +113,10 @@ def test_parse_plan_rejects(mutate, needle, tmp_path):
     mutate(raw)
     with pytest.raises(ConfigError, match=needle):
         parse_plan(raw, base_dir=tmp_path)
+
+
+def test_parse_plan_last_seed_at_range_end():
+    assert parse_plan(plan_raw(base_seed=2 ** 64 - 2)).base_seed == 2 ** 64 - 2
 
 
 def test_parse_plan_rejects_bad_override_path_up_front():
@@ -318,7 +324,7 @@ def test_learning_matches_ema_oracle():
     assert len(res.logs) == 6
     hours = {d.driver_id: (d.shift_end - d.shift_start) / 3600.0
              for d in res.inputs.drivers}
-    belief = {d: res.config.behaviour["reservation_wage_per_hour"] for d in hours}
+    belief = {d: cfg.behaviour["reservation_wage_per_hour"] for d in hours}
     fleets = []
     for log, day in zip(res.logs, res.trajectory):
         worked, paid = set(), dict.fromkeys(hours, 0.0)

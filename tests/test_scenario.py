@@ -427,15 +427,6 @@ def test_materialize_checks_csv_counts(tmp_path):
 
 # --------------------------------------------------------- materialization
 
-def test_materialize_uses_skim_cache():
-    cfg = parse_config(minimal_raw())
-    cache = {}
-    first = materialize(cfg, skim_cache=cache)
-    second = materialize(cfg, skim_cache=cache)
-    assert second.skim is first.skim
-    assert len(cache) == 1
-
-
 def test_materialize_assigns_all_platforms():
     raw = two_platform_raw(3)
     inputs = materialize(parse_config(raw))
