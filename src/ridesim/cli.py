@@ -19,6 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from ridesim import __version__, kpi, presets
+# build_decision_set, run_day and materialize are unused here; the benchmark tracer rebinds them
 from ridesim.decisions import build_decision_set
 from ridesim.engine import run_day
 from ridesim.errors import (
@@ -44,6 +45,7 @@ from ridesim.scenario import (
     save_drivers_csv,
     save_requests_csv,
 )
+from ridesim.util import read_input
 
 
 def _now() -> str:
@@ -63,7 +65,7 @@ def _read_input_text(path_str: str, kind: str) -> tuple[str, Path | None]:
     """
     p = Path(path_str)
     if p.is_file():
-        return p.read_text(encoding="utf-8"), p.parent
+        return read_input(p, lambda why: ConfigError(path_str, f"{kind} file {why}")), p.parent
     stem = p.name[:-5] if p.name.endswith(".json") else p.name
     if p.parent == Path(".") and stem in presets.names():
         return presets.read_text(stem), None
@@ -119,41 +121,23 @@ def cmd_run(args) -> int:
 
     out = _out_dir(args.out)
     started = _now()
+    res = day_to_day(config, LearningParams(max_days=args.days))
     written = ["events.csv", "kpi_travellers.csv", "kpi_drivers.csv",
                "kpi_system.csv", "kpi_nodes.csv"]
-
-    if args.days == 1:
-        inputs = materialize(config)
-        decisions = build_decision_set(config.decisions, config.behaviour)
-        result = run_day(config, inputs, decisions)
-        kpi.validate_log(result.log)
-        logs = [result.log]
-    else:
-        # day_to_day has validated every day's log and built its system row
-        res = day_to_day(config, LearningParams(max_days=args.days))
-        inputs, logs = res.inputs, list(res.logs)
-        system_rows = list(res.system_rows)
+    if args.days > 1:
         kpi.write_system_csv(out / "day_to_day.csv", res.trajectory)
         written.append("day_to_day.csv")
-
-    all_events = [rec for log in logs for rec in log]
-    kpi.write_events_csv(out / "events.csv", all_events)
-
+    kpi.write_events_csv(out / "events.csv", [rec for log in res.logs for rec in log])
     # per-traveller/driver/node files describe the last simulated day
-    t_rows = kpi.traveller_kpis(logs[-1])
-    d_rows = kpi.driver_kpis(logs[-1])
-    if args.days == 1:
-        system_rows = [kpi.system_kpis(t_rows, d_rows, config.platforms, logs[-1])]
-    kpi.write_traveller_csv(out / "kpi_travellers.csv", t_rows)
-    kpi.write_driver_csv(out / "kpi_drivers.csv", d_rows)
-    kpi.write_system_csv(out / "kpi_system.csv", system_rows)
-    kpi.write_node_csv(
-        out / "kpi_nodes.csv",
-        kpi.node_aggregates(t_rows, d_rows, inputs.requests, inputs.drivers, inputs.net),
-    )
+    kpi.write_traveller_csv(out / "kpi_travellers.csv", res.travellers)
+    kpi.write_driver_csv(out / "kpi_drivers.csv", res.drivers)
+    kpi.write_system_csv(out / "kpi_system.csv", res.system_rows)
+    inputs = res.inputs
+    kpi.write_node_csv(out / "kpi_nodes.csv", kpi.node_aggregates(
+        res.travellers, res.drivers, inputs.requests, inputs.drivers, inputs.net))
 
     _write_manifest(out, written, config.seed, _sha256(text.encode("utf-8")), started)
-    print(f"run complete: {len(logs)} day(s), outputs in {out}")
+    print(f"run complete: {len(res.logs)} day(s), outputs in {out}")
     return 0
 
 
@@ -244,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--days", type=int, default=1,
-                     help="days to simulate; > 1 runs the day-to-day learning loop")
+                     help="days of the day-to-day learning loop to simulate")
     run.set_defaults(fn=cmd_run)
 
     exp = sub.add_parser("experiment", help="run a replication/grid plan")

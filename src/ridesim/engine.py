@@ -100,22 +100,21 @@ class DayResult:
 
 
 class _TravellerSim:
-    __slots__ = ("request", "status", "pending_offers", "rejections")
+    __slots__ = ("request", "status", "offers", "rejections")
 
     def __init__(self, request):
         self.request = request
         self.status = "planning"
-        self.pending_offers = []
+        self.offers = []
         self.rejections = 0
 
 
 class _DriverSim:
-    __slots__ = ("spec", "position", "pending_offer", "wants_off", "serving")
+    __slots__ = ("spec", "position", "wants_off", "serving")
 
     def __init__(self, spec):
         self.spec = spec
         self.position = spec.home_node
-        self.pending_offer = None
         self.wants_off = False
         self.serving = None           # request currently aboard or en route
 
@@ -318,7 +317,6 @@ class _Sim:
     def _release_driver(self, driver):
         """Return a reserved driver to circulation after a lost or rejected
         offer, or send it home if the shift ended meanwhile."""
-        driver.pending_offer = None
         if driver.wants_off:
             self._finish_shift(driver)
             return
@@ -500,8 +498,7 @@ class _Sim:
             self.record(DRIVER, did, "ACCEPTS_REQUEST", driver.position,
                         request_id=rid, platform_id=pid, eta_s=offer.pickup_eta)
             self._remove_idle(driver)
-            driver.pending_offer = offer
-            trav.pending_offers.append(offer)
+            trav.offers.append(offer)
             offered.append(rid)
         return offered
 
@@ -543,8 +540,8 @@ class _Sim:
     def on_offers(self, trav):
         t_id = trav.request.traveller_id
         self.reaction_pending.discard(t_id)
-        offers = tuple(trav.pending_offers)
-        trav.pending_offers = []
+        offers = tuple(trav.offers)
+        trav.offers = []
         if not offers:
             self.fail(f"traveller {t_id} woke with no offers")
         if trav.status == "unserved":
@@ -590,7 +587,6 @@ class _Sim:
                     eta_s=chosen.pickup_eta, fare=chosen.fare)
         trav.status = "matched"
         driver = self.drivers[chosen.driver_id]
-        driver.pending_offer = None
         driver.serving = chosen
         self.move(driver, trav.request.origin,
                   lambda dist, d=driver: self.on_pickup_arrival(d, dist))

@@ -1,9 +1,10 @@
-"""Experiment orchestration: replications, parameter grids, multi-day runs.
+"""Experiment orchestration: parameter grids with replications, multi-day runs.
 
 A plan file describes a base scenario, a grid of config overrides, and a
 replication count; ``run_grid`` executes every cell x replication and returns
 flat result rows ready for CSV. ``day_to_day`` iterates a scenario over
-days with drivers learning their income and re-deciding participation.
+days with drivers learning their income and re-deciding participation; a
+one-day run is that loop with one day.
 """
 
 import copy
@@ -21,6 +22,7 @@ from ridesim.errors import ConfigError
 from ridesim.netgraph import build_skim
 from ridesim.scenario import (ScenarioConfig, ScenarioInputs, check_seed, materialize,
                               parse_config)
+from ridesim.util import read_input
 
 _SEGMENT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)\Z")
 
@@ -80,17 +82,6 @@ class Plan:
 _PLAN_KEYS = {"base", "grid", "replications", "base_seed", "threads"}
 
 
-def load_plan(path) -> Plan:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(str(p), "plan file not found")
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(p), f"invalid JSON: {exc}") from None
-    return parse_plan(raw, base_dir=p.parent)
-
-
 def parse_plan(raw: dict, base_dir=".") -> Plan:
     if not isinstance(raw, dict):
         raise ConfigError("$", "plan must be a JSON object")
@@ -104,10 +95,10 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
     base_dir = Path(base_dir)
     if isinstance(base, str):
         base_path = base_dir / base
-        if not base_path.exists():
-            raise ConfigError("base", f"config file {base_path} not found")
+        text = read_input(base_path, lambda why: ConfigError(
+            "base", f"config file {base_path} {why}"))
         try:
-            base = json.loads(base_path.read_text(encoding="utf-8"))
+            base = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError("base", f"invalid JSON in {base_path}: {exc}") from None
         base_dir = base_path.parent
@@ -173,19 +164,6 @@ def _run(tasks, threads, networks) -> list[dict]:
         return list(pool.map(one, tasks))
 
 
-def replicate(config: ScenarioConfig, n: int, base_seed: int | None = None,
-              threads: int = 1) -> list[dict]:
-    """Run n single-day replications with seeds base_seed, base_seed+1, ...
-
-    The network and skim are built once and shared by every replication.
-    Returns one system-KPI dict per replication, in replication order,
-    independent of the thread count.
-    """
-    first = config.seed if base_seed is None else base_seed
-    return _run([(config, first + k) for k in range(n)], threads,
-                {config.graph: _network(config.graph)})
-
-
 def run_grid(plan: Plan, threads: int | None = None) -> list[dict]:
     """Execute every grid cell x replication of a plan.
 
@@ -229,6 +207,8 @@ class DayToDayResult:
     trajectory: tuple
     logs: tuple
     system_rows: tuple       # kpi.system_kpis of each day's log
+    travellers: tuple        # kpi.traveller_kpis of the last day's log
+    drivers: tuple           # kpi.driver_kpis of the last day's log
     inputs: ScenarioInputs
     converged: bool
     learned_income: dict     # driver_id -> final income belief
@@ -261,6 +241,7 @@ def day_to_day(config: ScenarioConfig,
     trajectory = []
     logs = []
     system_rows = []
+    t_rows = d_rows = ()
     streak = 0
     prev_fleet = None
     for day in range(learning.max_days):
@@ -312,7 +293,8 @@ def day_to_day(config: ScenarioConfig,
             break
     return DayToDayResult(
         trajectory=tuple(trajectory), logs=tuple(logs),
-        system_rows=tuple(system_rows), inputs=inputs,
+        system_rows=tuple(system_rows), travellers=tuple(t_rows),
+        drivers=tuple(d_rows), inputs=inputs,
         converged=streak >= learning.convergence_window,
         learned_income=dict(learned),
     )

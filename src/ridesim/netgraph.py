@@ -7,6 +7,7 @@ and the distance of that same minimizing path, so fares (per km) and ETAs
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from ridesim.errors import GraphParseError, GraphValidationError
-from ridesim.util import fmt_num
+from ridesim.util import fmt_num, read_input
 
 NODES_HEADER = ["node_id", "x", "y"]
 EDGES_HEADER = ["from", "to", "length_m", "speed_mps"]
@@ -181,29 +182,27 @@ def load_graph(path: str | Path, edges_path: str | Path | None = None) -> RoadNe
 
 
 def _read_rows(path: Path, header: list[str], types: tuple):
-    if not path.exists():
-        raise GraphParseError(f"{path}: file not found")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got != header:
+    text = read_input(path, lambda why: GraphParseError(f"{path}: file {why}"))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    got = next(reader, None)
+    if got != header:
+        raise GraphParseError(
+            f"{path}: expected header {','.join(header)}, got "
+            f"{','.join(got) if got else '<empty file>'}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
             raise GraphParseError(
-                f"{path}: expected header {','.join(header)}, got "
-                f"{','.join(got) if got else '<empty file>'}"
+                f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise GraphParseError(
-                    f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
-                )
-            try:
-                yield tuple(conv(cell) for conv, cell in zip(types, row))
-            except ValueError:
-                raise GraphParseError(
-                    f"{path}: row {lineno}: cannot parse {row!r}"
-                ) from None
+        try:
+            yield tuple(conv(cell) for conv, cell in zip(types, row))
+        except ValueError:
+            raise GraphParseError(
+                f"{path}: row {lineno}: cannot parse {row!r}"
+            ) from None
 
 
 def save_graph(net: RoadNetwork, out_dir: str | Path) -> tuple[Path, Path]:

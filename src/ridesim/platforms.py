@@ -31,9 +31,10 @@ class Offer:
 
 @dataclass(frozen=True)
 class Assignment:
-    pairs: tuple[tuple[int, int], ...]          # (request_id, driver_id)
-    unmatched_requests: tuple[int, ...]
-    unmatched_drivers: tuple[int, ...]
+    """A batch's (request_id, driver_id) pairs; the unmatched requests and
+    drivers are the ones not named in them."""
+
+    pairs: tuple[tuple[int, int], ...]
 
 
 @dataclass
@@ -94,9 +95,7 @@ def match_batch(
     req_ids = sorted(r.request_id for r in requests)
     drv_ids = sorted(idle)
     if not req_ids or not drv_ids:
-        return Assignment(
-            pairs=(), unmatched_requests=tuple(req_ids), unmatched_drivers=tuple(drv_ids)
-        )
+        return Assignment(pairs=())
     by_id = {r.request_id: r for r in requests}
     origins = [by_id[r].origin for r in req_ids]
     nodes = np.array([positions[d] for d in drv_ids])
@@ -130,10 +129,7 @@ def match_batch(
             if _reroute(i, j, col_of, row_of, adj, may_drop, may_free):
                 break
     return Assignment(
-        pairs=tuple((req_ids[i], drv_ids[j]) for i, j in enumerate(col_of) if j >= 0),
-        unmatched_requests=tuple(req_ids[i] for i, j in enumerate(col_of) if j < 0),
-        unmatched_drivers=tuple(drv_ids[j] for j, i in enumerate(row_of) if i < 0),
-    )
+        pairs=tuple((req_ids[i], drv_ids[j]) for i, j in enumerate(col_of) if j >= 0))
 
 
 def _optimal_support(cost: np.ndarray) -> tuple:

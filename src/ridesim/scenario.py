@@ -6,6 +6,7 @@ are either generated from seeded sub-streams or loaded from CSV files.
 """
 
 import csv
+import io
 import json
 import math
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 from ridesim.errors import ConfigError
 from ridesim.netgraph import RoadNetwork, SkimMatrix, build_skim, grid_city, load_graph
 from ridesim.seeds import substream
-from ridesim.util import fmt_num
+from ridesim.util import fmt_num, read_input
 
 REQUESTS_HEADER = ["request_id", "traveller_id", "origin", "destination", "t_request_s"]
 DRIVERS_HEADER = ["driver_id", "home_node", "shift_start_s", "shift_end_s", "platform_ids"]
@@ -109,10 +110,9 @@ class ScenarioInputs:
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read, validate and default-fill a scenario JSON file."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(str(p), "config file not found")
+    text = read_input(p, lambda why: ConfigError(str(p), f"config file {why}"))
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(str(p), f"invalid JSON: {exc}") from None
     return parse_config(raw, base_dir=p.parent)
@@ -538,16 +538,14 @@ def load_drivers_csv(
 
 def _read_csv(path: str, header: list[str]):
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(str(p), "file not found")
-    with open(p, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != header:
-            raise ConfigError(
-                str(p), f"expected header {','.join(header)}, "
-                f"got {','.join(reader.fieldnames or ['<empty>'])}"
-            )
-        rows = list(enumerate(reader, start=2))
+    text = read_input(p, lambda why: ConfigError(str(p), f"file {why}"))
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames != header:
+        raise ConfigError(
+            str(p), f"expected header {','.join(header)}, "
+            f"got {','.join(reader.fieldnames or ['<empty>'])}"
+        )
+    rows = list(enumerate(reader, start=2))
     for lineno, row in rows:
         # DictReader files surplus fields under None and fills missing ones with None
         if None in row or None in row.values():

@@ -294,19 +294,30 @@ def test_run_days_validates_each_log_once(config_file, tmp_path, monkeypatch):
 
 def test_run_days_builds_traveller_rows_once_per_day(config_file, tmp_path,
                                                      monkeypatch):
-    calls = []
-    build = kpi.traveller_kpis
+    calls = {"traveller_kpis": 0, "driver_kpis": 0}
+    for name in calls:
+        def counting(log, name=name, build=getattr(kpi, name)):
+            calls[name] += 1
+            return build(log)
+        monkeypatch.setattr(kpi, name, counting)
+    for days in (1, 3):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["run", "--config", str(config_file), "--out",
+                     str(tmp_path / f"out{days}"), "--days", str(days)]) == 0
+        # the last day's files reuse that day's rows
+        assert calls == {"traveller_kpis": days, "driver_kpis": days}
 
-    def counting(log):
-        calls.append(len(log))
-        return build(log)
 
-    monkeypatch.setattr(kpi, "traveller_kpis", counting)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(config_file), "--out", str(out),
-                 "--days", "3"]) == 0
-    # one per simulated day, plus the last day's per-traveller file
-    assert len(calls) <= 4
+def test_run_one_day_is_day_zero_of_a_longer_run(tmp_path):
+    def events(days):
+        out = tmp_path / f"days{days}"
+        assert main(["run", "--config", "e4", "--days", str(days), "--out", str(out)]) == 0
+        return (out / "events.csv").read_text().splitlines()
+
+    one, two = events(1), events(2)
+    day0 = [row for row in two[1:] if row.startswith("0,")]
+    assert one[0] == two[0] and one[1:] == day0
+    assert len(day0) < len(two) - 1         # day 1 is in the longer log
 
 
 # -------------------------------------------------------------- experiment
@@ -373,6 +384,14 @@ def test_experiment_last_seed_out_of_range_exits_1(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_experiment_missing_plan_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["experiment", "--plan", str(tmp_path / "nope.json"), "--out", str(out)])
+    assert code == 1
+    assert "plan file not found" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_experiment_bad_grid_path_exits_1(tmp_path, capsys):
     p = plan_file(tmp_path, grid={"platforms[5].fare_per_km": [1.0]})
     code = main(["experiment", "--plan", str(p), "--out", str(tmp_path / "out")])
@@ -435,6 +454,74 @@ def test_generate_negative_count_exits_1(flag, config_file, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+BOM_UTF16 = b"\xff\xfe{}"          # a UTF-16 byte-order mark: not UTF-8
+
+
+def _put(tmp_path, name, data: bytes):
+    (tmp_path / name).write_bytes(data)
+
+
+def _run_with(tmp_path, **over):
+    (tmp_path / "c.json").write_text(json.dumps(small_config(**over)))
+    return ["run", "--config", str(tmp_path / "c.json")]
+
+
+def _plan_with_base(tmp_path, base):
+    plan = {"base": base, "grid": {"n_drivers": [2]}, "replications": 1, "base_seed": 1}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    return ["experiment", "--plan", str(tmp_path / "plan.json")]
+
+
+def _requests_with_ff(tmp_path):
+    _put(tmp_path, "requests.csv", b"request_id,traveller_id,origin,destination,"
+                                   b"t_request_s\n0,0,1,2,1\xff\n")
+    return _run_with(tmp_path, requests_csv="requests.csv")
+
+
+def _nodes_with_ff(tmp_path):
+    _put(tmp_path, "nodes.csv", b"node_id,x,y\n0,0,0\xff\n1,100,0\n")
+    _put(tmp_path, "edges.csv", b"from,to,length_m,speed_mps\n0,1,100,10\n1,0,100,10\n")
+    return _run_with(tmp_path, graph={"nodes": "nodes.csv", "edges": "edges.csv"})
+
+
+def _utf16_config(tmp_path):
+    _put(tmp_path, "bad.json", BOM_UTF16)
+    return ["run", "--config", str(tmp_path / "bad.json")]
+
+
+def _utf16_plan_base(tmp_path):
+    _put(tmp_path, "bad.json", BOM_UTF16)
+    return _plan_with_base(tmp_path, "bad.json")
+
+
+def _requests_directory(tmp_path):
+    (tmp_path / "requests.csv").mkdir()
+    return _run_with(tmp_path, requests_csv="requests.csv")
+
+
+# case -> (writes the inputs and returns the command, the file the error names)
+UNREADABLE = {
+    "config_utf16": (_utf16_config, "bad.json"),
+    "plan_base_utf16": (_utf16_plan_base, "bad.json"),
+    "plan_base_directory": (lambda tmp: _plan_with_base(tmp, "."), ""),   # tmp_path itself
+    "requests_csv_directory": (_requests_directory, "requests.csv"),
+    "requests_csv_byte_ff": (_requests_with_ff, "requests.csv"),
+    "nodes_csv_byte_ff": (_nodes_with_ff, "nodes.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_file_exits_1(case, tmp_path, capsys):
+    make, name = UNREADABLE[case]
+    argv = make(tmp_path)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ridesim: ") and "Traceback" not in err
+    assert str(tmp_path / name) in err
     assert not (out / "manifest.json").exists()
 
 

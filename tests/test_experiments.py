@@ -12,9 +12,7 @@ from ridesim.experiments import (
     LearningParams,
     apply_override,
     day_to_day,
-    load_plan,
     parse_plan,
-    replicate,
     run_grid,
 )
 from ridesim.netgraph import build_skim
@@ -125,40 +123,29 @@ def test_parse_plan_rejects_bad_override_path_up_front():
         parse_plan(raw)
 
 
-def test_load_plan_with_base_file(tmp_path):
+def test_parse_plan_with_base_file(tmp_path):
     (tmp_path / "base.json").write_text(json.dumps(base_raw()))
-    plan_file = tmp_path / "plan.json"
-    plan_file.write_text(json.dumps(plan_raw(base="base.json")))
-    plan = load_plan(plan_file)
+    plan = parse_plan(plan_raw(base="base.json"), base_dir=tmp_path)
     assert plan.base["n_travellers"] == 12
     assert plan.base_dir == str(tmp_path)
 
 
-def test_load_plan_missing_file(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
-        load_plan(tmp_path / "nope.json")
-
-
 # ----------------------------------------------------------- replications
 
+def replications(n, base_seed):
+    """``run_grid`` over a one-value grid: n replications of one config."""
+    return run_grid(parse_plan(plan_raw(grid={"n_drivers": [3]},
+                                        replications=n, base_seed=base_seed)))
+
+
 def test_replicate_seeds_and_order():
-    cfg = parse_config(base_raw())
-    rows = replicate(cfg, 3, base_seed=50)
-    assert [r["seed"] for r in rows] == [50, 51, 52]
-    again = replicate(cfg, 3, base_seed=50)
-    assert rows == again
-
-
-def test_replicate_thread_invariance():
-    cfg = parse_config(base_raw())
-    serial = replicate(cfg, 4, base_seed=9, threads=1)
-    parallel = replicate(cfg, 4, base_seed=9, threads=3)
-    assert serial == parallel
+    rows = replications(3, 50)
+    assert [(r["replication"], r["seed"]) for r in rows] == [(0, 50), (1, 51), (2, 52)]
+    assert rows == replications(3, 50)
 
 
 def test_replications_differ_but_share_structure():
-    cfg = parse_config(base_raw())
-    rows = replicate(cfg, 2, base_seed=50)
+    rows = replications(2, 50)
     assert rows[0] != rows[1]               # different seeds, different days
     assert set(rows[0]) == set(rows[1])
 
@@ -209,13 +196,16 @@ def test_run_grid_matches_manual_replicate():
     plan = parse_plan(plan_raw())
     rows = [r for r in run_grid(plan)
             if r["n_drivers"] == 4 and r["platforms[0].fare_per_km"] == 2.0]
-    raw = base_raw()
-    raw["n_drivers"] = 4
+    raw = base_raw(n_drivers=4)
     raw["platforms"][0]["fare_per_km"] = 2.0
-    manual = replicate(parse_config(raw), 2, base_seed=100)
-    for row, rep in zip(rows, manual):
+    alone = run_grid(parse_plan(plan_raw(base=raw, grid={"n_drivers": [4]})))
+    assert len(rows) == len(alone) == 2
+    for row, rep in zip(rows, alone):
         for key, value in rep.items():
             assert row[key] == value
+        one_day = day_to_day(parse_config({**raw, "seed": row["seed"]}),
+                             LearningParams(max_days=1))
+        assert {k: row[k] for k in one_day.system_rows[0]} == one_day.system_rows[0]
 
 
 def test_results_csv_written(tmp_path):
@@ -315,6 +305,19 @@ def test_day_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("day,fleet_participating,mean_income_per_hour")
     assert len(lines) == len(res.trajectory) + 1
+
+
+def test_day_to_day_keeps_last_day_rows():
+    res = day_to_day(learning_config(decisions=LEARNED), learning(max_days=3))
+    assert res.travellers == tuple(kpi.traveller_kpis(res.logs[-1]))
+    assert res.drivers == tuple(kpi.driver_kpis(res.logs[-1]))
+
+
+def test_day_to_day_zero_days_is_empty():
+    res = day_to_day(learning_config(), learning(max_days=0))
+    assert res.trajectory == res.logs == res.system_rows == ()
+    assert res.travellers == res.drivers == ()
+    assert not res.converged
 
 
 def test_learning_matches_ema_oracle():

@@ -18,7 +18,6 @@ from ridesim.decisions import build_decision_set
 from ridesim.engine import run_day
 from ridesim.netgraph import SkimMatrix, build_skim, grid_city
 from ridesim.platforms import (
-    Assignment,
     match_batch,
     match_instant,
     make_offer,
@@ -80,21 +79,19 @@ def reference_match_batch(
     idle,
     positions,
     skim: SkimMatrix,
-) -> Assignment:
+) -> tuple:
     """Minimum-total-pickup-time assignment of min(|requests|, |idle|) pairs.
 
-    Among all minimum-cost maximum-size assignments, returns the one whose
-    (request_id, driver_id) pair list is lexicographically smallest: requests
-    are fixed in ascending id order, each to the smallest driver id that
-    keeps the optimal total attainable.
+    Among all minimum-cost maximum-size assignments, returns the
+    (request_id, driver_id) pairs of the one whose pair list is
+    lexicographically smallest: requests are fixed in ascending id order,
+    each to the smallest driver id that keeps the optimal total attainable.
     """
     req_ids = sorted(r.request_id for r in requests)
     by_id = {r.request_id: r for r in requests}
     drv_ids = sorted(idle)
     if not req_ids or not drv_ids:
-        return Assignment(
-            pairs=(), unmatched_requests=tuple(req_ids), unmatched_drivers=tuple(drv_ids)
-        )
+        return ()
     cost = np.array([
         [skim.travel_time[positions[d], by_id[r].origin] for d in drv_ids]
         for r in req_ids
@@ -127,11 +124,15 @@ def reference_match_batch(
         fixed_cost += cost[ri, chosen]
         open_req = rest_req
         open_drv = [d for d in open_drv if d != chosen]
-    return Assignment(
-        pairs=tuple(pairs),
-        unmatched_requests=tuple(req_ids[i] for i in sorted(dropped + open_req)),
-        unmatched_drivers=tuple(drv_ids[j] for j in open_drv),
-    )
+    assert unmatched(pairs, req_ids, drv_ids) == (
+        [req_ids[i] for i in sorted(dropped + open_req)], [drv_ids[j] for j in open_drv])
+    return tuple(pairs)
+
+
+def unmatched(pairs, req_ids, drv_ids) -> tuple[list, list]:
+    """The request ids and driver ids that no pair names, ascending."""
+    return (sorted(set(req_ids) - {r for r, _ in pairs}),
+            sorted(set(drv_ids) - {d for _, d in pairs}))
 
 
 def _lap_cost(cost: np.ndarray) -> float:
@@ -200,8 +201,7 @@ def test_batch_two_by_two_example():
     skim, requests, positions = skim_from_cost([0, 1], [0, 1], [[10, 20], [20, 10]])
     got = match_batch(requests, {0, 1}, positions, skim)
     assert got.pairs == ((0, 0), (1, 1))
-    assert got.unmatched_requests == ()
-    assert got.unmatched_drivers == ()
+    assert unmatched(got.pairs, [0, 1], [0, 1]) == ([], [])
 
 
 def test_batch_single_request_reduces_to_instant():
@@ -211,21 +211,21 @@ def test_batch_single_request_reduces_to_instant():
     got = match_batch([request], {2, 5, 8}, positions, skim)
     want = match_instant(request, {2, 5, 8}, positions, skim)
     assert got.pairs == ((0, want),)
-    assert set(got.unmatched_drivers) == {2, 5, 8} - {want}
+    assert unmatched(got.pairs, [0], [2, 5, 8]) == ([], sorted({2, 5, 8} - {want}))
 
 
 def test_batch_empty_requests():
     skim = build_skim(grid_city(2, 2, 100.0, 10.0))
     got = match_batch([], {4, 2}, {4: 0, 2: 1}, skim)
-    assert got == Assignment(pairs=(), unmatched_requests=(),
-                             unmatched_drivers=(2, 4))
+    assert got.pairs == ()
+    assert unmatched(got.pairs, [], [4, 2]) == ([], [2, 4])
 
 
 def test_batch_empty_drivers():
     skim = build_skim(grid_city(2, 2, 100.0, 10.0))
     got = match_batch([make_request(0)], set(), {}, skim)
-    assert got == Assignment(pairs=(), unmatched_requests=(0,),
-                             unmatched_drivers=())
+    assert got.pairs == ()
+    assert unmatched(got.pairs, [0], []) == ([0], [])
 
 
 def test_batch_matches_enumeration_square_and_rectangular():
@@ -245,10 +245,10 @@ def test_batch_matches_enumeration_square_and_rectangular():
         assert got_cost == want_cost
         assert got.pairs == want_pairs
         assert len(got.pairs) == min(nr, nd)
-        matched_r = {r for r, _ in got.pairs}
-        matched_d = {d for _, d in got.pairs}
-        assert set(got.unmatched_requests) == set(req_ids) - matched_r
-        assert set(got.unmatched_drivers) == set(drv_ids) - matched_d
+        # every pair names an input request and driver, each at most once
+        left_r, left_d = unmatched(got.pairs, req_ids, drv_ids)
+        assert len(left_r) == nr - len(got.pairs)
+        assert len(left_d) == nd - len(got.pairs)
 
 
 def random_ids(rng, n):
@@ -258,7 +258,7 @@ def random_ids(rng, n):
 def assert_matches_reference(requests, drv_ids, positions, skim):
     got = match_batch(requests, set(drv_ids), positions, skim)
     want = reference_match_batch(requests, set(drv_ids), positions, skim)
-    assert got == want
+    assert got.pairs == want
 
 
 def test_batch_matches_reference_on_tie_heavy_instances():
