@@ -132,16 +132,21 @@ def test_parse_plan_with_base_file(tmp_path):
 
 # ----------------------------------------------------------- replications
 
-def replications(n, base_seed):
+def replications(n, base_seed, threads=None):
     """``run_grid`` over a one-value grid: n replications of one config."""
     return run_grid(parse_plan(plan_raw(grid={"n_drivers": [3]},
-                                        replications=n, base_seed=base_seed)))
+                                        replications=n, base_seed=base_seed)),
+                    threads=threads)
 
 
 def test_replicate_seeds_and_order():
     rows = replications(3, 50)
     assert [(r["replication"], r["seed"]) for r in rows] == [(0, 50), (1, 51), (2, 52)]
     assert rows == replications(3, 50)
+
+
+def test_replicate_thread_invariance():
+    assert replications(4, 9, threads=1) == replications(4, 9, threads=3)
 
 
 def test_replications_differ_but_share_structure():
