@@ -121,13 +121,24 @@ def cmd_run(args) -> int:
 
     out = _out_dir(args.out)
     started = _now()
-    res = day_to_day(config, LearningParams(max_days=args.days))
+    events = None       # events.csv, opened when the first day ends
+
+    def on_day(log):
+        nonlocal events
+        if events is None:
+            events = kpi.open_events_csv(out / "events.csv")
+        kpi.write_events_csv(events, log)
+
+    try:
+        res = day_to_day(config, LearningParams(max_days=args.days), on_day)
+    finally:
+        if events is not None:
+            events.close()
     written = ["events.csv", "kpi_travellers.csv", "kpi_drivers.csv",
                "kpi_system.csv", "kpi_nodes.csv"]
     if args.days > 1:
         kpi.write_system_csv(out / "day_to_day.csv", res.trajectory)
         written.append("day_to_day.csv")
-    kpi.write_events_csv(out / "events.csv", [rec for log in res.logs for rec in log])
     # per-traveller/driver/node files describe the last simulated day
     kpi.write_traveller_csv(out / "kpi_travellers.csv", res.travellers)
     kpi.write_driver_csv(out / "kpi_drivers.csv", res.drivers)
@@ -137,7 +148,7 @@ def cmd_run(args) -> int:
         res.travellers, res.drivers, inputs.requests, inputs.drivers, inputs.net))
 
     _write_manifest(out, written, config.seed, _sha256(text.encode("utf-8")), started)
-    print(f"run complete: {len(res.logs)} day(s), outputs in {out}")
+    print(f"run complete: {len(res.trajectory)} day(s), outputs in {out}")
     return 0
 
 

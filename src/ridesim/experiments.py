@@ -205,7 +205,6 @@ class LearningParams:
 @dataclass(frozen=True)
 class DayToDayResult:
     trajectory: tuple
-    logs: tuple
     system_rows: tuple       # kpi.system_kpis of each day's log
     travellers: tuple        # kpi.traveller_kpis of the last day's log
     drivers: tuple           # kpi.driver_kpis of the last day's log
@@ -215,7 +214,8 @@ class DayToDayResult:
 
 
 def day_to_day(config: ScenarioConfig,
-               learning: LearningParams = LearningParams()) -> DayToDayResult:
+               learning: LearningParams = LearningParams(),
+               on_day=None) -> DayToDayResult:
     """Iterate a scenario over days until the fleet stabilizes.
 
     Drivers start with their reservation wage
@@ -225,6 +225,9 @@ def day_to_day(config: ScenarioConfig,
     wage; a driver who sat out re-enters with probability
     ``behaviour.epsilon``. Travellers re-decide from yesterday's outcome
     when the configured opt-out hook uses it.
+
+    ``on_day(log)``, if given, receives each day's validated event log as
+    that day ends; no log is kept past its day.
     """
     inputs = materialize(config)
     dec = build_decision_set(config.decisions, config.behaviour)
@@ -239,7 +242,6 @@ def day_to_day(config: ScenarioConfig,
     }
     outcomes: dict[int, str] = {}
     trajectory = []
-    logs = []
     system_rows = []
     t_rows = d_rows = ()
     streak = 0
@@ -256,7 +258,9 @@ def day_to_day(config: ScenarioConfig,
             traveller_outcomes=outcomes,
         )
         log, t_rows, d_rows, system = _day(config, inputs, dec, day, state)
-        logs.append(log)
+        if on_day is not None:
+            on_day(log)
+        del log     # so the next day runs without this one's log
         system_rows.append(system)
         outcomes = {row.traveller_id: row.outcome for row in t_rows}
 
@@ -292,7 +296,7 @@ def day_to_day(config: ScenarioConfig,
         if streak >= learning.convergence_window:
             break
     return DayToDayResult(
-        trajectory=tuple(trajectory), logs=tuple(logs),
+        trajectory=tuple(trajectory),
         system_rows=tuple(system_rows), travellers=tuple(t_rows),
         drivers=tuple(d_rows), inputs=inputs,
         converged=streak >= learning.convergence_window,

@@ -9,13 +9,14 @@ the log: ``write_events_csv`` formats each record's detail fields into the
 """
 
 import csv
+import io
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 from ridesim.engine import EventRecord
 from ridesim.errors import LogValidationError
-from ridesim.util import fmt_num
+from ridesim.util import fmt_num, read_input
 
 EVENTS_HEADER = ["day", "t_s", "agent_kind", "agent_id", "event", "node", "meta"]
 
@@ -71,6 +72,11 @@ _META_KEYS = {
     "ARRIVES_REPOSITION": ("dist_m",),
     "MATCH": _MATCH_KEYS,
     "BATCH_MATCH": _MATCH_KEYS,
+}
+# the same as ("key=", index into an EventRecord) pairs, for write_events_csv
+_META_FIELDS = {
+    event: tuple((f"{key}=", EventRecord._fields.index(key)) for key in keys)
+    for event, keys in _META_KEYS.items()
 }
 
 # how read_events_csv parses each meta value
@@ -394,47 +400,57 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _meta(rec: EventRecord) -> str:
-    """The meta cell: the event's set detail fields as ``key=value;...``."""
-    return ";".join([
-        f"{key}={value if isinstance(value, str) else fmt_num(value)}"
-        for key in _META_KEYS.get(rec.event, ())
-        if (value := getattr(rec, key)) is not None
-    ])
+def open_events_csv(path):
+    """Create ``path`` holding the events header line; returns the open text
+    file, to which ``write_events_csv`` appends records."""
+    fh = open(path, "w", newline="", encoding="utf-8")
+    fh.write(",".join(EVENTS_HEADER) + "\r\n")
+    return fh
 
 
-def write_events_csv(path, log: Sequence[EventRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(EVENTS_HEADER)
-        for rec in log:
-            w.writerow([
-                rec.day, fmt_num(rec.t), rec.agent_kind, rec.agent_id,
-                rec.event, rec.node, _meta(rec),
-            ])
+def _text(x) -> str:
+    # the text fmt_num gives, calling it only for integral floats
+    if type(x) is float:
+        return repr(x) if not x.is_integer() else fmt_num(x)
+    return str(x)
+
+
+def write_events_csv(fh, log: Sequence[EventRecord]) -> None:
+    """Append one row per record to ``fh``, from ``open_events_csv``.
+
+    Rows end in ``\\r\\n`` and need no quoting: ``kpi`` owns every string
+    a record carries. Numbers are written as ``fmt_num`` writes them.
+    """
+    write = fh.write
+    for rec in log:
+        meta = ";".join([
+            key + _text(value)
+            for key, i in _META_FIELDS.get(rec.event, ())
+            if (value := rec[i]) is not None
+        ])
+        write(f"{rec.day},{_text(rec.t)},{rec.agent_kind},{rec.agent_id},"
+              f"{rec.event},{rec.node},{meta}\r\n")
 
 
 def read_events_csv(path) -> tuple[EventRecord, ...]:
     p = Path(path)
-    with open(p, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != EVENTS_HEADER:
-            raise LogValidationError(
-                f"{p}: expected header {','.join(EVENTS_HEADER)}"
-            )
-        out = []
-        for row in reader:
-            try:
-                day, t, kind, agent_id, event, node, meta = row
-                detail = {}
-                for part in meta.split(";") if meta else ():
-                    key, value = part.split("=", 1)
-                    detail[key] = _META_TYPES[key](value)
-                out.append(EventRecord(int(day), float(t), kind, int(agent_id),
-                                       event, int(node), **detail))
-            except (KeyError, ValueError):
-                raise LogValidationError(f"{p}: malformed row {row!r}") from None
+    text = read_input(p, lambda why: LogValidationError(f"{p}: events file {why}"))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != EVENTS_HEADER:
+        raise LogValidationError(f"{p}: expected header {','.join(EVENTS_HEADER)}")
+    out = []
+    for row in reader:
+        try:
+            day, t, kind, agent_id, event, node, meta = row
+            detail = {}
+            for part in meta.split(";") if meta else ():
+                key, value = part.split("=", 1)
+                detail[key] = _META_TYPES[key](value)
+            out.append(EventRecord(int(day), float(t), kind, int(agent_id),
+                                   event, int(node), **detail))
+        except (KeyError, ValueError):
+            raise LogValidationError(f"{p}: malformed row {row!r}") from None
     return tuple(out)
 
 

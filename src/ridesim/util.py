@@ -14,7 +14,10 @@ def read_input(path, fail) -> str:
 
 
 def fmt_num(x) -> str:
-    """Format a number for CSV output: integral values without a trailing
-    ``.0``, everything else via the shortest round-trip float repr."""
+    """Format a number for CSV output: an int exactly, integral values
+    without a trailing ``.0``, everything else via the shortest round-trip
+    float repr."""
+    if type(x) is int:      # not bool; float() would round ids above 2**53
+        return str(x)
     f = float(x)
     return str(int(f)) if f.is_integer() else repr(f)

@@ -311,8 +311,9 @@ def test_c4_conservation_laws(capsys):
         problems += conservation_violations(config, result.log)
         checked += 1
     rich = parse_config(rich_raw())
-    multi = day_to_day(rich, LearningParams(max_days=6))
-    for log in multi.logs:
+    logs = []
+    day_to_day(rich, LearningParams(max_days=6), on_day=logs.append)
+    for log in logs:
         problems += conservation_violations(rich, log)
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -639,7 +640,8 @@ def test_c9_randomized_properties(capsys):
         wage = float(rng.choice([1.0, 2.5, 4.0]))
         raw["behaviour"].update(epsilon=0.0, reservation_wage_per_hour=wage)
         config = parse_config(raw)
-        res = day_to_day(config, LearningParams(max_days=8))
+        logs = []
+        res = day_to_day(config, LearningParams(max_days=8), on_day=logs.append)
         fleet = [row["fleet_participating"] for row in res.trajectory]
         if any(b > a for a, b in zip(fleet, fleet[1:])):
             failures.append(f"fleet grew with epsilon=0: {fleet}")
@@ -648,7 +650,7 @@ def test_c9_randomized_properties(capsys):
         realized = {d.driver_id: [] for d in res.inputs.drivers}
         hours = {d.driver_id: (d.shift_end - d.shift_start) / 3600.0
                  for d in res.inputs.drivers}
-        for log in res.logs:
+        for log in logs:
             for row in kpi.driver_kpis(log):
                 if row.participated:
                     realized[row.driver_id].append(

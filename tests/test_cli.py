@@ -148,6 +148,35 @@ def test_run_non_finite_or_malformed_value_exits_1(case, tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_run_materialize_error_leaves_no_events_csv(tmp_path, capsys):
+    # the requests file has one row, the config asks for 15 travellers
+    raw = _csv_config(tmp_path, "requests_csv",
+                      "request_id,traveller_id,origin,destination,t_request_s\n"
+                      "0,0,1,2,10\n")
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+    assert "n_travellers" in capsys.readouterr().err
+    assert not (out / "events.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_run_keeps_request_ids_above_2_53(tmp_path):
+    big = 2 ** 60
+    raw = _csv_config(tmp_path, "requests_csv",
+                      "request_id,traveller_id,origin,destination,t_request_s\n"
+                      f"{big + 1},0,1,2,10\n{big},1,2,3,20\n")
+    raw["n_travellers"] = 2
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    ids = {rec.request_id for rec in kpi.read_events_csv(out / "events.csv")
+           if rec.request_id is not None}
+    assert ids == {big, big + 1}
+
+
 def test_run_out_path_is_a_file_exits_2(config_file, tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("")

@@ -3,6 +3,7 @@
 import copy
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -246,6 +247,13 @@ def learning_config(wage=2.5, epsilon=0.0, **over):
 LEARNED = {"f_driver_out": "learned_participation"}
 
 
+def day_to_day_logs(cfg, params):
+    """``day_to_day`` and the event log of each day, collected through
+    ``on_day``."""
+    logs = []
+    return day_to_day(cfg, params, on_day=logs.append), logs
+
+
 def test_unreachable_wage_empties_fleet():
     cfg = learning_config(wage=1e6, decisions=LEARNED)
     res = day_to_day(cfg, learning())
@@ -296,10 +304,10 @@ def test_traveller_outcome_feedback():
 
 def test_day_to_day_deterministic():
     cfg = learning_config(wage=3.0, epsilon=0.1, decisions=LEARNED)
-    a = day_to_day(cfg, learning())
-    b = day_to_day(cfg, learning())
+    a, a_logs = day_to_day_logs(cfg, learning())
+    b, b_logs = day_to_day_logs(cfg, learning())
     assert a.trajectory == b.trajectory
-    assert a.logs == b.logs
+    assert a_logs == b_logs
 
 
 def test_day_csv(tmp_path):
@@ -313,14 +321,15 @@ def test_day_csv(tmp_path):
 
 
 def test_day_to_day_keeps_last_day_rows():
-    res = day_to_day(learning_config(decisions=LEARNED), learning(max_days=3))
-    assert res.travellers == tuple(kpi.traveller_kpis(res.logs[-1]))
-    assert res.drivers == tuple(kpi.driver_kpis(res.logs[-1]))
+    res, logs = day_to_day_logs(learning_config(decisions=LEARNED), learning(max_days=3))
+    assert res.travellers == tuple(kpi.traveller_kpis(logs[-1]))
+    assert res.drivers == tuple(kpi.driver_kpis(logs[-1]))
 
 
 def test_day_to_day_zero_days_is_empty():
-    res = day_to_day(learning_config(), learning(max_days=0))
-    assert res.trajectory == res.logs == res.system_rows == ()
+    res, logs = day_to_day_logs(learning_config(), learning(max_days=0))
+    assert res.trajectory == res.system_rows == ()
+    assert logs == []
     assert res.travellers == res.drivers == ()
     assert not res.converged
 
@@ -328,13 +337,13 @@ def test_day_to_day_zero_days_is_empty():
 def test_learning_matches_ema_oracle():
     cfg = parse_config(json.loads(presets.read_text("e4")))
     params = LearningParams(max_days=6)
-    res = day_to_day(cfg, params)
-    assert len(res.logs) == 6
+    res, logs = day_to_day_logs(cfg, params)
+    assert len(logs) == 6
     hours = {d.driver_id: (d.shift_end - d.shift_start) / 3600.0
              for d in res.inputs.drivers}
     belief = {d: cfg.behaviour["reservation_wage_per_hour"] for d in hours}
     fleets = []
-    for log, day in zip(res.logs, res.trajectory):
+    for log, day in zip(logs, res.trajectory):
         worked, paid = set(), dict.fromkeys(hours, 0.0)
         for rec in log:
             if rec.event == "STARTS_SHIFT":
@@ -350,3 +359,19 @@ def test_learning_matches_ema_oracle():
         fleets.append(len(worked))
     assert res.learned_income == pytest.approx(belief, rel=1e-12)
     assert len(set(fleets)) > 1             # participation moved with learning
+
+
+def test_day_to_day_memory_does_not_grow_with_days():
+    # each day's log is dropped once the day ends, so twenty days peak no
+    # higher than five (holding every log would take four times the records)
+    cfg = parse_config(json.loads(presets.read_text("e4")))
+    peak = {}
+    for days in (5, 20):
+        tracemalloc.start()
+        try:
+            res = day_to_day(cfg, LearningParams(max_days=days))
+            peak[days] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.trajectory) == days
+    assert peak[20] <= 1.25 * peak[5]

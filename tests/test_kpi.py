@@ -1,16 +1,22 @@
 """Log validation and KPI reconstruction tests."""
 
+import csv
 import dataclasses
+import json
 
 import pytest
 
+from ridesim import presets
 from ridesim.decisions import build_decision_set
 from ridesim.engine import EventRecord, run_day
 from ridesim.errors import LogValidationError
+from ridesim.experiments import LearningParams, day_to_day
 from ridesim.kpi import (
     _META_KEYS,
+    EVENTS_HEADER,
     driver_kpis,
     node_aggregates,
+    open_events_csv,
     percentile,
     read_events_csv,
     system_kpis,
@@ -31,8 +37,14 @@ from ridesim.scenario import (
     generate_supply,
     parse_config,
 )
+from ridesim.util import fmt_num
 
 from tests.test_engine import line_net, make_cfg, run
+
+
+def write_events(path, log):
+    with open_events_csv(path) as fh:
+        write_events_csv(fh, log)
 
 
 def single_ride_result():
@@ -350,41 +362,48 @@ def test_node_aggregates_by_origin_and_home():
 
 # ------------------------------------------------------------------ CSV I/O
 
+META_DETAIL = dict(request_id=3, platform_id=1, driver_id=4, eta_s=60.0,
+                   fare=1.2, payout=0.9, cut=0.3, dist_m=600.0, target=5,
+                   reason="horizon")
+META_TEXT = {
+    "UNSERVED": "reason=horizon",
+    "RECEIVES_OFFER": "platform_id=1;driver_id=4;fare=1.2;eta_s=60",
+    "ACCEPTS_OFFER": "platform_id=1;driver_id=4;fare=1.2;eta_s=60",
+    "REJECTS_OFFER": "platform_id=1;driver_id=4;fare=1.2;eta_s=60",
+    "PICKED_UP": "driver_id=4;platform_id=1",
+    "RECEIVES_REQUEST": "request_id=3;platform_id=1;eta_s=60",
+    "ACCEPTS_REQUEST": "request_id=3;platform_id=1;eta_s=60",
+    "DECLINES_REQUEST": "request_id=3;platform_id=1",
+    "ARRIVES_PICKUP": "request_id=3;platform_id=1;dist_m=600",
+    "DEPARTS_WITH_TRAVELLER": "request_id=3;platform_id=1",
+    "COMPLETES_RIDE":
+        "request_id=3;platform_id=1;dist_m=600;fare=1.2;payout=0.9;cut=0.3",
+    "STARTS_REPOSITIONING": "target=5",
+    "ARRIVES_REPOSITION": "dist_m=600",
+    "MATCH": "request_id=3;driver_id=4;eta_s=60;fare=1.2",
+    "BATCH_MATCH": "request_id=3;driver_id=4;eta_s=60;fare=1.2",
+}
+
+
+def meta_golden_log():
+    """Every meta event, plus one with no details, each carrying all of
+    META_DETAIL."""
+    events = list(META_TEXT) + ["PLANS"]
+    return [EventRecord(0, 1.5, "DRIVER", 7, e, 2, **META_DETAIL) for e in events]
+
+
 def test_meta_text_golden(tmp_path):
-    detail = dict(request_id=3, platform_id=1, driver_id=4, eta_s=60.0,
-                  fare=1.2, payout=0.9, cut=0.3, dist_m=600.0, target=5,
-                  reason="horizon")
-    expected = {
-        "UNSERVED": "reason=horizon",
-        "RECEIVES_OFFER": "platform_id=1;driver_id=4;fare=1.2;eta_s=60",
-        "ACCEPTS_OFFER": "platform_id=1;driver_id=4;fare=1.2;eta_s=60",
-        "REJECTS_OFFER": "platform_id=1;driver_id=4;fare=1.2;eta_s=60",
-        "PICKED_UP": "driver_id=4;platform_id=1",
-        "RECEIVES_REQUEST": "request_id=3;platform_id=1;eta_s=60",
-        "ACCEPTS_REQUEST": "request_id=3;platform_id=1;eta_s=60",
-        "DECLINES_REQUEST": "request_id=3;platform_id=1",
-        "ARRIVES_PICKUP": "request_id=3;platform_id=1;dist_m=600",
-        "DEPARTS_WITH_TRAVELLER": "request_id=3;platform_id=1",
-        "COMPLETES_RIDE":
-            "request_id=3;platform_id=1;dist_m=600;fare=1.2;payout=0.9;cut=0.3",
-        "STARTS_REPOSITIONING": "target=5",
-        "ARRIVES_REPOSITION": "dist_m=600",
-        "MATCH": "request_id=3;driver_id=4;eta_s=60;fare=1.2",
-        "BATCH_MATCH": "request_id=3;driver_id=4;eta_s=60;fare=1.2",
-    }
-    assert set(expected) == set(_META_KEYS)
-    events = list(expected) + ["PLANS"]          # an event with no details
-    log = [EventRecord(0, 1.5, "DRIVER", 7, e, 2, **detail) for e in events]
+    assert set(META_TEXT) == set(_META_KEYS)
     path = tmp_path / "events.csv"
-    write_events_csv(path, log)
+    write_events(path, meta_golden_log())
     lines = path.read_text().splitlines()[1:]
     assert [line.split(",", 6)[6] for line in lines] == \
-        [expected[e] for e in expected] + [""]
+        list(META_TEXT.values()) + [""]
     assert lines[-1] == "0,1.5,DRIVER,7,PLANS,2,"
     # reading back yields exactly the fields the meta column carries
     back = read_events_csv(path)
     for rec in back:
-        kept = {k: v for k, v in detail.items() if k in _META_KEYS.get(rec.event, ())}
+        kept = {k: v for k, v in META_DETAIL.items() if k in _META_KEYS.get(rec.event, ())}
         assert rec == EventRecord(0, 1.5, "DRIVER", 7, rec.event, 2, **kept)
         for key, value in kept.items():
             assert type(getattr(rec, key)) is type(value)
@@ -398,10 +417,78 @@ def test_read_events_csv_rejects_unknown_meta_key(tmp_path):
         read_events_csv(path)
 
 
+@pytest.mark.parametrize("content", ["byte_ff", "directory", "missing"])
+def test_read_events_csv_unreadable_file_names_it(content, tmp_path):
+    path = tmp_path / "events.csv"
+    if content == "byte_ff":
+        path.write_bytes(b"day,t_s,agent_kind,agent_id,event,node,meta\r\n"
+                         b"0,0,TRAVELLER,0,PLANS,0,\xff\r\n")
+    elif content == "directory":
+        path.mkdir()
+    with pytest.raises(LogValidationError, match="events.csv"):
+        read_events_csv(path)
+
+
+# --------------------------------------------- the csv.writer form as oracle
+
+def csv_writer_events(path, log):
+    """``write_events_csv`` as it was before it streamed rows through one
+    f-string each: ``csv.writer`` over cells formatted by ``fmt_num``."""
+    def meta(rec):
+        return ";".join([
+            f"{key}={value if isinstance(value, str) else fmt_num(value)}"
+            for key in _META_KEYS.get(rec.event, ())
+            if (value := getattr(rec, key)) is not None
+        ])
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(EVENTS_HEADER)
+        for rec in log:
+            w.writerow([rec.day, fmt_num(rec.t), rec.agent_kind, rec.agent_id,
+                        rec.event, rec.node, meta(rec)])
+
+
+def assert_same_bytes(tmp_path, log):
+    write_events(tmp_path / "new.csv", log)
+    csv_writer_events(tmp_path / "old.csv", log)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_events_writer_matches_csv_writer_on_e4_days(tmp_path):
+    logs = []
+    res = day_to_day(parse_config(json.loads(presets.read_text("e4"))),
+                     LearningParams(max_days=6), on_day=logs.append)
+    assert len(logs) == len(res.trajectory) == 6
+    assert_same_bytes(tmp_path, [rec for log in logs for rec in log])
+    # appended a day at a time, as ``ridesim run`` writes it
+    with open_events_csv(tmp_path / "days.csv") as fh:
+        for log in logs:
+            write_events_csv(fh, log)
+    assert (tmp_path / "days.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_events_writer_matches_csv_writer_on_meta_golden(tmp_path):
+    assert_same_bytes(tmp_path, meta_golden_log())
+
+
+def test_events_writer_matches_csv_writer_on_float_edges(tmp_path):
+    values = [-0.0, 1e16, 1e-07, 0.1 + 0.2, float("inf"), 2, 0, -3, 0.5, 123456.789]
+    log = [
+        EventRecord(0, t, "DRIVER", 1, "COMPLETES_RIDE", 0, request_id=2,
+                    platform_id=0, dist_m=v, fare=v, payout=v, cut=-v)
+        for t, v in zip([0.0, 0.0, 1e-07, 0.30000000000000004, 30, 30, 60.5,
+                         1e16, -0.0, 7], values)
+    ]
+    log.append(EventRecord(1, 45, "PLATFORM", 0, "BATCH_MATCH", 3, request_id=4,
+                           driver_id=5, eta_s=12, fare=float("-inf")))
+    assert_same_bytes(tmp_path, log)
+
+
 def test_event_csv_round_trip(tmp_path):
     res, *_ = busy_result(seed=41)
     path = tmp_path / "events.csv"
-    write_events_csv(path, res.log)
+    write_events(path, res.log)
     back = read_events_csv(path)
     assert back == res.log
 
@@ -409,7 +496,7 @@ def test_event_csv_round_trip(tmp_path):
 def test_kpis_pure_function_of_stored_log(tmp_path):
     res, cfg, *_ = busy_result(seed=43, behaviour={"max_wait_s": 200.0})
     path = tmp_path / "events.csv"
-    write_events_csv(path, res.log)
+    write_events(path, res.log)
     back = read_events_csv(path)
     validate_log(back)
     assert traveller_kpis(back) == traveller_kpis(res.log)
