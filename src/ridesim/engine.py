@@ -481,7 +481,7 @@ class _Sim:
                 driver_id=did, spec=driver.spec, position=driver.position,
                 request=request, platform_id=pid,
                 pickup_eta=offer.pickup_eta, fare=offer.fare,
-                payout=offer.fare * (1.0 - state.spec.commission_rate),
+                payout=plat.settle(state.spec, offer.fare)[0],
                 params=self.params, rng=self.rng,
             )
             declines = self.hook("f_driver_decline", ctx, "driver", did)

@@ -8,15 +8,13 @@ the log: ``write_events_csv`` formats each record's detail fields into the
 ``meta`` column and ``read_events_csv`` parses them back.
 """
 
-import csv
-import io
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 from ridesim.engine import EventRecord
 from ridesim.errors import LogValidationError
-from ridesim.util import fmt_num, read_input
+from ridesim.util import fmt_num, read_csv, write_csv
 
 EVENTS_HEADER = ["day", "t_s", "agent_kind", "agent_id", "event", "node", "meta"]
 
@@ -85,6 +83,21 @@ _META_TYPES = {
     "reason": str, "eta_s": float, "fare": float, "payout": float,
     "cut": float, "dist_m": float,
 }
+
+
+def _parse_meta(text: str) -> dict:
+    """The detail fields of a ``meta`` cell; ValueError when it is malformed."""
+    detail = {}
+    for part in text.split(";") if text else ():
+        key, value = part.split("=", 1)
+        if key not in _META_TYPES:
+            raise ValueError(f"unknown meta key {key!r}")
+        detail[key] = _META_TYPES[key](value)
+    return detail
+
+
+# how read_events_csv parses each column
+_EVENTS_TYPES = (int, float, str, int, str, int, _parse_meta)
 
 
 # ---------------------------------------------------------------- validation
@@ -390,16 +403,6 @@ def node_aggregates(
 
 # ----------------------------------------------------------------- CSV I/O
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt_num(value)
-    return str(value)
-
-
 def open_events_csv(path):
     """Create ``path`` holding the events header line; returns the open text
     file, to which ``write_events_csv`` appends records."""
@@ -434,37 +437,14 @@ def write_events_csv(fh, log: Sequence[EventRecord]) -> None:
 
 def read_events_csv(path) -> tuple[EventRecord, ...]:
     p = Path(path)
-    text = read_input(p, lambda why: LogValidationError(f"{p}: events file {why}"))
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header != EVENTS_HEADER:
-        raise LogValidationError(f"{p}: expected header {','.join(EVENTS_HEADER)}")
-    out = []
-    for row in reader:
-        try:
-            day, t, kind, agent_id, event, node, meta = row
-            detail = {}
-            for part in meta.split(";") if meta else ():
-                key, value = part.split("=", 1)
-                detail[key] = _META_TYPES[key](value)
-            out.append(EventRecord(int(day), float(t), kind, int(agent_id),
-                                   event, int(node), **detail))
-        except (KeyError, ValueError):
-            raise LogValidationError(f"{p}: malformed row {row!r}") from None
-    return tuple(out)
-
-
-def _write_rows(path, rows, header) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_cell(v) for v in row])
+    rows = read_csv(p, EVENTS_HEADER, _EVENTS_TYPES, lambda why, line: LogValidationError(
+        f"{p}: row {line}: {why}" if line else f"{p}: {why}"))
+    return tuple(EventRecord(*row[:6], **row[6]) for _, row in rows)
 
 
 def _write_records(path, rows, cls) -> None:
     header = [f.name for f in fields(cls)]
-    _write_rows(path, ([getattr(r, h) for h in header] for r in rows), header)
+    write_csv(path, header, ([getattr(r, h) for h in header] for r in rows), "\r\n")
 
 
 def write_traveller_csv(path, rows: Sequence[TravellerKpi]) -> None:
@@ -482,7 +462,7 @@ def write_system_csv(path, day_rows: Sequence[dict]) -> None:
         for key in row:
             if key not in header:
                 header.append(key)
-    _write_rows(path, ([row.get(h) for h in header] for row in day_rows), header)
+    write_csv(path, header, ([row.get(h) for h in header] for row in day_rows), "\r\n")
 
 
 def write_node_csv(path, rows: Sequence[NodeKpi]) -> None:

@@ -6,8 +6,6 @@ and the distance of that same minimizing path, so fares (per km) and ETAs
 (per second) come from a single lookup.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from ridesim.errors import GraphParseError, GraphValidationError
-from ridesim.util import fmt_num, read_input
+from ridesim.util import read_csv, write_csv
 
 NODES_HEADER = ["node_id", "x", "y"]
 EDGES_HEADER = ["from", "to", "length_m", "speed_mps"]
@@ -170,39 +168,17 @@ def load_graph(path: str | Path, edges_path: str | Path | None = None) -> RoadNe
     else:
         nodes_p = p
         edges_p = Path(edges_path) if edges_path is not None else p.with_name("edges.csv")
-    nodes = [
-        Node(node_id=r[0], x=r[1], y=r[2])
-        for r in _read_rows(nodes_p, NODES_HEADER, (int, float, float))
-    ]
-    edges = [
-        Edge(src=r[0], dst=r[1], length_m=r[2], speed_mps=r[3])
-        for r in _read_rows(edges_p, EDGES_HEADER, (int, int, float, float))
-    ]
+    nodes = [Node(*row) for _, row in
+             read_csv(nodes_p, NODES_HEADER, (int, float, float), _parse_error(nodes_p))]
+    edges = [Edge(*row) for _, row in
+             read_csv(edges_p, EDGES_HEADER, (int, int, float, float), _parse_error(edges_p))]
     return _validate(nodes, edges, str(nodes_p.parent))
 
 
-def _read_rows(path: Path, header: list[str], types: tuple):
-    text = read_input(path, lambda why: GraphParseError(f"{path}: file {why}"))
-    reader = csv.reader(io.StringIO(text, newline=""))
-    got = next(reader, None)
-    if got != header:
-        raise GraphParseError(
-            f"{path}: expected header {','.join(header)}, got "
-            f"{','.join(got) if got else '<empty file>'}"
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise GraphParseError(
-                f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
-            )
-        try:
-            yield tuple(conv(cell) for conv, cell in zip(types, row))
-        except ValueError:
-            raise GraphParseError(
-                f"{path}: row {lineno}: cannot parse {row!r}"
-            ) from None
+def _parse_error(path: Path):
+    """The ``fail`` of ``read_csv`` for a graph file."""
+    return lambda why, line: GraphParseError(
+        f"{path}: row {line}: {why}" if line else f"{path}: {why}")
 
 
 def save_graph(net: RoadNetwork, out_dir: str | Path) -> tuple[Path, Path]:
@@ -210,16 +186,10 @@ def save_graph(net: RoadNetwork, out_dir: str | Path) -> tuple[Path, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     nodes_p, edges_p = out / "nodes.csv", out / "edges.csv"
-    with open(nodes_p, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(NODES_HEADER)
-        for nd in net.nodes:
-            w.writerow([nd.node_id, fmt_num(nd.x), fmt_num(nd.y)])
-    with open(edges_p, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(EDGES_HEADER)
-        for e in net.edges:
-            w.writerow([e.src, e.dst, fmt_num(e.length_m), fmt_num(e.speed_mps)])
+    write_csv(nodes_p, NODES_HEADER,
+              ((nd.node_id, nd.x, nd.y) for nd in net.nodes), "\n")
+    write_csv(edges_p, EDGES_HEADER,
+              ((e.src, e.dst, e.length_m, e.speed_mps) for e in net.edges), "\n")
     return nodes_p, edges_p
 
 

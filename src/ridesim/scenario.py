@@ -5,8 +5,6 @@ road graph (files or a synthetic grid) and a master seed. Demand and supply
 are either generated from seeded sub-streams or loaded from CSV files.
 """
 
-import csv
-import io
 import json
 import math
 import sys
@@ -16,7 +14,7 @@ from pathlib import Path
 from ridesim.errors import ConfigError
 from ridesim.netgraph import RoadNetwork, SkimMatrix, build_skim, grid_city, load_graph
 from ridesim.seeds import substream
-from ridesim.util import fmt_num, read_input
+from ridesim.util import read_csv, read_input, write_csv
 
 REQUESTS_HEADER = ["request_id", "traveller_id", "origin", "destination", "t_request_s"]
 DRIVERS_HEADER = ["driver_id", "home_node", "shift_start_s", "shift_end_s", "platform_ids"]
@@ -464,22 +462,13 @@ def assign_fleets(
 
 
 def load_requests_csv(path: str, net: RoadNetwork, horizon: float) -> list[Request]:
-    rows = _read_csv(path, REQUESTS_HEADER)
     out = []
     seen: set[int] = set()
     travellers: set[int] = set()
-    for lineno, row in rows:
+    types = (int, int, int, int, float)
+    for lineno, row in read_csv(Path(path), REQUESTS_HEADER, types, _input_error(path)):
         at = f"{path}:row {lineno}"
-        try:
-            req = Request(
-                request_id=int(row["request_id"]),
-                traveller_id=int(row["traveller_id"]),
-                origin=int(row["origin"]),
-                destination=int(row["destination"]),
-                t_request=float(row["t_request_s"]),
-            )
-        except ValueError:
-            raise ConfigError(at, f"cannot parse {row!r}") from None
+        req = Request(*row)
         if req.request_id in seen:
             raise ConfigError(at, f"duplicate request_id {req.request_id}")
         seen.add(req.request_id)
@@ -501,22 +490,12 @@ def load_requests_csv(path: str, net: RoadNetwork, horizon: float) -> list[Reque
 def load_drivers_csv(
     path: str, net: RoadNetwork, horizon: float, valid_platforms: set[int]
 ) -> list[DriverSpec]:
-    rows = _read_csv(path, DRIVERS_HEADER)
     out = []
     seen: set[int] = set()
-    for lineno, row in rows:
+    types = (int, int, float, float, _platform_ids)
+    for lineno, row in read_csv(Path(path), DRIVERS_HEADER, types, _input_error(path)):
         at = f"{path}:row {lineno}"
-        try:
-            pids = tuple(int(x) for x in row["platform_ids"].split(";") if x != "")
-            spec = DriverSpec(
-                driver_id=int(row["driver_id"]),
-                home_node=int(row["home_node"]),
-                shift_start=float(row["shift_start_s"]),
-                shift_end=float(row["shift_end_s"]),
-                platform_ids=pids,
-            )
-        except ValueError:
-            raise ConfigError(at, f"cannot parse {row!r}") from None
+        spec = DriverSpec(*row)
         if spec.driver_id in seen:
             raise ConfigError(at, f"duplicate driver_id {spec.driver_id}")
         seen.add(spec.driver_id)
@@ -536,41 +515,28 @@ def load_drivers_csv(
     return out
 
 
-def _read_csv(path: str, header: list[str]):
-    p = Path(path)
-    text = read_input(p, lambda why: ConfigError(str(p), f"file {why}"))
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames != header:
-        raise ConfigError(
-            str(p), f"expected header {','.join(header)}, "
-            f"got {','.join(reader.fieldnames or ['<empty>'])}"
-        )
-    rows = list(enumerate(reader, start=2))
-    for lineno, row in rows:
-        # DictReader files surplus fields under None and fills missing ones with None
-        if None in row or None in row.values():
-            raise ConfigError(f"{path}:row {lineno}",
-                              f"expected {len(header)} fields")
-    return rows
+def _platform_ids(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(";") if x != "")
+
+
+def _input_error(path: str):
+    """The ``fail`` of ``read_csv`` for a demand or supply file."""
+    return lambda why, line: ConfigError(f"{path}:row {line}" if line else path, why)
 
 
 def save_requests_csv(requests: list[Request], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(REQUESTS_HEADER)
-        for r in requests:
-            w.writerow([r.request_id, r.traveller_id, r.origin, r.destination,
-                        fmt_num(r.t_request)])
+    write_csv(path, REQUESTS_HEADER, (
+        (r.request_id, r.traveller_id, r.origin, r.destination, r.t_request)
+        for r in requests
+    ), "\n")
 
 
 def save_drivers_csv(drivers: list[DriverSpec], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(DRIVERS_HEADER)
-        for d in drivers:
-            w.writerow([d.driver_id, d.home_node, fmt_num(d.shift_start),
-                        fmt_num(d.shift_end),
-                        ";".join(str(p) for p in d.platform_ids)])
+    write_csv(path, DRIVERS_HEADER, (
+        (d.driver_id, d.home_node, d.shift_start, d.shift_end,
+         ";".join(str(p) for p in d.platform_ids))
+        for d in drivers
+    ), "\n")
 
 
 # ----------------------------------------------------------- materialization

@@ -469,6 +469,35 @@ def test_generate_supply(config_file, tmp_path):
     assert len(lines) == 1 + 7
 
 
+# SHA-256 of every file `generate` writes except manifest.json; like
+# GOLDEN below, only a deliberate change of output may update them.
+GENERATE_GOLDEN = {
+    "grid": (["--grid", "7", "5", "333.3", "9.5"], {
+        "edges.csv": "b5749745ef80c912c79a58d3bc30caa3a8a7205fd7dd08be0a3d53a393e9dcc6",
+        "nodes.csv": "5ba7abec6d1cb17c90f9cfb7e7337a32e12a2b7eb7e0c32ad709d2b512278ae5",
+    }),
+    "demand": (["--demand", "300", "--config", "e1"], {
+        "requests.csv": "0cf7f4d977e13af3363ff37e30b980cce581d6d1d71675152e69f239282adc86",
+    }),
+    "supply": (["--supply", "30", "--config", "e1"], {
+        "drivers.csv": "4b28264dc22081a1fc7ac758f1a19822275b212b451171e182afb1a1a35f3c2d",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATE_GOLDEN))
+def test_generate_golden_outputs(case, tmp_path):
+    what, golden = GENERATE_GOLDEN[case]
+    out = tmp_path / "out"
+    assert main(["generate", *what, "--out", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in sorted(read_outputs(out).items())
+        if name != "manifest.json"
+    }
+    assert digests == golden
+
+
 def test_generate_demand_without_config_exits_1(tmp_path, capsys):
     code = main(["generate", "--demand", "10", "--out", str(tmp_path / "out")])
     assert code == 1

@@ -1,11 +1,12 @@
 """Single-day simulation: event ordering, ride timelines, accounting."""
 
 import dataclasses
+import json
 
 import pytest
 
-from ridesim import engine, kpi
-from ridesim.decisions import build_decision_set, default_match, repos_to_demand
+from ridesim import engine, kpi, presets
+from ridesim.decisions import build_decision_set, default_match, register, repos_to_demand
 from ridesim.engine import (
     DayState,
     DriverCarry,
@@ -20,6 +21,7 @@ from ridesim.scenario import (
     assign_fleets,
     generate_demand,
     generate_supply,
+    materialize,
     parse_config,
 )
 
@@ -271,6 +273,24 @@ def test_driver_decline_leaves_request_unserved():
     assert unserved.reason == "horizon"
     assert "MATCH" not in names(res.log)
     assert outcomes(res)[0] == "UNSERVED"
+
+
+def test_decline_ctx_payout_is_the_settled_payout():
+    # the payout a driver weighs when deciding is the one it is later paid
+    offered = []
+
+    def record_payout(ctx):
+        offered.append((ctx.request.request_id, ctx.payout))
+        return False
+
+    register("f_driver_decline", "test_record_payout", record_payout)
+    cfg = dataclasses.replace(parse_config(json.loads(presets.read_text("e1"))),
+                              decisions={"f_driver_decline": "test_record_payout"})
+    res = run_day(cfg, materialize(cfg), build_decision_set(cfg.decisions, cfg.behaviour))
+    paid = {r.request_id: r.payout for r in res.log if r.event == "COMPLETES_RIDE"}
+    assert len(paid) > 100
+    assert {rid for rid, _ in offered} >= set(paid)
+    assert all(payout == paid[rid] for rid, payout in offered if rid in paid)
 
 
 def test_max_rejections_kills_request():

@@ -1,14 +1,18 @@
 """Config parsing, validation and seeded demand/supply generation tests."""
 
 import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from ridesim.errors import ConfigError
-from ridesim.netgraph import grid_city, save_graph
+import ridesim
+from ridesim.errors import ConfigError, GraphParseError, LogValidationError
+from ridesim.kpi import read_events_csv
+from ridesim.netgraph import grid_city, load_graph, save_graph
 from ridesim.scenario import (
     DriverSpec,
     PlatformSpec,
@@ -413,6 +417,68 @@ def test_csv_rejects_wrong_field_count(tmp_path, loader, header, row):
             load_requests_csv(str(path), net, 3600.0)
         else:
             load_drivers_csv(str(path), net, 3600.0, {0})
+
+
+# the five CSV formats ridesim reads: file name -> (header line, two valid
+# rows, the error a bad row raises, a reader of the directory holding it)
+CSV_FORMATS = {
+    "requests.csv": (
+        "request_id,traveller_id,origin,destination,t_request_s",
+        ["0,0,1,2,10", "1,1,2,3,20"], ConfigError,
+        lambda d: load_requests_csv(str(d / "requests.csv"), grid_city(3, 3, 100.0, 10.0),
+                                    3600.0)),
+    "drivers.csv": (
+        "driver_id,home_node,shift_start_s,shift_end_s,platform_ids",
+        ["0,1,0,3600,0", "1,2,600,1800,0;1"], ConfigError,
+        lambda d: load_drivers_csv(str(d / "drivers.csv"), grid_city(3, 3, 100.0, 10.0),
+                                   3600.0, {0, 1})),
+    "nodes.csv": ("node_id,x,y", ["0,0,0", "1,100,0"], GraphParseError, load_graph),
+    "edges.csv": ("from,to,length_m,speed_mps", ["0,1,100,10", "1,0,100,10"],
+                  GraphParseError, load_graph),
+    "events.csv": (
+        "day,t_s,agent_kind,agent_id,event,node,meta",
+        ["0,0,TRAVELLER,0,PLANS,0,", "0,5,TRAVELLER,0,REQUESTS,0,"], LogValidationError,
+        lambda d: read_events_csv(d / "events.csv")),
+}
+
+
+def _put_csv(directory, name, text):
+    """Write ``text`` as ``name`` into ``directory``, next to a valid file
+    of every other format (so a graph file has its partner)."""
+    for other, (header, rows, _, _) in CSV_FORMATS.items():
+        (directory / other).write_text("\n".join([header, *rows]) + "\n")
+    (directory / name).write_text(text, newline="")
+
+
+@pytest.mark.parametrize("name", sorted(CSV_FORMATS))
+def test_csv_skips_blank_lines(name, tmp_path):
+    header, rows, _, load = CSV_FORMATS[name]
+    _put_csv(tmp_path, name, f"{header}\n{rows[0]}\n{rows[1]}\n")
+    plain = load(tmp_path)
+    _put_csv(tmp_path, name, f"{header}\r\n\r\n{rows[0]}\n\n\n{rows[1]}\n\n")
+    assert load(tmp_path) == plain
+
+
+@pytest.mark.parametrize("name", sorted(CSV_FORMATS))
+@pytest.mark.parametrize("extra", [",9", "," + "x" * 2 ** 18],
+                         ids=["extra_field", "field_over_csv_limit"])
+def test_csv_bad_row_after_blank_line_names_file_and_line(name, extra, tmp_path):
+    header, rows, error, load = CSV_FORMATS[name]
+    _put_csv(tmp_path, name, f"{header}\n{rows[0]}\n\n{rows[1]}{extra}\n")
+    with pytest.raises(error) as exc:
+        load(tmp_path)
+    assert str(tmp_path / name) in str(exc.value)
+    assert re.search(r"\brow 4\b", str(exc.value))
+
+
+def test_csv_module_is_used_only_in_util():
+    # util.read_csv and util.write_csv hold the CSV rules for every file
+    src = Path(ridesim.__file__).parent
+    users = sorted(
+        p.name for p in src.glob("*.py")
+        if re.search(r"\bcsv\.(reader|writer|DictReader|DictWriter)\b", p.read_text())
+    )
+    assert users == ["util.py"]
 
 
 def test_materialize_checks_csv_counts(tmp_path):
