@@ -1,9 +1,11 @@
 """Pluggable agent decision modules.
 
 Every choice point in the traveller, driver and platform routines calls a
-hook from a DecisionSet. Hooks are pure functions of a frozen context object
-carrying read-only views, the behaviour parameter map and the run's decision
-random sub-stream; replacing one never requires touching the engine.
+hook from a DecisionSet. Hooks are pure functions of a context, an immutable
+``NamedTuple`` carrying read-only views, the behaviour parameter map and the
+run's decision random sub-stream; replacing one never requires touching the
+engine. A context is also indexable and iterable in field order, and
+``ctx._replace(...)`` returns a changed copy.
 
 Modules are selected by name from scenario config, e.g.
 ``"decisions": {"f_trav_mode": "max_wait"}``. User code can add its own with
@@ -12,7 +14,7 @@ Modules are selected by name from scenario config, e.g.
 
 import inspect
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Mapping, Optional
+from typing import AbstractSet, Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,8 +26,7 @@ from ridesim.scenario import DECISION_SLOTS, DriverSpec, Request
 
 # ----------------------------------------------------------- hook contexts
 
-@dataclass(frozen=True)
-class DriverOutCtx:
+class DriverOutCtx(NamedTuple):
     """Day-start participation choice for one driver."""
     driver_id: int
     spec: DriverSpec
@@ -36,8 +37,7 @@ class DriverOutCtx:
     rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class DriverDeclineCtx:
+class DriverDeclineCtx(NamedTuple):
     """Accept-or-decline choice for a matched request."""
     driver_id: int
     spec: DriverSpec
@@ -51,8 +51,7 @@ class DriverDeclineCtx:
     rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class DriverReposCtx:
+class DriverReposCtx(NamedTuple):
     """Idle-driver repositioning choice, made after each completed ride.
 
     ``open_requests`` maps an origin node to the number of requests waiting
@@ -67,8 +66,7 @@ class DriverReposCtx:
     rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class TravOutCtx:
+class TravOutCtx(NamedTuple):
     """Opt-out-before-requesting choice."""
     traveller_id: int
     request: Request
@@ -78,8 +76,7 @@ class TravOutCtx:
     rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class TravModeCtx:
+class TravModeCtx(NamedTuple):
     """Accept-or-reject choice on the offer picked by f_platform_choice."""
     traveller_id: int
     offer: Offer
@@ -87,8 +84,7 @@ class TravModeCtx:
     rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class PlatformChoiceCtx:
+class PlatformChoiceCtx(NamedTuple):
     """Choice among simultaneous offers from competing platforms."""
     traveller_id: int
     offers: tuple
@@ -96,8 +92,7 @@ class PlatformChoiceCtx:
     rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class MatchCtx:
+class MatchCtx(NamedTuple):
     """One platform's matching problem at an instant pass or window boundary.
 
     The hook runs on instant passes (instant platforms) or at window

@@ -76,6 +76,9 @@ class EventRecord(NamedTuple):
     reason: Optional[str] = None
 
 
+_NO_DETAIL = (None,) * 10   # blanks that pad positional details up to a later field
+
+
 @dataclass(frozen=True)
 class DriverCarry:
     """Cross-day driver memory fed back into f_driver_out."""
@@ -178,9 +181,11 @@ class _Sim:
         heapq.heappush(self.heap, (t, phase, _KIND_RANK[kind], agent_id, self.seq, fn))
         self.seq += 1
 
-    def record(self, kind, agent_id, event, node, **detail):
+    def record(self, kind, agent_id, event, node, *detail):
+        """Log one event at the current time; ``detail`` fills the optional
+        ``EventRecord`` fields positionally, in field order."""
         self.log.append(EventRecord(
-            self.day, self.now, kind, agent_id, event, node, **detail))
+            self.day, self.now, kind, agent_id, event, node, *detail))
 
     def hook(self, slot, ctx, kind, agent_id):
         """Call one decision hook. An exception it raises that is not a
@@ -390,11 +395,12 @@ class _Sim:
     def schedule_matching(self):
         """Ensure an instant matching pass and any needed batch boundaries
         are on the event queue for the current state of the request queue
-        and the idle maps."""
-        if self.now <= self.horizon and self.resolve_pending != self.now:
-            if self.instant:
-                self.resolve_pending = self.now
-                self.push(self.now, _PH_MATCH, PLATFORM, 0, self.on_instant_pass)
+        and the idle maps. An instant pass is pushed only when a pair can
+        form; every change that can make one calls this again at once."""
+        if self.now <= self.horizon and self.resolve_pending != self.now \
+                and self.waiting and any(s.idle for s in self.instant):
+            self.resolve_pending = self.now
+            self.push(self.now, _PH_MATCH, PLATFORM, 0, self.on_instant_pass)
         for pid in self.platform_order:
             state = self.platforms[pid]
             if state.spec.matching != "batched" or not self.waiting:
@@ -476,7 +482,7 @@ class _Sim:
             offer = plat.make_offer(state.spec, request, did, driver.position,
                                     self.skim)
             self.record(DRIVER, did, "RECEIVES_REQUEST", driver.position,
-                        request_id=rid, platform_id=pid, eta_s=offer.pickup_eta)
+                        rid, pid, None, offer.pickup_eta)
             ctx = DriverDeclineCtx(
                 driver_id=did, spec=driver.spec, position=driver.position,
                 request=request, platform_id=pid,
@@ -489,14 +495,14 @@ class _Sim:
                 self.fail(f"f_driver_decline returned {declines!r}")
             if declines:
                 self.record(DRIVER, did, "DECLINES_REQUEST", driver.position,
-                            request_id=rid, platform_id=pid)
+                            rid, pid)
                 self.excluded.add((rid, did))
                 self._count_rejection(trav)
                 if state.spec.matching == "instant":
                     self.schedule_matching()
                 continue
             self.record(DRIVER, did, "ACCEPTS_REQUEST", driver.position,
-                        request_id=rid, platform_id=pid, eta_s=offer.pickup_eta)
+                        rid, pid, None, offer.pickup_eta)
             self._remove_idle(driver)
             trav.offers.append(offer)
             offered.append(rid)
@@ -528,14 +534,13 @@ class _Sim:
         self._dequeue(trav.request)
         trav.status = "unserved"
         self.record(TRAVELLER, trav.request.traveller_id, "UNSERVED",
-                    trav.request.origin, reason=reason)
+                    trav.request.origin, *_NO_DETAIL[:9], reason)
 
     # ------------------------------------------------------ offer resolution
 
     def _record_offer(self, t_id, event, node, offer):
-        self.record(TRAVELLER, t_id, event, node,
-                    platform_id=offer.platform_id, driver_id=offer.driver_id,
-                    fare=offer.fare, eta_s=offer.pickup_eta)
+        self.record(TRAVELLER, t_id, event, node, None, offer.platform_id,
+                    offer.driver_id, offer.pickup_eta, offer.fare)
 
     def on_offers(self, trav):
         t_id = trav.request.traveller_id
@@ -583,8 +588,8 @@ class _Sim:
         state = self.platforms[chosen.platform_id]
         match_event = "BATCH_MATCH" if state.spec.matching == "batched" else "MATCH"
         self.record(PLATFORM, chosen.platform_id, match_event, -1,
-                    request_id=chosen.request_id, driver_id=chosen.driver_id,
-                    eta_s=chosen.pickup_eta, fare=chosen.fare)
+                    chosen.request_id, None, chosen.driver_id,
+                    chosen.pickup_eta, chosen.fare)
         trav.status = "matched"
         driver = self.drivers[chosen.driver_id]
         driver.serving = chosen
@@ -599,8 +604,7 @@ class _Sim:
         d_id = driver.spec.driver_id
         driver.position = request.origin
         self.record(DRIVER, d_id, "ARRIVES_PICKUP", request.origin,
-                    request_id=request.request_id, platform_id=offer.platform_id,
-                    dist_m=dist)
+                    request.request_id, offer.platform_id, *_NO_DETAIL[:5], dist)
         boarding = self._timed("t_board_s")
         self.push(self.now + boarding, _PH_STATE, DRIVER, d_id,
                   lambda: self.on_departure(driver))
@@ -611,10 +615,10 @@ class _Sim:
         trav = self.travellers[request.traveller_id]
         d_id = driver.spec.driver_id
         self.record(DRIVER, d_id, "DEPARTS_WITH_TRAVELLER", request.origin,
-                    request_id=request.request_id, platform_id=offer.platform_id)
+                    request.request_id, offer.platform_id)
         trav.status = "in_vehicle"
         self.record(TRAVELLER, request.traveller_id, "PICKED_UP", request.origin,
-                    driver_id=d_id, platform_id=offer.platform_id)
+                    None, offer.platform_id, d_id)
         self.move(driver, request.destination,
                   lambda dist, d=driver: self.on_service_arrival(d, dist))
 
@@ -632,8 +636,8 @@ class _Sim:
         d_id = driver.spec.driver_id
         payout, cut = plat.settle(self.platforms[offer.platform_id].spec, offer.fare)
         self.record(DRIVER, d_id, "COMPLETES_RIDE", request.destination,
-                    request_id=request.request_id, platform_id=offer.platform_id,
-                    dist_m=dist, fare=offer.fare, payout=payout, cut=cut)
+                    request.request_id, offer.platform_id, None, None,
+                    offer.fare, payout, cut, dist)
         trav.status = "arrived"
         self.record(TRAVELLER, request.traveller_id, "ARRIVES",
                     request.destination)
@@ -647,7 +651,7 @@ class _Sim:
             self.schedule_matching()
             return
         self.record(DRIVER, d_id, "STARTS_REPOSITIONING", driver.position,
-                    target=target)
+                    *_NO_DETAIL[:8], target)
         self.move(driver, target,
                   lambda dist2, d=driver, to=target: self.on_repos_arrival(d, to, dist2))
 
@@ -670,7 +674,7 @@ class _Sim:
     def on_repos_arrival(self, driver, node, dist):
         driver.position = node
         self.record(DRIVER, driver.spec.driver_id, "ARRIVES_REPOSITION", node,
-                    dist_m=dist)
+                    *_NO_DETAIL[:7], dist)
         if driver.wants_off:
             self._finish_shift(driver)
             return

@@ -143,7 +143,7 @@ def _day(config, inputs, decisions, day, state):
     kpi.validate_log(log)
     t_rows = kpi.traveller_kpis(log)
     d_rows = kpi.driver_kpis(log)
-    return log, t_rows, d_rows, kpi.system_kpis(t_rows, d_rows, config.platforms, log)
+    return log, t_rows, d_rows, kpi.system_kpis(day, t_rows, d_rows, config.platforms, log)
 
 
 def _run(tasks, threads, networks) -> list[dict]:

@@ -288,18 +288,19 @@ def driver_kpis(log: Sequence[EventRecord]) -> list[DriverKpi]:
 # -------------------------------------------------------------- system row
 
 def system_kpis(
+    day: int,
     traveller_rows: Sequence[TravellerKpi],
     driver_rows: Sequence[DriverKpi],
     platforms,
     log: Sequence[EventRecord],
 ) -> dict:
-    """Single flat dict of system-level indicators for one day.
+    """Single flat dict of system-level indicators for ``day``, whose log
+    may be empty.
 
     Per-platform fields are derived from ride events; a platform's fleet is
     its dedicated size when configured, otherwise the pool left over by the
     dedicated fleets.
     """
-    day = log[0].day if log else 0
     outcomes = [r.outcome for r in traveller_rows]
     waits = [r.wait_s for r in traveller_rows if r.wait_s is not None]
     participants = [r for r in driver_rows if r.participated]

@@ -9,7 +9,7 @@ tight, without another solve.
 """
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Mapping, NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -18,8 +18,7 @@ from ridesim.netgraph import SkimMatrix
 from ridesim.scenario import PlatformSpec, Request
 
 
-@dataclass(frozen=True)
-class Offer:
+class Offer(NamedTuple):
     platform_id: int
     driver_id: int
     request_id: int

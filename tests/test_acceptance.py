@@ -393,7 +393,7 @@ def test_c7_performance_envelope(capsys):
                      build_decision_set(config.decisions, config.behaviour))
     t_rows = kpi.traveller_kpis(result.log)
     d_rows = kpi.driver_kpis(result.log)
-    kpi.system_kpis(t_rows, d_rows, config.platforms, result.log)
+    kpi.system_kpis(result.day, t_rows, d_rows, config.platforms, result.log)
     elapsed = time.perf_counter() - t0
     verdict(capsys, 7, elapsed < 70,
             f"1000 travellers / 100 drivers / 4h / {inputs.net.n}-node grid "

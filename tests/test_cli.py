@@ -270,9 +270,24 @@ def test_run_multi_day_layout(tmp_path):
     days = (out / "day_to_day.csv").read_text().strip().splitlines()
     system = (out / "kpi_system.csv").read_text().strip().splitlines()
     assert len(days) == len(system)         # one row per simulated day, each
+    assert [r.split(",")[0] for r in system] == [r.split(",")[0] for r in days]
     events = (out / "events.csv").read_text()
     assert events.splitlines()[1].startswith("0,")
     assert f"\n{len(days) - 2}," in events  # last day present in the log
+
+
+def test_run_days_empty_logs_keep_their_day(tmp_path):
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(small_config(n_travellers=0, n_drivers=0)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out), "--days", "3"]) == 0
+
+    def day_column(name):
+        return [line.split(",")[0]
+                for line in (out / name).read_text().splitlines()[1:]]
+
+    assert day_column("kpi_system.csv") == day_column("day_to_day.csv") \
+        == ["0", "1", "2"]
 
 
 def test_run_days_zero_exits_1(config_file, tmp_path, capsys):

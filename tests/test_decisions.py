@@ -322,6 +322,51 @@ def test_default_match_batched_minimizes_total():
     assert sorted(pairs) == [(0, 20), (1, 21)]
 
 
+# ------------------------------------------------------------ context types
+
+CONTEXT_FIELDS = [
+    (lambda: out_ctx(1, 5.0, True),
+     ("driver_id", "spec", "day", "learned_income_per_hour",
+      "participated_yesterday", "params", "rng")),
+    (lambda: decline_ctx(100.0),
+     ("driver_id", "spec", "position", "request", "platform_id", "pickup_eta",
+      "fare", "payout", "params", "rng")),
+    (lambda: repos_ctx(0, {3: 1}),
+     ("driver_id", "position", "open_requests", "n_nodes", "params", "rng")),
+    (lambda: trav_out_ctx(None),
+     ("traveller_id", "request", "day", "yesterday_outcome", "params", "rng")),
+    (lambda: mode_ctx(100.0),
+     ("traveller_id", "offer", "params", "rng")),
+    (lambda: choice_ctx([offer()]),
+     ("traveller_id", "offers", "params", "rng")),
+    (lambda: match_ctx("instant", [Request(0, 0, 0, 8, 5.0)], {10: 1}, None),
+     ("platform_id", "mode", "requests", "idle", "positions", "excluded",
+      "skim", "params", "rng")),
+    (offer,
+     ("platform_id", "driver_id", "request_id", "pickup_eta", "trip_time",
+      "trip_distance", "fare")),
+]
+
+
+@pytest.mark.parametrize("make,fields", CONTEXT_FIELDS, ids=[
+    "DriverOutCtx", "DriverDeclineCtx", "DriverReposCtx", "TravOutCtx",
+    "TravModeCtx", "PlatformChoiceCtx", "MatchCtx", "Offer"])
+def test_context_is_an_immutable_named_tuple(make, fields):
+    ctx = make()
+    before = tuple(ctx)
+    assert type(ctx)._fields == fields
+    assert tuple(ctx) == tuple(getattr(ctx, f) for f in fields)
+    assert ctx[0] == getattr(ctx, fields[0])
+    with pytest.raises(AttributeError):
+        setattr(ctx, fields[0], 99)
+    with pytest.raises(AttributeError):
+        ctx.not_a_field = 1
+    changed = ctx._replace(**{fields[0]: 99})
+    assert getattr(changed, fields[0]) == 99
+    assert type(changed) is type(ctx) and changed[1:] == ctx[1:]
+    assert all(now is was for now, was in zip(ctx, before))
+
+
 # ---------------------------------------------------------------- registry
 
 def test_build_decision_set_defaults():

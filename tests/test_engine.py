@@ -167,8 +167,8 @@ def test_driver_day_accounting():
     assert row.mileage_m == pytest.approx(1800.0)
     assert row.idle_s + row.empty_drive_s + row.occupied_s == pytest.approx(1000.0)
     assert outcomes(res)[0] == "ARRIVED"
-    system = kpi.system_kpis(kpi.traveller_kpis(res.log), [row], cfg.platforms,
-                             res.log)
+    system = kpi.system_kpis(res.day, kpi.traveller_kpis(res.log), [row],
+                             cfg.platforms, res.log)
     assert system["revenue_platform_0"] == pytest.approx(1.2)
 
 
@@ -227,8 +227,8 @@ def test_conservation_random_scenario():
             payouts += r.payout
             cuts += r.cut
     assert abs((payouts + cuts) - fares) < 1e-9
-    system = kpi.system_kpis(kpi.traveller_kpis(res.log), drows, cfg.platforms,
-                             res.log)
+    system = kpi.system_kpis(res.day, kpi.traveller_kpis(res.log), drows,
+                             cfg.platforms, res.log)
     assert system["revenue_platform_0"] == pytest.approx(fares, abs=1e-9)
     earned = sum(r.revenue for r in drows)
     assert earned == pytest.approx(payouts, abs=1e-9)
@@ -809,3 +809,114 @@ def test_no_match_call_without_drivers(platform):
               decision_set=dec)
     assert calls == []
     assert set(outcomes(res).values()) == {"UNSERVED"}
+
+
+# ------------------------------------------------- instant passes: fast path
+
+def schedule_matching_every_time(self):
+    """``_Sim.schedule_matching`` as it was before instant passes were skipped
+    when no pair can form: it pushes an instant pass on every call at a new
+    timestamp. The oracle for the fast path."""
+    if self.now <= self.horizon and self.resolve_pending != self.now:
+        if self.instant:
+            self.resolve_pending = self.now
+            self.push(self.now, engine._PH_MATCH, engine.PLATFORM, 0,
+                      self.on_instant_pass)
+    for pid in self.platform_order:
+        state = self.platforms[pid]
+        if state.spec.matching != "batched" or not self.waiting:
+            continue
+        if state.next_batch_at is not None:
+            continue
+        boundary = engine.plat.next_batch_boundary(state.spec.batch_window_s, self.now)
+        if boundary == self.last_boundary.get(pid):
+            boundary += state.spec.batch_window_s
+        if boundary > self.horizon:
+            continue
+        state.next_batch_at = boundary
+        self.push(boundary, engine._PH_MATCH, engine.PLATFORM, pid,
+                  lambda s=state: self.on_batch_boundary(s))
+
+
+@pytest.fixture
+def instant_passes(monkeypatch):
+    """Count the instant passes every engine run makes during the test."""
+    count = [0]
+    pass_ = engine._Sim.on_instant_pass
+
+    def counted(self):
+        count[0] += 1
+        return pass_(self)
+
+    monkeypatch.setattr(engine._Sim, "on_instant_pass", counted)
+    return count
+
+
+def preset_base(name):
+    raw = json.loads(presets.read_text(name))
+    return raw.get("base", raw)
+
+
+def mixed_mode(window_s):
+    """e3's split fleets, with platform 0 batched and platform 1 instant."""
+    raw = preset_base("e3")
+    raw["platforms"][0]["matching"] = {"batched": {"window_s": window_s}}
+    raw["behaviour"] = {"t_board_s": 0.0, "t_alight_s": 0.0}
+    return raw
+
+
+def on_the_window_grid(inputs):
+    """The inputs with each request time rounded to a multiple of 30 s, so
+    requests, rides and batch boundaries share timestamps."""
+    requests = sorted(
+        (dataclasses.replace(r, t_request=30.0 * round(r.t_request / 30.0))
+         for r in inputs.requests),
+        key=lambda r: (r.t_request, r.request_id))
+    return dataclasses.replace(inputs, requests=tuple(requests))
+
+
+def test_skipped_instant_passes_match_slow_path(monkeypatch, instant_passes):
+    cases = [(name, preset_base(name)) for name in ("e1", "e2", "e3", "e4")]
+    cases += [(f"mixed {w} s", mixed_mode(w)) for w in (1.0, 30.0)]
+    cases += [(f"mixed {w} s on grid", mixed_mode(w)) for w in (1.0, 30.0)]
+    networks = {}
+    passes = {"fast": 0, "slow": 0}
+    for label, raw in cases:
+        for seed in (1, 2, 3):
+            cfg = parse_config(dict(raw, seed=seed))
+            if cfg.graph not in networks:
+                net = cfg.graph.build()
+                networks[cfg.graph] = (net, build_skim(net))
+            net, skim = networks[cfg.graph]
+            inputs = materialize(cfg, net=net, skim=skim)
+            if label.endswith("on grid"):
+                inputs = on_the_window_grid(inputs)
+            dec = build_decision_set(cfg.decisions, cfg.behaviour)
+            logs = {}
+            for path in ("fast", "slow"):
+                with monkeypatch.context() as m:
+                    if path == "slow":
+                        m.setattr(engine._Sim, "schedule_matching",
+                                  schedule_matching_every_time)
+                    before = instant_passes[0]
+                    logs[path] = run_day(cfg, inputs, dec).log
+                    passes[path] += instant_passes[0] - before
+            assert logs["fast"] == logs["slow"], (label, seed)
+            if label.startswith("mixed"):
+                assert {"MATCH", "BATCH_MATCH"} <= set(names(logs["fast"])), \
+                    (label, seed)
+    assert 0 < passes["fast"] < passes["slow"]
+
+
+def test_no_instant_pass_without_a_possible_pair(instant_passes):
+    register("f_driver_out", "test_all_stay_out", lambda ctx: True)
+    cfg = make_cfg(20, 4, decisions={"f_driver_out": "test_all_stay_out"})
+    net, requests, drivers = busy_inputs(cfg)
+    res = run(cfg, net, requests, drivers)
+    assert names(res.log, kind="DRIVER") == ["OPTS_OUT"] * 4
+    assert names(res.log).count("REQUESTS") == 20
+    assert instant_passes[0] == 0
+    cfg = make_cfg(0, 4)
+    res = run(cfg, net, [], drivers)
+    assert names(res.log).count("STARTS_SHIFT") == 4 and len(res.log) == 8
+    assert instant_passes[0] == 0

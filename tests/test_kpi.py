@@ -245,7 +245,7 @@ def test_single_ride_system_row():
     res, cfg = single_ride_result()
     trows = traveller_kpis(res.log)
     drows = driver_kpis(res.log)
-    sys_row = system_kpis(trows, drows, cfg.platforms, res.log)
+    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, res.log)
     assert sys_row["n_travellers"] == 1
     assert sys_row["n_served"] == 1
     assert sys_row["n_unserved"] == 0
@@ -268,7 +268,7 @@ def test_outcome_partition():
     res, cfg, *_ = busy_result(seed=3, behaviour={"max_wait_s": 150.0})
     trows = traveller_kpis(res.log)
     drows = driver_kpis(res.log)
-    sys_row = system_kpis(trows, drows, cfg.platforms, res.log)
+    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, res.log)
     total = (sys_row["n_served"] + sys_row["n_unserved"]
              + sys_row["n_opted_out"] + sys_row["n_rejected"])
     assert total == sys_row["n_travellers"] == 40
@@ -287,7 +287,7 @@ def test_money_conservation_from_rows():
     res, cfg, *_ = busy_result(seed=29)
     trows = traveller_kpis(res.log)
     drows = driver_kpis(res.log)
-    sys_row = system_kpis(trows, drows, cfg.platforms, res.log)
+    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, res.log)
     fares = sum(r.fare_paid for r in trows if r.fare_paid is not None)
     assert sys_row["revenue_platform_0"] == pytest.approx(fares, abs=1e-9)
     # commission 0 in make_cfg platforms: payouts equal fares
@@ -307,7 +307,7 @@ def test_first_match_wait_censored_at_shift():
     )
     drows = driver_kpis(res.log)
     assert drows[1].first_match_wait_s is None
-    sys_row = system_kpis(traveller_kpis(res.log), drows, cfg.platforms, res.log)
+    sys_row = system_kpis(res.day, traveller_kpis(res.log), drows, cfg.platforms, res.log)
     assert sys_row["driver_first_match_wait_mean_s"] == (100.0 + 800.0) / 2
 
 
@@ -328,8 +328,8 @@ def test_two_platform_fleet_fields():
             DriverSpec(2, 0, 0.0, 1000.0, (1,)),
         ],
     )
-    sys_row = system_kpis(
-        traveller_kpis(res.log), driver_kpis(res.log), cfg.platforms, res.log)
+    sys_row = system_kpis(res.day, traveller_kpis(res.log), driver_kpis(res.log),
+                          cfg.platforms, res.log)
     assert sys_row["fleet_platform_0"] == 1
     assert sys_row["fleet_platform_1"] == 2      # the non-dedicated remainder
     assert sys_row["n_served_platform_0"] == 1   # cheaper platform wins
@@ -501,9 +501,9 @@ def test_kpis_pure_function_of_stored_log(tmp_path):
     validate_log(back)
     assert traveller_kpis(back) == traveller_kpis(res.log)
     assert driver_kpis(back) == driver_kpis(res.log)
-    assert system_kpis(traveller_kpis(back), driver_kpis(back),
+    assert system_kpis(res.day, traveller_kpis(back), driver_kpis(back),
                        cfg.platforms, back) == \
-        system_kpis(traveller_kpis(res.log), driver_kpis(res.log),
+        system_kpis(res.day, traveller_kpis(res.log), driver_kpis(res.log),
                     cfg.platforms, res.log)
 
 
