@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 invalid input or config, 2 runtime failure.
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -159,8 +158,6 @@ def cmd_experiment(args) -> int:
     threads = args.threads
     if threads is not None and threads < 1:
         raise ConfigError("--threads", "must be >= 1")
-    if threads is None:
-        threads = _env_threads()
 
     out = _out_dir(args.out)
     started = _now()
@@ -170,16 +167,6 @@ def cmd_experiment(args) -> int:
                     _sha256(text.encode("utf-8")), started)
     print(f"experiment complete: {len(rows)} rows, outputs in {out}")
     return 0
-
-
-def _env_threads() -> int | None:
-    """Worker threads from RIDESIM_THREADS; None when unset or empty."""
-    text = os.environ.get("RIDESIM_THREADS", "").strip()
-    if not text:
-        return None
-    if not (text.isdecimal() and int(text) >= 1):
-        raise ConfigError("RIDESIM_THREADS", f"must be an integer >= 1, got {text!r}")
-    return int(text)
 
 
 def cmd_generate(args) -> int:
@@ -247,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="plan JSON path, or a bundled preset name (e2, e3)")
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: RIDESIM_THREADS or the plan's value)")
+                     help="worker threads (default: the plan's value)")
     exp.set_defaults(fn=cmd_experiment)
 
     gen = sub.add_parser("generate", help="write graph/demand/supply input files")

@@ -1,11 +1,20 @@
 """Pluggable agent decision modules.
 
 Every choice point in the traveller, driver and platform routines calls a
-hook from a DecisionSet. Hooks are pure functions of a context, an immutable
-``NamedTuple`` carrying read-only views, the behaviour parameter map and the
-run's decision random sub-stream; replacing one never requires touching the
-engine. A context is also indexable and iterable in field order, and
-``ctx._replace(...)`` returns a changed copy.
+hook from a DecisionSet, always on a real agent's state. Hooks are pure
+functions of a context, an immutable ``NamedTuple`` carrying read-only views,
+the read-only behaviour parameter map and the run's decision random
+sub-stream; replacing one never requires touching the engine. A context is
+also indexable and iterable in field order, and ``ctx._replace(...)``
+returns a changed copy.
+
+The engine checks every answer: ``f_driver_out``, ``f_driver_decline``,
+``f_trav_out`` and ``f_trav_mode`` return True or False, ``f_platform_choice``
+an index into its offers, ``f_driver_repos`` None or a node id, and
+``f_match`` an iterable of distinct (request_id, driver_id) pairs of waiting
+requests and idle drivers. A bad answer stops the run with a
+``SimulationError``: ``t=<time>: <slot> returned <answer> for <agent>,
+expected <what>``.
 
 Modules are selected by name from scenario config, e.g.
 ``"decisions": {"f_trav_mode": "max_wait"}``. User code can add its own with
@@ -55,8 +64,8 @@ class DriverReposCtx(NamedTuple):
     """Idle-driver repositioning choice, made after each completed ride.
 
     ``open_requests`` maps an origin node to the number of requests waiting
-    there (nodes with none are absent). It is a snapshot taken for this call:
-    later queue changes do not show in it, and editing it changes nothing.
+    there (nodes with none are absent). It is a read-only live view of the
+    engine's queue counts, valid only during the call: copy it to keep it.
     """
     driver_id: int
     position: int

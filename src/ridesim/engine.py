@@ -30,7 +30,7 @@ from ridesim.decisions import (
     TravModeCtx,
     TravOutCtx,
 )
-from ridesim.errors import ConfigError, RidesimError, SimulationError
+from ridesim.errors import RidesimError, SimulationError
 from ridesim.platforms import PlatformState
 from ridesim.scenario import ScenarioConfig, ScenarioInputs
 from ridesim.seeds import substream
@@ -50,9 +50,17 @@ _PH_FINAL = 3      # horizon wrap-up
 # traveller statuses a day may end in
 _FINAL_STATUSES = {"arrived", "opted_out", "unserved", "rejected_waiting"}
 
+# hooks whose answer must be True or False, checked in ``_Sim.hook``
+_YES_NO = frozenset({"f_driver_out", "f_trav_out", "f_driver_decline", "f_trav_mode"})
+
 
 def _queue_key(request):
     return request.t_request, request.request_id
+
+
+def _is_index(answer, n):
+    """Whether a hook's answer is an int in [0, n); a bool is not."""
+    return isinstance(answer, int) and not isinstance(answer, bool) and 0 <= answer < n
 
 
 class EventRecord(NamedTuple):
@@ -139,40 +147,38 @@ def run_day(
 
 class _Sim:
     def __init__(self, config, inputs, decisions, day, day_state):
-        self.config = config
         self.inputs = inputs
         self.decisions = decisions
         self.day = day
         self.day_state = day_state
         self.skim = inputs.skim
         self.horizon = config.horizon_s
-        self.params = dict(config.behaviour)
+        self.params = MappingProxyType(dict(config.behaviour))
         self.rng = substream(config.seed, "decisions", day)
         self.log = []
         self.heap = []
         self.seq = 0
         self.now = 0.0
-        self.platforms = {
+        self.platforms = {      # platform id -> state, in id order
             p.platform_id: PlatformState(spec=p)
-            for p in config.platforms
+            for p in sorted(config.platforms, key=lambda p: p.platform_id)
         }
-        self.platform_order = sorted(self.platforms)
-        self.travellers = {
-            r.traveller_id: _TravellerSim(r) for r in inputs.requests
+        self.travellers = {     # request id -> traveller, in traveller id order
+            r.request_id: _TravellerSim(r)
+            for r in sorted(inputs.requests, key=lambda r: r.traveller_id)
         }
-        self.requests_by_id = {r.request_id: r for r in inputs.requests}
         self.drivers = {d.driver_id: _DriverSim(d) for d in inputs.drivers}
         # the one request queue every platform matches from
         self.waiting = []              # Requests, (t_request, request_id) order
         self.waiting_ids = set()       # request ids in ``waiting``
         self.open_counts = {}          # origin node -> requests waiting there
+        self.open_view = MappingProxyType(self.open_counts)
         self.excluded = set()          # (request_id, driver_id), cleared per timestamp
         self.excluded_t = 0.0
         self.resolve_pending = None    # timestamp of a scheduled instant pass
-        self.reaction_pending = set()  # traveller ids with a scheduled reaction
         # states of the platforms an instant pass matches, in id order
-        self.instant = [self.platforms[pid] for pid in self.platform_order
-                        if self.platforms[pid].spec.matching == "instant"]
+        self.instant = [s for s in self.platforms.values()
+                        if s.spec.matching == "instant"]
         self.last_boundary = {}        # platform id -> timestamp last fired
 
     # ------------------------------------------------------------ plumbing
@@ -188,11 +194,13 @@ class _Sim:
             self.day, self.now, kind, agent_id, event, node, *detail))
 
     def hook(self, slot, ctx, kind, agent_id):
-        """Call one decision hook. An exception it raises that is not a
-        ``RidesimError`` becomes a ``SimulationError`` naming the slot, the
-        agent and the simulated time, chained from the original."""
+        """Call one decision hook for one agent; the only place the engine
+        calls a hook. An exception it raises that is not a ``RidesimError``
+        becomes a ``SimulationError`` naming the slot, the agent and the
+        simulated time, chained from the original. A yes/no hook's answer
+        must be True or False; callers check the other answers."""
         try:
-            return getattr(self.decisions, slot)(ctx)
+            answer = getattr(self.decisions, slot)(ctx)
         except RidesimError:
             raise
         except Exception as exc:
@@ -200,6 +208,13 @@ class _Sim:
                 f"t={fmt_num(self.now)}: {slot} raised {type(exc).__name__} for "
                 f"{kind} {agent_id}: {exc}"
             ) from exc
+        if slot in _YES_NO and not isinstance(answer, bool):
+            self.bad_answer(slot, answer, kind, agent_id, "True or False")
+        return answer
+
+    def bad_answer(self, slot, answer, kind, agent_id, expected):
+        self.fail(f"{slot} returned {answer!r} for {kind} {agent_id}, "
+                  f"expected {expected}")
 
     def fail(self, message):
         raise SimulationError(f"t={fmt_num(self.now)}: {message}")
@@ -207,20 +222,29 @@ class _Sim:
     # ------------------------------------------------------------- set-up
 
     def run(self) -> DayResult:
-        self._probe_repos_hook()
-        participating = self._consult_driver_out()
+        carry = self.day_state.drivers
         for d_id in sorted(self.drivers):
             driver = self.drivers[d_id]
-            if d_id in participating:
+            c = carry.get(d_id)
+            ctx = DriverOutCtx(
+                driver_id=d_id,
+                spec=driver.spec,
+                day=self.day,
+                learned_income_per_hour=c.learned_income if c else None,
+                participated_yesterday=c.participated_yesterday if c else None,
+                params=self.params,
+                rng=self.rng,
+            )
+            if self.hook("f_driver_out", ctx, "driver", d_id):
+                self.push(driver.spec.shift_start, _PH_STATE, DRIVER, d_id,
+                          lambda d=driver: self.on_driver_opt_out(d))
+            else:
                 self.push(driver.spec.shift_start, _PH_STATE, DRIVER, d_id,
                           lambda d=driver: self.on_shift_start(d))
                 self.push(driver.spec.shift_end, _PH_STATE, DRIVER, d_id,
                           lambda d=driver: self.on_shift_end(d))
-            else:
-                self.push(driver.spec.shift_start, _PH_STATE, DRIVER, d_id,
-                          lambda d=driver: self.on_driver_opt_out(d))
         for r in self.inputs.requests:
-            trav = self.travellers[r.traveller_id]
+            trav = self.travellers[r.request_id]
             self.push(r.t_request, _PH_STATE, TRAVELLER, r.traveller_id,
                       lambda tr=trav: self.on_plan(tr))
         self.push(self.horizon, _PH_FINAL, PLATFORM, 0, self.on_horizon)
@@ -236,53 +260,11 @@ class _Sim:
             fn()
         return self._result()
 
-    def _probe_repos_hook(self):
-        """Call f_driver_repos once on synthetic input and type-check the
-        result. Raises a config error before the run starts when the hook
-        returns something that is not None or a valid node id."""
-        n = self.inputs.net.n
-        ctx = DriverReposCtx(
-            driver_id=0, position=0, open_requests={0: 1}, n_nodes=n,
-            params=dict(self.config.behaviour),
-            rng=substream(self.config.seed, "probe"),
-        )
-        target = self.hook("f_driver_repos", ctx, "probe driver", 0)
-        if target is not None and not (
-            isinstance(target, int) and not isinstance(target, bool)
-            and 0 <= target < n
-        ):
-            raise ConfigError(
-                "decisions.f_driver_repos",
-                f"probe call returned {target!r}, expected None or a node id in "
-                f"[0, {n})",
-            )
-
-    def _consult_driver_out(self):
-        carry = self.day_state.drivers
-        out = set()
-        for d_id in sorted(self.drivers):
-            c = carry.get(d_id)
-            ctx = DriverOutCtx(
-                driver_id=d_id,
-                spec=self.drivers[d_id].spec,
-                day=self.day,
-                learned_income_per_hour=c.learned_income if c else None,
-                participated_yesterday=c.participated_yesterday if c else None,
-                params=self.params,
-                rng=self.rng,
-            )
-            stays_out = self.hook("f_driver_out", ctx, "driver", d_id)
-            if not isinstance(stays_out, bool):
-                self.fail(f"f_driver_out returned {stays_out!r} for driver {d_id}")
-            if stays_out:
-                out.add(d_id)
-        return {d_id for d_id in self.drivers if d_id not in out}
-
     def _result(self):
-        for t_id in sorted(self.travellers):
-            status = self.travellers[t_id].status
-            if status not in _FINAL_STATUSES:
-                self.fail(f"traveller {t_id} finished in state {status}")
+        for trav in self.travellers.values():
+            if trav.status not in _FINAL_STATUSES:
+                self.fail(f"traveller {trav.request.traveller_id} finished in "
+                          f"state {trav.status}")
         return DayResult(day=self.day, log=tuple(self.log))
 
     # -------------------------------------------------------- driver events
@@ -292,18 +274,14 @@ class _Sim:
 
     def on_shift_start(self, driver):
         self.record(DRIVER, driver.spec.driver_id, "STARTS_SHIFT", driver.position)
-        self._add_idle(driver)
-        self.schedule_matching()
+        self._release_driver(driver)
 
     def on_shift_end(self, driver):
         driver.wants_off = True
         if self._is_idle(driver):
             self._remove_idle(driver)
-            self._finish_shift(driver)
+            self.record(DRIVER, driver.spec.driver_id, "ENDS_SHIFT", driver.position)
         # busy drivers wrap up when their current task releases them
-
-    def _finish_shift(self, driver):
-        self.record(DRIVER, driver.spec.driver_id, "ENDS_SHIFT", driver.position)
 
     def _is_idle(self, driver):
         """Whether the driver is free to match: a driver is in all of its
@@ -320,10 +298,11 @@ class _Sim:
             self.platforms[pid].idle.pop(driver.spec.driver_id, None)
 
     def _release_driver(self, driver):
-        """Return a reserved driver to circulation after a lost or rejected
-        offer, or send it home if the shift ended meanwhile."""
+        """Put a driver up for matching, or send it home if its shift has
+        ended: at shift start, after a ride with nowhere to reposition to,
+        on a repositioning arrival, and after a lost or rejected offer."""
         if driver.wants_off:
-            self._finish_shift(driver)
+            self.record(DRIVER, driver.spec.driver_id, "ENDS_SHIFT", driver.position)
             return
         self._add_idle(driver)
         self.schedule_matching()
@@ -357,10 +336,7 @@ class _Sim:
             yesterday_outcome=self.day_state.traveller_outcomes.get(t_id),
             params=self.params, rng=self.rng,
         )
-        opts_out = self.hook("f_trav_out", ctx, "traveller", t_id)
-        if not isinstance(opts_out, bool):
-            self.fail(f"f_trav_out returned {opts_out!r} for traveller {t_id}")
-        if opts_out:
+        if self.hook("f_trav_out", ctx, "traveller", t_id):
             trav.status = "opted_out"
             self.record(TRAVELLER, t_id, "OPTS_OUT", trav.request.origin)
             return
@@ -401,8 +377,7 @@ class _Sim:
                 and self.waiting and any(s.idle for s in self.instant):
             self.resolve_pending = self.now
             self.push(self.now, _PH_MATCH, PLATFORM, 0, self.on_instant_pass)
-        for pid in self.platform_order:
-            state = self.platforms[pid]
+        for pid, state in self.platforms.items():
             if state.spec.matching != "batched" or not self.waiting:
                 continue
             if state.next_batch_at is not None:
@@ -436,8 +411,9 @@ class _Sim:
         not called when no driver is idle or no request waits."""
         if not state.idle or not self.waiting:
             return []
+        pid = state.spec.platform_id
         ctx = MatchCtx(
-            platform_id=state.spec.platform_id,
+            platform_id=pid,
             mode=state.spec.matching,
             requests=tuple(self.waiting),
             idle=state.idle.keys(),
@@ -447,27 +423,27 @@ class _Sim:
             params=self.params,
             rng=self.rng,
         )
-        result = self.hook("f_match", ctx, "platform", state.spec.platform_id)
+        result = self.hook("f_match", ctx, "platform", pid)
         try:
             it = iter(result)
         except TypeError:
-            self.fail(f"f_match returned {result!r}, expected an iterable of pairs")
+            self.bad_answer("f_match", result, "platform", pid,
+                            "an iterable of (request_id, driver_id) pairs")
         pairs = list(it)
         seen_r, seen_d = set(), set()
         for pair in pairs:
             if not (isinstance(pair, tuple) and len(pair) == 2):
-                self.fail(f"f_match returned malformed pair {pair!r}")
+                self.bad_answer("f_match", pair, "platform", pid,
+                                "a (request_id, driver_id) pair")
             rid, did = pair
             if rid in seen_r or did in seen_d:
-                self.fail(f"f_match paired request {rid} or driver {did} twice")
+                self.bad_answer("f_match", pair, "platform", pid,
+                                "no request or driver paired twice")
             seen_r.add(rid)
             seen_d.add(did)
-            if rid not in self.waiting_ids:
-                self.fail(f"f_match matched request {rid} not waiting on "
-                          f"platform {state.spec.platform_id}")
-            if did not in state.idle:
-                self.fail(f"f_match matched driver {did} not idle on "
-                          f"platform {state.spec.platform_id}")
+            if rid not in self.waiting_ids or did not in state.idle:
+                self.bad_answer("f_match", pair, "platform", pid,
+                                "a waiting request and a driver idle on the platform")
         return pairs
 
     def _enact(self, state, proposals):
@@ -476,9 +452,9 @@ class _Sim:
         offered = []
         pid = state.spec.platform_id
         for rid, did in proposals:
-            request = self.requests_by_id[rid]
+            trav = self.travellers[rid]
+            request = trav.request
             driver = self.drivers[did]
-            trav = self.travellers[request.traveller_id]
             offer = plat.make_offer(state.spec, request, did, driver.position,
                                     self.skim)
             self.record(DRIVER, did, "RECEIVES_REQUEST", driver.position,
@@ -490,10 +466,7 @@ class _Sim:
                 payout=plat.settle(state.spec, offer.fare)[0],
                 params=self.params, rng=self.rng,
             )
-            declines = self.hook("f_driver_decline", ctx, "driver", did)
-            if not isinstance(declines, bool):
-                self.fail(f"f_driver_decline returned {declines!r}")
-            if declines:
+            if self.hook("f_driver_decline", ctx, "driver", did):
                 self.record(DRIVER, did, "DECLINES_REQUEST", driver.position,
                             rid, pid)
                 self.excluded.add((rid, did))
@@ -504,26 +477,23 @@ class _Sim:
             self.record(DRIVER, did, "ACCEPTS_REQUEST", driver.position,
                         rid, pid, None, offer.pickup_eta)
             self._remove_idle(driver)
+            if not trav.offers:
+                self.push(self.now, _PH_REACT, TRAVELLER, request.traveller_id,
+                          lambda tr=trav: self.on_offers(tr))
             trav.offers.append(offer)
             offered.append(rid)
         return offered
 
     def _conclude_pass(self, offered):
-        """Move requests holding fresh offers out of the queue and line up
-        their travellers' reactions."""
+        """Move requests holding fresh offers out of the queue once every
+        platform of the pass has seen it."""
         for rid in offered:
-            request = self.requests_by_id[rid]
-            self._dequeue(request)
-            t_id = request.traveller_id
-            trav = self.travellers[t_id]
+            trav = self.travellers[rid]
+            self._dequeue(trav.request)
             if trav.status != "unserved":
                 # a request can die of rejections in the same pass; its
                 # reaction then only hands reserved drivers back
                 trav.status = "offered"
-            if t_id not in self.reaction_pending:
-                self.reaction_pending.add(t_id)
-                self.push(self.now, _PH_REACT, TRAVELLER, t_id,
-                          lambda tr=trav: self.on_offers(tr))
 
     def _count_rejection(self, trav):
         trav.rejections += 1
@@ -544,7 +514,6 @@ class _Sim:
 
     def on_offers(self, trav):
         t_id = trav.request.traveller_id
-        self.reaction_pending.discard(t_id)
         offers = tuple(trav.offers)
         trav.offers = []
         if not offers:
@@ -560,10 +529,9 @@ class _Sim:
             traveller_id=t_id, offers=offers, params=self.params, rng=self.rng,
         )
         choice = self.hook("f_platform_choice", ctx, "traveller", t_id)
-        if not isinstance(choice, int) or isinstance(choice, bool) \
-                or not (0 <= choice < len(offers)):
-            self.fail(f"f_platform_choice returned {choice!r} "
-                      f"for {len(offers)} offers")
+        if not _is_index(choice, len(offers)):
+            self.bad_answer("f_platform_choice", choice, "traveller", t_id,
+                            f"an offer index in [0, {len(offers)})")
         chosen = offers[choice]
         for i, offer in enumerate(offers):
             if i != choice:
@@ -571,10 +539,7 @@ class _Sim:
         mode_ctx = TravModeCtx(
             traveller_id=t_id, offer=chosen, params=self.params, rng=self.rng,
         )
-        accepts = self.hook("f_trav_mode", mode_ctx, "traveller", t_id)
-        if not isinstance(accepts, bool):
-            self.fail(f"f_trav_mode returned {accepts!r}")
-        if not accepts:
+        if not self.hook("f_trav_mode", mode_ctx, "traveller", t_id):
             self._record_offer(t_id, "REJECTS_OFFER", trav.request.origin, chosen)
             self.excluded.add((chosen.request_id, chosen.driver_id))
             self._release_driver(self.drivers[chosen.driver_id])
@@ -600,7 +565,7 @@ class _Sim:
 
     def on_pickup_arrival(self, driver, dist):
         offer = driver.serving
-        request = self.requests_by_id[offer.request_id]
+        request = self.travellers[offer.request_id].request
         d_id = driver.spec.driver_id
         driver.position = request.origin
         self.record(DRIVER, d_id, "ARRIVES_PICKUP", request.origin,
@@ -611,8 +576,8 @@ class _Sim:
 
     def on_departure(self, driver):
         offer = driver.serving
-        request = self.requests_by_id[offer.request_id]
-        trav = self.travellers[request.traveller_id]
+        trav = self.travellers[offer.request_id]
+        request = trav.request
         d_id = driver.spec.driver_id
         self.record(DRIVER, d_id, "DEPARTS_WITH_TRAVELLER", request.origin,
                     request.request_id, offer.platform_id)
@@ -623,7 +588,7 @@ class _Sim:
                   lambda dist, d=driver: self.on_service_arrival(d, dist))
 
     def on_service_arrival(self, driver, dist):
-        request = self.requests_by_id[driver.serving.request_id]
+        request = self.travellers[driver.serving.request_id].request
         driver.position = request.destination
         alight = self._timed("t_alight_s")
         self.push(self.now + alight, _PH_STATE, DRIVER, driver.spec.driver_id,
@@ -631,8 +596,8 @@ class _Sim:
 
     def on_ride_complete(self, driver, dist):
         offer = driver.serving
-        request = self.requests_by_id[offer.request_id]
-        trav = self.travellers[request.traveller_id]
+        trav = self.travellers[offer.request_id]
+        request = trav.request
         d_id = driver.spec.driver_id
         payout, cut = plat.settle(self.platforms[offer.platform_id].spec, offer.fare)
         self.record(DRIVER, d_id, "COMPLETES_RIDE", request.destination,
@@ -642,13 +607,9 @@ class _Sim:
         self.record(TRAVELLER, request.traveller_id, "ARRIVES",
                     request.destination)
         driver.serving = None
-        if driver.wants_off:
-            self._finish_shift(driver)
-            return
-        target = self._consult_repos(driver)
+        target = None if driver.wants_off else self._consult_repos(driver)
         if target is None:
-            self._add_idle(driver)
-            self.schedule_matching()
+            self._release_driver(driver)
             return
         self.record(DRIVER, d_id, "STARTS_REPOSITIONING", driver.position,
                     *_NO_DETAIL[:8], target)
@@ -656,39 +617,32 @@ class _Sim:
                   lambda dist2, d=driver, to=target: self.on_repos_arrival(d, to, dist2))
 
     def _consult_repos(self, driver):
+        d_id, n = driver.spec.driver_id, self.inputs.net.n
         ctx = DriverReposCtx(
-            driver_id=driver.spec.driver_id, position=driver.position,
-            open_requests=dict(self.open_counts), n_nodes=self.inputs.net.n,
+            driver_id=d_id, position=driver.position,
+            open_requests=self.open_view, n_nodes=n,
             params=self.params, rng=self.rng,
         )
-        target = self.hook("f_driver_repos", ctx, "driver", driver.spec.driver_id)
-        if target is None:
-            return None
-        if not isinstance(target, int) or isinstance(target, bool) \
-                or not (0 <= target < self.inputs.net.n):
-            self.fail(f"f_driver_repos returned {target!r}")
-        if target == driver.position:
-            return None
-        return target
+        target = self.hook("f_driver_repos", ctx, "driver", d_id)
+        if target is not None and not _is_index(target, n):
+            self.bad_answer("f_driver_repos", target, "driver", d_id,
+                            f"None or a node id in [0, {n})")
+        return None if target == driver.position else target
 
     def on_repos_arrival(self, driver, node, dist):
         driver.position = node
         self.record(DRIVER, driver.spec.driver_id, "ARRIVES_REPOSITION", node,
                     *_NO_DETAIL[:7], dist)
-        if driver.wants_off:
-            self._finish_shift(driver)
-            return
-        self._add_idle(driver)
-        self.schedule_matching()
+        self._release_driver(driver)
 
     # ------------------------------------------------------------- horizon
 
     def on_horizon(self):
-        for t_id in sorted(self.travellers):
-            trav = self.travellers[t_id]
+        for trav in self.travellers.values():
             if trav.status == "waiting":
                 self._fail_request(trav, reason="horizon")
             elif trav.status == "rejected_waiting":
                 self._dequeue(trav.request)
             elif trav.status == "offered":
-                self.fail(f"traveller {t_id} still holds offers at the horizon")
+                self.fail(f"traveller {trav.request.traveller_id} still holds "
+                          "offers at the horizon")

@@ -235,6 +235,19 @@ def test_run_hook_exception_exits_2_with_context(slot, agent, tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_run_bad_repos_answer_exits_2(tmp_path, capsys):
+    register("f_driver_repos", "test_north", lambda ctx: "north")
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(small_config(decisions={"f_driver_repos": "test_north"})))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ridesim: t=")
+    assert "f_driver_repos returned 'north' for driver " in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_rerun_byte_identical(config_file, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(config_file), "--out", str(a)]) == 0
@@ -398,24 +411,6 @@ def test_experiment_thread_count_invariant(tmp_path):
                  "--threads", "3"]) == 0
     assert (a / "experiment_results.csv").read_bytes() == \
         (b / "experiment_results.csv").read_bytes()
-
-
-def test_experiment_threads_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("RIDESIM_THREADS", "2")
-    out = tmp_path / "out"
-    assert main(["experiment", "--plan", str(plan_file(tmp_path)),
-                 "--out", str(out)]) == 0
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_experiment_bad_threads_env_exits_1(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("RIDESIM_THREADS", value)
-    out = tmp_path / "out"
-    assert main(["experiment", "--plan", str(plan_file(tmp_path)),
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "RIDESIM_THREADS" in err and "Traceback" not in err
-    assert not (out / "manifest.json").exists()
 
 
 def test_experiment_last_seed_out_of_range_exits_1(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Single-day simulation: event ordering, ride timelines, accounting."""
 
+import ast
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -621,7 +624,7 @@ def _raise(exc):
     ("f_driver_out", "driver 0"), ("f_trav_out", "traveller 0"),
     ("f_match", "platform 0"), ("f_driver_decline", "driver 0"),
     ("f_platform_choice", "traveller 0"), ("f_trav_mode", "traveller 0"),
-    ("f_driver_repos", "probe driver 0"),
+    ("f_driver_repos", "driver 0"),
 ])
 def test_hook_exception_becomes_simulation_error(slot, agent):
     cfg = make_cfg(1, 1)
@@ -641,15 +644,7 @@ def test_hook_exception_becomes_simulation_error(slot, agent):
 def test_hook_exception_names_simulated_time_and_repos_driver():
     cfg = make_cfg(1, 1)
     dec = build_decision_set(None, cfg.behaviour)
-    calls = []
-
-    def repos(ctx):
-        calls.append(ctx.driver_id)
-        if len(calls) > 1:                  # the first call is the probe
-            raise KeyError("lost")
-        return None
-
-    bad = dataclasses.replace(dec, f_driver_repos=repos)
+    bad = dataclasses.replace(dec, f_driver_repos=_raise(KeyError("lost")))
     with pytest.raises(SimulationError,
                        match=r"^t=[0-9.]+: f_driver_repos raised KeyError for driver 3"):
         run(cfg, line_net(),
@@ -677,14 +672,84 @@ def test_hook_ridesim_error_passes_through():
     assert info.value is err
 
 
-def test_bad_repos_hook_rejected_up_front():
-    cfg = make_cfg(0, 1)
+@pytest.mark.parametrize("slot,answer,shown,agent", [
+    ("f_driver_out", 1, "1", "driver 0"),
+    ("f_trav_out", "yes", "'yes'", "traveller 0"),
+    ("f_driver_decline", 1, "1", "driver 0"),
+    ("f_trav_mode", "yes", "'yes'", "traveller 0"),
+    ("f_platform_choice", 5, "5", "traveller 0"),
+    ("f_driver_repos", "north", "'north'", "driver 0"),
+    ("f_match", 42, "42", "platform 0"),
+    ("f_match", [(0,)], "(0,)", "platform 0"),
+])
+def test_bad_hook_answer_names_slot_agent_and_time(slot, answer, shown, agent):
+    cfg = make_cfg(1, 1)
     dec = build_decision_set(None, cfg.behaviour)
-    bad = dataclasses.replace(dec, f_driver_repos=lambda ctx: "north")
-    with pytest.raises(ConfigError, match="f_driver_repos"):
-        run(cfg, grid_city(2, 2, 100.0, 10.0),
-            [], [DriverSpec(0, 0, 0.0, 1000.0, (0,))],
+    bad = dataclasses.replace(dec, **{slot: lambda ctx: answer})
+    with pytest.raises(SimulationError) as info:
+        run(cfg, line_net(),
+            [Request(0, 0, 1, 2, 100.0)],
+            [DriverSpec(0, 0, 0.0, 1000.0, (0,))],
             decision_set=bad)
+    assert re.match(rf"t=[0-9.]+: {slot} returned {re.escape(shown)} for "
+                    rf"{agent}, expected \S", str(info.value))
+
+
+def test_hook_cannot_rewrite_params():
+    cfg = make_cfg(1, 1)
+    dec = build_decision_set(None, cfg.behaviour)
+
+    def rewrite(ctx):
+        ctx.params["max_rejections"] = 0
+        return False
+
+    bad = dataclasses.replace(dec, f_trav_out=rewrite)
+    with pytest.raises(SimulationError,
+                       match=r"^t=100: f_trav_out raised TypeError for traveller 0") as info:
+        run(cfg, line_net(),
+            [Request(0, 0, 1, 2, 100.0)],
+            [DriverSpec(0, 0, 0.0, 1000.0, (0,))],
+            decision_set=bad)
+    assert isinstance(info.value.__cause__, TypeError)
+
+
+def test_repos_hook_called_only_on_real_drivers():
+    cfg = make_cfg(1, 2)
+    dec = build_decision_set(None, cfg.behaviour)
+    calls = []
+
+    def repos(ctx):
+        calls.append(ctx.driver_id)
+        return None
+
+    spy = dataclasses.replace(dec, f_driver_repos=repos)
+    drivers = [DriverSpec(0, 0, 0.0, 1000.0, (0,)), DriverSpec(1, 2, 0.0, 1000.0, (0,))]
+    run(cfg, line_net(), [], drivers, decision_set=spy)
+    assert calls == []
+    res = run(cfg, line_net(), [Request(0, 0, 1, 2, 100.0)], drivers,
+              decision_set=spy)
+    assert names(res.log).count("COMPLETES_RIDE") == 1
+    assert calls == [first(res.log, "COMPLETES_RIDE").agent_id]
+
+
+def test_engine_calls_hooks_in_one_place():
+    # _Sim.hook is the one hook call and the one yes/no answer check; the
+    # range checks of the index answers share _is_index
+    tree = ast.parse(Path(engine.__file__).read_text())
+    hook_calls, bool_checks = [], []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+                continue
+            args = [ast.unparse(a) for a in node.args]
+            if node.func.id == "getattr" and args[:1] == ["self.decisions"]:
+                hook_calls.append(fn.name)
+            if node.func.id == "isinstance" and args[1:] == ["bool"]:
+                bool_checks.append(fn.name)
+    assert hook_calls == ["hook"]
+    assert sorted(bool_checks) == ["_is_index", "hook"]
 
 
 # ---------------------------------------------------------- queue invariants
@@ -766,9 +831,11 @@ def test_queue_counts_match_rescan(sims, platforms):
     def repos(ctx):
         sim = sims[-1]
         counts = check_queues(sim)
-        if ctx.rng is sim.rng:              # not the engine's up-front probe
-            assert dict(ctx.open_requests) == counts
-            seen["repos"] += bool(counts)
+        # a read-only live view of the queue counts
+        assert dict(ctx.open_requests) == counts
+        with pytest.raises(TypeError):
+            ctx.open_requests[0] = 1
+        seen["repos"] += bool(counts)
         return repos_to_demand(ctx)
 
     for seed in range(6):
@@ -822,8 +889,7 @@ def schedule_matching_every_time(self):
             self.resolve_pending = self.now
             self.push(self.now, engine._PH_MATCH, engine.PLATFORM, 0,
                       self.on_instant_pass)
-    for pid in self.platform_order:
-        state = self.platforms[pid]
+    for pid, state in self.platforms.items():
         if state.spec.matching != "batched" or not self.waiting:
             continue
         if state.next_batch_at is not None:
