@@ -10,7 +10,9 @@ Event ordering: the queue pops by (time, phase, agent kind, agent id, seq).
 Phases at one timestamp run state changes first (arrivals, shift edges),
 then platform matching, then traveller reactions to offers, then the horizon
 wrap-up, so matching always sees every state change at time t before agents
-react to its outcome.
+react to its outcome. Boarding and alighting that take no time run inline
+in the step that starts them instead of going through the queue: nothing
+can sort between the two steps, so the order is the same.
 """
 
 import bisect
@@ -52,10 +54,6 @@ _FINAL_STATUSES = {"arrived", "opted_out", "unserved", "rejected_waiting"}
 
 # hooks whose answer must be True or False, checked in ``_Sim.hook``
 _YES_NO = frozenset({"f_driver_out", "f_trav_out", "f_driver_decline", "f_trav_mode"})
-
-
-def _queue_key(request):
-    return request.t_request, request.request_id
 
 
 def _is_index(answer, n):
@@ -170,6 +168,7 @@ class _Sim:
         self.drivers = {d.driver_id: _DriverSim(d) for d in inputs.drivers}
         # the one request queue every platform matches from
         self.waiting = []              # Requests, (t_request, request_id) order
+        self.waiting_keys = []         # their (t_request, request_id), index for index
         self.waiting_ids = set()       # request ids in ``waiting``
         self.open_counts = {}          # origin node -> requests waiting there
         self.open_view = MappingProxyType(self.open_counts)
@@ -198,9 +197,17 @@ class _Sim:
         calls a hook. An exception it raises that is not a ``RidesimError``
         becomes a ``SimulationError`` naming the slot, the agent and the
         simulated time, chained from the original. A yes/no hook's answer
-        must be True or False; callers check the other answers."""
+        must be True or False; f_match's must be iterable, and is returned as
+        a list; callers check the other answers."""
         try:
             answer = getattr(self.decisions, slot)(ctx)
+            if slot == "f_match":
+                try:
+                    it = iter(answer)
+                except TypeError:
+                    self.bad_answer(slot, answer, kind, agent_id,
+                                    "an iterable of (request_id, driver_id) pairs")
+                answer = list(it)     # a generator's body runs here, wrapped too
         except RidesimError:
             raise
         except Exception as exc:
@@ -349,7 +356,10 @@ class _Sim:
 
     def _enqueue(self, request):
         """Put a request on the queue that every platform matches from."""
-        bisect.insort(self.waiting, request, key=_queue_key)
+        key = (request.t_request, request.request_id)
+        i = bisect.bisect_right(self.waiting_keys, key)
+        self.waiting_keys.insert(i, key)
+        self.waiting.insert(i, request)
         self.waiting_ids.add(request.request_id)
         self.open_counts[request.origin] = self.open_counts.get(request.origin, 0) + 1
 
@@ -357,8 +367,9 @@ class _Sim:
         """Take a request off the queue; a no-op if it is not waiting."""
         if request.request_id not in self.waiting_ids:
             return
-        del self.waiting[bisect.bisect_left(self.waiting, _queue_key(request),
-                                            key=_queue_key)]
+        i = bisect.bisect_left(self.waiting_keys, (request.t_request, request.request_id))
+        del self.waiting_keys[i]
+        del self.waiting[i]
         self.waiting_ids.remove(request.request_id)
         left = self.open_counts[request.origin] - 1
         if left:
@@ -423,20 +434,19 @@ class _Sim:
             params=self.params,
             rng=self.rng,
         )
-        result = self.hook("f_match", ctx, "platform", pid)
-        try:
-            it = iter(result)
-        except TypeError:
-            self.bad_answer("f_match", result, "platform", pid,
-                            "an iterable of (request_id, driver_id) pairs")
-        pairs = list(it)
+        pairs = self.hook("f_match", ctx, "platform", pid)
         seen_r, seen_d = set(), set()
         for pair in pairs:
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 self.bad_answer("f_match", pair, "platform", pid,
                                 "a (request_id, driver_id) pair")
             rid, did = pair
-            if rid in seen_r or did in seen_d:
+            try:
+                twice = rid in seen_r or did in seen_d
+            except TypeError:       # an unhashable id
+                self.bad_answer("f_match", pair, "platform", pid,
+                                "a pair of hashable ids")
+            if twice:
                 self.bad_answer("f_match", pair, "platform", pid,
                                 "no request or driver paired twice")
             seen_r.add(rid)
@@ -571,6 +581,9 @@ class _Sim:
         self.record(DRIVER, d_id, "ARRIVES_PICKUP", request.origin,
                     request.request_id, offer.platform_id, *_NO_DETAIL[:5], dist)
         boarding = self._timed("t_board_s")
+        if boarding == 0.0:
+            self.on_departure(driver)
+            return
         self.push(self.now + boarding, _PH_STATE, DRIVER, d_id,
                   lambda: self.on_departure(driver))
 
@@ -591,6 +604,9 @@ class _Sim:
         request = self.travellers[driver.serving.request_id].request
         driver.position = request.destination
         alight = self._timed("t_alight_s")
+        if alight == 0.0:
+            self.on_ride_complete(driver, dist)
+            return
         self.push(self.now + alight, _PH_STATE, DRIVER, driver.spec.driver_id,
                   lambda: self.on_ride_complete(driver, dist))
 

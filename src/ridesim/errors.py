@@ -28,8 +28,11 @@ class ConfigError(RidesimError):
 
 
 class SimulationError(RidesimError):
-    """Internal consistency failure during a run (an agent attempted an
-    impossible transition). Always a bug signal, never normal output."""
+    """A run cannot go on: a decision hook raised or gave an answer outside
+    its contract, or an agent attempted an impossible transition. The
+    message names the simulated time, and for a hook its slot and agent. A
+    hook's failure is a bug in that hook, which may be the user's; anything
+    else is a bug in ridesim. Never normal output."""
 
 
 class LogValidationError(RidesimError):

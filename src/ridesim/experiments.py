@@ -11,11 +11,12 @@ import copy
 import itertools
 import json
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from ridesim import kpi
+from ridesim import kpi, scenario
 from ridesim.decisions import build_decision_set
 from ridesim.engine import DayState, DriverCarry, run_day
 from ridesim.errors import ConfigError
@@ -149,12 +150,28 @@ def _day(config, inputs, decisions, day, state):
 def _run(tasks, threads, networks) -> list[dict]:
     """One single-day row (seed, then system KPIs) per ``(config, seed)``
     task, in task order whatever the thread count. ``networks`` maps each
-    task's graph spec to its (net, skim); workers only read it."""
+    task's graph spec to its (net, skim); workers only read it.
+
+    Each distinct generated demand is built once, by the first task that
+    needs it, and reused by every later task until the grid ends. Demand is
+    a pure function of its key, so which worker builds it changes nothing.
+    """
+    demands, lock = {}, threading.Lock()
+
+    def demand(cfg, net):
+        if cfg.requests_csv is not None:
+            return None
+        key = (cfg.graph, cfg.n_travellers, cfg.horizon_s, cfg.seed, cfg.demand_weights)
+        with lock:
+            if key not in demands:
+                demands[key] = tuple(scenario.generate_demand(net, *key[1:]))
+            return demands[key]
+
     def one(task) -> dict:
         config, seed = task
         cfg = replace(config, seed=seed)
         net, skim = networks[cfg.graph]
-        inputs = materialize(cfg, net=net, skim=skim)
+        inputs = materialize(cfg, net=net, skim=skim, requests=demand(cfg, net))
         dec = build_decision_set(cfg.decisions, cfg.behaviour)
         return {"seed": seed, **_day(cfg, inputs, dec, 0, DayState())[3]}
 
@@ -169,9 +186,10 @@ def run_grid(plan: Plan, threads: int | None = None) -> list[dict]:
 
     Each distinct graph's network and skim is built once, in the calling
     thread, before any worker starts; the pool then runs one task per cell
-    and replication. Rows are ordered by cell (grid keys in plan order,
-    row-major) then replication, and carry the cell's parameter values, the
-    replication index and seed, and the system KPIs.
+    and replication, and builds each distinct demand once (see ``_run``).
+    Rows are ordered by cell (grid keys in plan order, row-major) then
+    replication, and carry the cell's parameter values, the replication
+    index and seed, and the system KPIs.
     """
     keys = list(plan.grid)
     labels, tasks, networks = [], [], {}

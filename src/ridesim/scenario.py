@@ -546,12 +546,16 @@ def materialize(
     *,
     net: RoadNetwork | None = None,
     skim: SkimMatrix | None = None,
+    requests: tuple[Request, ...] | None = None,
 ) -> ScenarioInputs:
     """Build the network, skim, demand and supply for one scenario.
 
     ``net`` and ``skim``, when given, must come from ``config.graph``; the
     experiment runner builds them once per graph and passes them to every
-    run on it, so shortest paths are not recomputed per run.
+    run on it, so shortest paths are not recomputed per run. ``requests``,
+    when given, stands in for the demand ``generate_demand`` would build
+    from the config and ``net``; the runner builds each distinct demand once
+    per grid. A config with ``requests_csv`` always reads its file.
     """
     if net is None:
         net = config.graph.build()
@@ -571,7 +575,7 @@ def materialize(
                 f"is {config.n_travellers} but {config.requests_csv} "
                 f"has {len(requests)} requests",
             )
-    else:
+    elif requests is None:
         requests = generate_demand(
             net, config.n_travellers, config.horizon_s, config.seed,
             config.demand_weights,

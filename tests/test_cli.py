@@ -248,6 +248,28 @@ def test_run_bad_repos_answer_exits_2(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def _match_raises_while_iterated(ctx):
+    raise ValueError("boom")
+    yield       # a generator: the error comes while its answer is iterated
+
+
+@pytest.mark.parametrize("hook, shown", [
+    (_match_raises_while_iterated, "f_match raised ValueError for platform 0: boom"),
+    (lambda ctx: [([0], 0)], "f_match returned ([0], 0) for platform 0, expected "),
+], ids=["generator-raises", "unhashable-id"])
+def test_run_bad_match_answer_exits_2(hook, shown, tmp_path, capsys):
+    register("f_match", "test_bad_match", hook)
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(small_config(decisions={"f_match": "test_bad_match"})))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ridesim: t=")
+    assert shown in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_rerun_byte_identical(config_file, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(config_file), "--out", str(a)]) == 0

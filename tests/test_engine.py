@@ -6,6 +6,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ridesim import engine, kpi, presets
@@ -27,6 +28,7 @@ from ridesim.scenario import (
     materialize,
     parse_config,
 )
+from tests.test_acceptance import random_scenario_raw
 
 
 def make_cfg(n_trav, n_drv, horizon=1000.0, platforms=None, behaviour=None,
@@ -756,11 +758,12 @@ def test_engine_calls_hooks_in_one_place():
 
 def check_queues(sim):
     """The engine's waiting counts by origin equal a rescan of its request
-    queue; the queue is in (t_request, request_id) order, matches its id set
-    and holds exactly the travellers waiting for an offer. Returns the
-    rescanned counts."""
+    queue; the queue is in (t_request, request_id) order, its bisect keys
+    are those of its requests, it matches its id set and holds exactly the
+    travellers waiting for an offer. Returns the rescanned counts."""
     keys = [(r.t_request, r.request_id) for r in sim.waiting]
     assert keys == sorted(keys)
+    assert sim.waiting_keys == keys
     assert len(keys) == len(sim.waiting_ids)
     assert {r.request_id for r in sim.waiting} == sim.waiting_ids
     waiting = {t.request.request_id for t in sim.travellers.values()
@@ -812,8 +815,19 @@ BATCHED = {"platform_id": 1, "base_fare": 0.0, "fare_per_km": 0.9,
     [dict(BATCHED, platform_id=0)],
     [dict(INSTANT, fleet=2), BATCHED],
 ], ids=["instant", "batched", "instant+batched"])
-def test_queue_counts_match_rescan(sims, platforms):
-    seen = {"match": 0, "repos": 0, "events": set()}
+def test_queue_counts_match_rescan(monkeypatch, sims, platforms):
+    seen = {"match": 0, "repos": 0, "events": set(), "steps": 0}
+    push = engine._Sim.push
+
+    def push_checked(self, t, phase, kind, agent_id, fn):
+        # every queued step is followed by a check of the queues
+        def step():
+            fn()
+            check_queues(self)
+            seen["steps"] += 1
+        push(self, t, phase, kind, agent_id, step)
+
+    monkeypatch.setattr(engine._Sim, "push", push_checked)
 
     def match(ctx):
         sim = sims[-1]
@@ -855,7 +869,7 @@ def test_queue_counts_match_rescan(sims, platforms):
         check_queues(sims[-1])
         assert not sims[-1].open_counts
         seen["events"] |= set(names(res.log))
-    assert seen["match"] > 0 and seen["repos"] > 0
+    assert seen["match"] > 0 and seen["repos"] > 0 and seen["steps"] > 0
     assert {"DECLINES_REQUEST", "REJECTS_OFFER", "UNSERVED",
             "STARTS_REPOSITIONING"} <= seen["events"]
 
@@ -986,3 +1000,88 @@ def test_no_instant_pass_without_a_possible_pair(instant_passes):
     res = run(cfg, net, [], drivers)
     assert names(res.log).count("STARTS_SHIFT") == 4 and len(res.log) == 8
     assert instant_passes[0] == 0
+
+
+# ------------------------------------------ zero-length dwell: fast path
+
+def on_pickup_arrival_via_queue(self, driver, dist):
+    """``_Sim.on_pickup_arrival`` as it was before zero-length boarding ran
+    inline: the departure always goes through the event queue. With
+    ``on_service_arrival_via_queue``, the oracle for the fast path."""
+    offer = driver.serving
+    request = self.travellers[offer.request_id].request
+    d_id = driver.spec.driver_id
+    driver.position = request.origin
+    self.record(engine.DRIVER, d_id, "ARRIVES_PICKUP", request.origin,
+                request.request_id, offer.platform_id, *engine._NO_DETAIL[:5], dist)
+    boarding = self._timed("t_board_s")
+    self.push(self.now + boarding, engine._PH_STATE, engine.DRIVER, d_id,
+              lambda: self.on_departure(driver))
+
+
+def on_service_arrival_via_queue(self, driver, dist):
+    """``_Sim.on_service_arrival`` with the ride's completion always queued."""
+    request = self.travellers[driver.serving.request_id].request
+    driver.position = request.destination
+    alight = self._timed("t_alight_s")
+    self.push(self.now + alight, engine._PH_STATE, engine.DRIVER, driver.spec.driver_id,
+              lambda: self.on_ride_complete(driver, dist))
+
+
+@pytest.fixture
+def pushes(monkeypatch):
+    """Count the events every engine run pushes during the test."""
+    count = [0]
+    push = engine._Sim.push
+
+    def counted(self, *args):
+        count[0] += 1
+        return push(self, *args)
+
+    monkeypatch.setattr(engine._Sim, "push", counted)
+    return count
+
+
+DWELLS = [
+    {},                                                     # both inline
+    {"t_board_s": 15.0, "t_alight_s": 10.0, "service_variability": 0.3},
+    {"t_alight_s": 10.0, "service_variability": 0.3},       # boarding inline
+]
+
+
+def test_inline_dwell_steps_match_slow_path(monkeypatch, pushes):
+    cases = [(f"{name} seed {seed} dwell {k}",
+              dict(preset_base(name), seed=seed, behaviour=dwell))
+             for name in ("e1", "e2", "e3", "e4") for seed in (1, 2, 3)
+             for k, dwell in enumerate(DWELLS)]
+    rng = np.random.default_rng(16)
+    cases += [(f"random {i}", random_scenario_raw(rng)) for i in range(50)]
+    networks = {}
+    total = {"fast": 0, "slow": 0}
+    for label, raw in cases:
+        cfg = parse_config(raw)
+        if cfg.graph not in networks:
+            net = cfg.graph.build()
+            networks[cfg.graph] = (net, build_skim(net))
+        net, skim = networks[cfg.graph]
+        inputs = materialize(cfg, net=net, skim=skim)
+        dec = build_decision_set(cfg.decisions, cfg.behaviour)
+        logs, pushed = {}, {}
+        for path in ("fast", "slow"):
+            with monkeypatch.context() as m:
+                if path == "slow":
+                    m.setattr(engine._Sim, "on_pickup_arrival",
+                              on_pickup_arrival_via_queue)
+                    m.setattr(engine._Sim, "on_service_arrival",
+                              on_service_arrival_via_queue)
+                before = pushes[0]
+                logs[path] = run_day(cfg, inputs, dec).log
+                pushed[path] = pushes[0] - before
+        assert logs["fast"] == logs["slow"], label
+        # one push saved per zero-length step of each ride
+        rides = names(logs["fast"]).count("COMPLETES_RIDE")
+        inline = sum(cfg.behaviour.get(k, 0.0) == 0.0 for k in ("t_board_s", "t_alight_s"))
+        assert pushed["slow"] - pushed["fast"] == inline * rides, label
+        total["fast"] += pushed["fast"]
+        total["slow"] += pushed["slow"]
+    assert 0 < total["fast"] < total["slow"]

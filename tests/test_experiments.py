@@ -4,10 +4,13 @@ import copy
 import json
 import time
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from ridesim import experiments, kpi, presets, scenario
+from ridesim.engine import DayState
 from ridesim.errors import ConfigError
 from ridesim.experiments import (
     LearningParams,
@@ -212,6 +215,82 @@ def test_run_grid_matches_manual_replicate():
         one_day = day_to_day(parse_config({**raw, "seed": row["seed"]}),
                              LearningParams(max_days=1))
         assert {k: row[k] for k in one_day.system_rows[0]} == one_day.system_rows[0]
+
+
+# ------------------------------------------------------- shared demand
+
+def run_every_demand(tasks, threads, networks):
+    """``experiments._run`` as it was before demand was shared: each task
+    builds its own demand in ``materialize``. The oracle for shared demand."""
+    def one(task):
+        config, seed = task
+        cfg = replace(config, seed=seed)
+        net, skim = networks[cfg.graph]
+        inputs = experiments.materialize(cfg, net=net, skim=skim)
+        dec = experiments.build_decision_set(cfg.decisions, cfg.behaviour)
+        return {"seed": seed, **experiments._day(cfg, inputs, dec, 0, DayState())[3]}
+    return [one(t) for t in tasks]
+
+
+def preset_plan(name, grid=None, replications=2, base_seed=None):
+    raw = json.loads(presets.read_text(name))
+    if grid is not None:
+        raw["grid"] = grid
+    raw["replications"] = replications
+    if base_seed is not None:
+        raw["base"]["seed"] = raw["base_seed"] = base_seed
+    return parse_plan(raw)
+
+
+@pytest.mark.parametrize("plan", [
+    preset_plan("e2"),                  # n_travellers varies across cells
+    preset_plan("e3", grid={"n_drivers": [25, 40],
+                            "platforms[1].fare_per_km": [0.6, 1.4]}),
+], ids=["e2", "e3"])
+def test_shared_demand_rows_match_per_task_demand(monkeypatch, plan):
+    shared = run_grid(plan, threads=2)
+    monkeypatch.setattr(experiments, "_run", run_every_demand)
+    assert shared == run_grid(plan)
+
+
+def test_each_demand_built_once_per_key(monkeypatch):
+    # the benchmark's sweep_e3 plan: 36 runs over 4 replication seeds
+    plan = preset_plan("e3", grid={"n_drivers": [25, 40, 60],
+                                   "platforms[1].fare_per_km": [0.6, 1.0, 1.4]},
+                       replications=4, base_seed=11)
+    keys = Counter()
+    generate = scenario.generate_demand
+
+    def counted(net, n, horizon, seed, weights=None):
+        keys[n, horizon, seed, weights] += 1
+        time.sleep(0.02)        # widen the window a racing worker would hit
+        return generate(net, n, horizon, seed, weights)
+
+    monkeypatch.setattr(scenario, "generate_demand", counted)
+    # the days themselves do not change which demands are built
+    monkeypatch.setattr(experiments, "_day", lambda *args: (None, None, None, {}))
+    assert len(run_grid(plan, threads=2)) == 36
+    assert len(keys) == 4 and set(keys.values()) == {1}
+
+
+def test_requests_csv_read_by_every_task(monkeypatch, tmp_path):
+    net = parse_config(base_raw()).graph.build()
+    scenario.save_requests_csv(scenario.generate_demand(net, 12, 1800, 5),
+                               tmp_path / "requests.csv")
+    reads = []
+    load = scenario.load_requests_csv
+
+    def counted(*args):
+        reads.append(args[0])
+        return load(*args)
+
+    monkeypatch.setattr(scenario, "load_requests_csv", counted)
+    plan = parse_plan(plan_raw(base=base_raw(requests_csv="requests.csv")),
+                      base_dir=tmp_path)
+    rows = run_grid(plan, threads=2)
+    assert len(reads) == len(rows) == 8
+    monkeypatch.setattr(experiments, "_run", run_every_demand)
+    assert rows == run_grid(plan)
 
 
 def test_results_csv_written(tmp_path):
