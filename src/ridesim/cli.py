@@ -27,15 +27,9 @@ from ridesim.errors import (
     GraphValidationError,
     RidesimError,
 )
-from ridesim.experiments import (
-    LearningParams,
-    day_to_day,
-    parse_plan,
-    run_grid,
-)
+from ridesim.experiments import day_to_day, parse_plan, run_grid
 from ridesim.netgraph import grid_city, save_graph
 from ridesim.scenario import (
-    assign_fleets,
     check_seed,
     generate_demand,
     generate_supply,
@@ -129,7 +123,7 @@ def cmd_run(args) -> int:
         kpi.write_events_csv(events, log)
 
     try:
-        res = day_to_day(config, LearningParams(max_days=args.days), on_day)
+        res = day_to_day(config, args.days, on_day)
     finally:
         if events is not None:
             events.close()
@@ -201,9 +195,10 @@ def cmd_generate(args) -> int:
             written = ["requests.csv"]
             save_requests_csv(requests, out / "requests.csv")
         else:
-            drivers = generate_supply(net, args.supply, config.horizon_s, seed)
+            drivers = generate_supply(net, args.supply, config.horizon_s, seed,
+                                      config.platforms)
             written = ["drivers.csv"]
-            save_drivers_csv(assign_fleets(drivers, config.platforms), out / "drivers.csv")
+            save_drivers_csv(drivers, out / "drivers.csv")
 
     _write_manifest(out, written, seed, "", started)
     print(f"generate complete: outputs in {out}")

@@ -17,9 +17,12 @@ can sort between the two steps, so the order is the same.
 
 import bisect
 import heapq
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
+
+import numpy as np
 
 from ridesim import platforms as plat
 from ridesim.decisions import (
@@ -57,8 +60,16 @@ _YES_NO = frozenset({"f_driver_out", "f_trav_out", "f_driver_decline", "f_trav_m
 
 
 def _is_index(answer, n):
-    """Whether a hook's answer is an int in [0, n); a bool is not."""
-    return isinstance(answer, int) and not isinstance(answer, bool) and 0 <= answer < n
+    """Whether a hook's answer is an integer in [0, n): an int, or any other
+    integer ``operator.index`` takes, such as a numpy integer. A bool is not."""
+    if type(answer) is int:
+        return 0 <= answer < n
+    if isinstance(answer, bool):
+        return False
+    try:
+        return 0 <= operator.index(answer) < n
+    except TypeError:
+        return False
 
 
 class EventRecord(NamedTuple):
@@ -86,17 +97,14 @@ _NO_DETAIL = (None,) * 10   # blanks that pad positional details up to a later f
 
 
 @dataclass(frozen=True)
-class DriverCarry:
-    """Cross-day driver memory fed back into f_driver_out."""
-    learned_income: Optional[float]
-    participated_yesterday: Optional[bool]
-
-
-@dataclass(frozen=True)
 class DayState:
-    """What a day learns from the days before it: driver id -> DriverCarry,
-    and traveller id -> yesterday's outcome (``kpi.TravellerKpi.outcome``)."""
-    drivers: Mapping = field(default_factory=dict)
+    """What a day learns from the days before it, as maps from agent id; an
+    id a map lacks reads as None. ``learned_income`` and ``participated``
+    feed f_driver_out (driver id -> income belief per hour, and whether the
+    driver worked yesterday); ``traveller_outcomes`` feeds f_trav_out
+    (traveller id -> yesterday's ``kpi.TravellerKpi.outcome``)."""
+    learned_income: Mapping = field(default_factory=dict)
+    participated: Mapping = field(default_factory=dict)
     traveller_outcomes: Mapping = field(default_factory=dict)
 
 
@@ -197,8 +205,9 @@ class _Sim:
         calls a hook. An exception it raises that is not a ``RidesimError``
         becomes a ``SimulationError`` naming the slot, the agent and the
         simulated time, chained from the original. A yes/no hook's answer
-        must be True or False; f_match's must be iterable, and is returned as
-        a list; callers check the other answers."""
+        must be True or False (a numpy bool is returned as one); f_match's
+        must be iterable, and is returned as a list; callers check the other
+        answers."""
         try:
             answer = getattr(self.decisions, slot)(ctx)
             if slot == "f_match":
@@ -216,7 +225,9 @@ class _Sim:
                 f"{kind} {agent_id}: {exc}"
             ) from exc
         if slot in _YES_NO and not isinstance(answer, bool):
-            self.bad_answer(slot, answer, kind, agent_id, "True or False")
+            if not isinstance(answer, np.bool_):
+                self.bad_answer(slot, answer, kind, agent_id, "True or False")
+            answer = bool(answer)
         return answer
 
     def bad_answer(self, slot, answer, kind, agent_id, expected):
@@ -229,16 +240,15 @@ class _Sim:
     # ------------------------------------------------------------- set-up
 
     def run(self) -> DayResult:
-        carry = self.day_state.drivers
+        learned, participated = self.day_state.learned_income, self.day_state.participated
         for d_id in sorted(self.drivers):
             driver = self.drivers[d_id]
-            c = carry.get(d_id)
             ctx = DriverOutCtx(
                 driver_id=d_id,
                 spec=driver.spec,
                 day=self.day,
-                learned_income_per_hour=c.learned_income if c else None,
-                participated_yesterday=c.participated_yesterday if c else None,
+                learned_income_per_hour=learned.get(d_id),
+                participated_yesterday=participated.get(d_id),
                 params=self.params,
                 rng=self.rng,
             )
@@ -465,6 +475,8 @@ class _Sim:
             trav = self.travellers[rid]
             request = trav.request
             driver = self.drivers[did]
+            # the engine's own ids: f_match may name them by equal numpy ints
+            rid, did = request.request_id, driver.spec.driver_id
             offer = plat.make_offer(state.spec, request, did, driver.position,
                                     self.skim)
             self.record(DRIVER, did, "RECEIVES_REQUEST", driver.position,
@@ -640,9 +652,12 @@ class _Sim:
             params=self.params, rng=self.rng,
         )
         target = self.hook("f_driver_repos", ctx, "driver", d_id)
-        if target is not None and not _is_index(target, n):
+        if target is None:
+            return None
+        if not _is_index(target, n):
             self.bad_answer("f_driver_repos", target, "driver", d_id,
                             f"None or a node id in [0, {n})")
+        target = operator.index(target)     # a numpy integer as an int
         return None if target == driver.position else target
 
     def on_repos_arrival(self, driver, node, dist):

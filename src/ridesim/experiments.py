@@ -18,7 +18,7 @@ from pathlib import Path
 
 from ridesim import kpi, scenario
 from ridesim.decisions import build_decision_set
-from ridesim.engine import DayState, DriverCarry, run_day
+from ridesim.engine import DayState, run_day
 from ridesim.errors import ConfigError
 from ridesim.netgraph import build_skim
 from ridesim.scenario import (ScenarioConfig, ScenarioInputs, check_seed, materialize,
@@ -111,6 +111,10 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid.{key}", "must be a non-empty list")
+    if "seed" in grid:
+        # each replication's seed is base_seed + k, whatever the cell says
+        raise ConfigError("grid.seed", "seeds come from base_seed and replications; "
+                                       "vary those instead")
     reps = raw["replications"]
     if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
         raise ConfigError("replications", "must be an integer >= 1")
@@ -210,14 +214,9 @@ def run_grid(plan: Plan, threads: int | None = None) -> list[dict]:
 
 # ------------------------------------------------------------ day-to-day
 
-@dataclass(frozen=True)
-class LearningParams:
-    """Income learning and participation dynamics across days."""
-
-    alpha: float = 0.2                    # learning rate on realized income
-    convergence_delta: float = 0.02       # relative fleet change counted stable
-    convergence_window: int = 5           # consecutive stable days to stop
-    max_days: int = 50
+ALPHA = 0.2                 # learning rate on realized income
+CONVERGENCE_DELTA = 0.02    # relative fleet change counted stable
+CONVERGENCE_WINDOW = 5      # consecutive stable days to stop
 
 
 @dataclass(frozen=True)
@@ -231,18 +230,21 @@ class DayToDayResult:
     learned_income: dict     # driver_id -> final income belief
 
 
-def day_to_day(config: ScenarioConfig,
-               learning: LearningParams = LearningParams(),
-               on_day=None) -> DayToDayResult:
-    """Iterate a scenario over days until the fleet stabilizes.
+def day_to_day(config: ScenarioConfig, max_days: int = 50, on_day=None) -> DayToDayResult:
+    """Iterate a scenario over at most ``max_days`` days, stopping early once
+    the fleet is stable: ``CONVERGENCE_WINDOW`` days in a row in which the
+    participating fleet moves by less than ``CONVERGENCE_DELTA`` of the day
+    before.
 
     Drivers start with their reservation wage
     (``behaviour.reservation_wage_per_hour``) as the income belief, update
-    it with an exponential moving average of realized income per scheduled
-    hour on days they work, and sit out when the belief drops below the
-    wage; a driver who sat out re-enters with probability
-    ``behaviour.epsilon``. Travellers re-decide from yesterday's outcome
-    when the configured opt-out hook uses it.
+    it with an exponential moving average (weight ``ALPHA``) of realized
+    income per scheduled hour on days they work, and sit out when the
+    belief drops below the wage; a driver who sat out re-enters with
+    probability ``behaviour.epsilon``. Each day's ``DayState`` holds the
+    beliefs (none on day 0), yesterday's participation and yesterday's
+    traveller outcomes. Travellers re-decide from yesterday's outcome when
+    the configured opt-out hook uses it.
 
     ``on_day(log)``, if given, receives each day's validated event log as
     that day ends; no log is kept past its day.
@@ -255,26 +257,16 @@ def day_to_day(config: ScenarioConfig,
     }
 
     learned = {d.driver_id: wage for d in inputs.drivers}
-    participated: dict[int, bool | None] = {
-        d.driver_id: None for d in inputs.drivers
-    }
+    participated: dict[int, bool] = {}
     outcomes: dict[int, str] = {}
     trajectory = []
     system_rows = []
     t_rows = d_rows = ()
     streak = 0
     prev_fleet = None
-    for day in range(learning.max_days):
-        state = DayState(
-            drivers={
-                i: DriverCarry(
-                    learned_income=None if day == 0 else learned[i],
-                    participated_yesterday=participated[i],
-                )
-                for i in learned
-            },
-            traveller_outcomes=outcomes,
-        )
+    for day in range(max_days):
+        state = DayState(learned_income=learned if day else {},
+                         participated=participated, traveller_outcomes=outcomes)
         log, t_rows, d_rows, system = _day(config, inputs, dec, day, state)
         if on_day is not None:
             on_day(log)
@@ -288,8 +280,7 @@ def day_to_day(config: ScenarioConfig,
             if row.participated:
                 realized = row.revenue / hours[row.driver_id]
                 learned[row.driver_id] = (
-                    (1.0 - learning.alpha) * learned[row.driver_id]
-                    + learning.alpha * realized
+                    (1.0 - ALPHA) * learned[row.driver_id] + ALPHA * realized
                 )
                 incomes.append(realized)
         trajectory.append({
@@ -306,17 +297,17 @@ def day_to_day(config: ScenarioConfig,
 
         fleet = system["fleet_participating"]
         if prev_fleet is not None:
-            if abs(fleet - prev_fleet) / max(prev_fleet, 1) < learning.convergence_delta:
+            if abs(fleet - prev_fleet) / max(prev_fleet, 1) < CONVERGENCE_DELTA:
                 streak += 1
             else:
                 streak = 0
         prev_fleet = fleet
-        if streak >= learning.convergence_window:
+        if streak >= CONVERGENCE_WINDOW:
             break
     return DayToDayResult(
         trajectory=tuple(trajectory),
         system_rows=tuple(system_rows), travellers=tuple(t_rows),
         drivers=tuple(d_rows), inputs=inputs,
-        converged=streak >= learning.convergence_window,
+        converged=streak >= CONVERGENCE_WINDOW,
         learned_income=dict(learned),
     )

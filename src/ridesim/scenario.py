@@ -8,7 +8,7 @@ are either generated from seeded sub-streams or loaded from CSV files.
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from ridesim.errors import ConfigError
@@ -382,8 +382,11 @@ def generate_demand(
     (t_request, request_id); ids follow draw order. Pure in (net, n, horizon,
     seed, weights); supply generation never touches this stream.
     """
-    rng = substream(seed, "demand")
     n_nodes = net.n
+    if n and n_nodes < 2:
+        # the destination redraw below would never end
+        raise ConfigError("graph", f"has {n_nodes} node(s); a trip needs two distinct nodes")
+    rng = substream(seed, "demand")
     probs = None
     if weights is not None:
         if len(weights) != n_nodes:
@@ -414,14 +417,18 @@ def generate_supply(
     n: int,
     horizon: float,
     seed: int,
-    platform_ids: tuple[int, ...] = (0,),
+    platforms: tuple[PlatformSpec, ...],
 ) -> list[DriverSpec]:
-    """n drivers with seeded uniform home nodes and full-horizon shifts.
+    """n drivers with seeded uniform home nodes and full-horizon shifts,
+    registered on ``platforms`` as they are drawn.
 
-    All drivers carry the given platform registration; callers with dedicated
-    per-platform fleets rewrite the registrations afterwards. Draws come from
-    a supply sub-stream independent of demand.
+    Each platform with a dedicated ``fleet`` claims that many drivers, in
+    listed order; the rest register on every platform without a fleet, which
+    is every platform when none has one. Home nodes come from a supply
+    sub-stream independent of demand, one draw per driver in id order.
     """
+    fleets = [(p.platform_id,) for p in platforms if p.fleet for _ in range(p.fleet)]
+    shared = tuple(p.platform_id for p in platforms if p.fleet is None)
     rng = substream(seed, "supply")
     return [
         DriverSpec(
@@ -429,36 +436,10 @@ def generate_supply(
             home_node=int(rng.integers(0, net.n)),
             shift_start=0.0,
             shift_end=float(horizon),
-            platform_ids=tuple(platform_ids),
+            platform_ids=fleets[i] if i < len(fleets) else shared,
         )
         for i in range(n)
     ]
-
-
-def assign_fleets(
-    drivers: list[DriverSpec], platforms: tuple[PlatformSpec, ...]
-) -> list[DriverSpec]:
-    """Apply dedicated-fleet registrations.
-
-    Platforms with an explicit fleet claim that many drivers in listed order;
-    drivers left over are registered on every platform without a fleet. With
-    no fleets configured, every driver multi-homes on all platforms.
-    """
-    if all(p.fleet is None for p in platforms):
-        ids = tuple(p.platform_id for p in platforms)
-        return [replace(d, platform_ids=ids) for d in drivers]
-    open_ids = tuple(p.platform_id for p in platforms if p.fleet is None)
-    out = []
-    cursor = 0
-    for p in platforms:
-        if p.fleet is None:
-            continue
-        for d in drivers[cursor:cursor + p.fleet]:
-            out.append(replace(d, platform_ids=(p.platform_id,)))
-        cursor += p.fleet
-    for d in drivers[cursor:]:
-        out.append(replace(d, platform_ids=open_ids))
-    return out
 
 
 def load_requests_csv(path: str, net: RoadNetwork, horizon: float) -> list[Request]:
@@ -593,8 +574,8 @@ def materialize(
                 f"has {len(drivers)} drivers",
             )
     else:
-        drivers = generate_supply(net, config.n_drivers, config.horizon_s, config.seed)
-        drivers = assign_fleets(drivers, config.platforms)
+        drivers = generate_supply(net, config.n_drivers, config.horizon_s, config.seed,
+                                  config.platforms)
 
     return ScenarioInputs(
         net=net, skim=skim, requests=tuple(requests), drivers=tuple(drivers)

@@ -46,7 +46,6 @@ from ridesim.scenario import (
     parse_config,
 )
 from ridesim.experiments import (
-    LearningParams,
     day_to_day,
     parse_plan,
     run_grid,
@@ -312,7 +311,7 @@ def test_c4_conservation_laws(capsys):
         checked += 1
     rich = parse_config(rich_raw())
     logs = []
-    day_to_day(rich, LearningParams(max_days=6), on_day=logs.append)
+    day_to_day(rich, max_days=6, on_day=logs.append)
     for log in logs:
         problems += conservation_violations(rich, log)
         checked += 1
@@ -324,6 +323,7 @@ def test_c4_conservation_laws(capsys):
 
 # ------------------------------------- 5: demand/supply waiting trends
 
+@pytest.mark.slow
 def test_c5_wait_trends_across_grid(capsys):
     t0 = time.perf_counter()
     plan = parse_plan(json.loads(presets.read_text("e2")))
@@ -358,12 +358,13 @@ def test_c5_wait_trends_across_grid(capsys):
 
 # ---------------------------------------------- 6: learning dynamics
 
+@pytest.mark.slow
 def test_c6_fleet_learning_dynamics(capsys):
     t0 = time.perf_counter()
     config = parse_config(json.loads(presets.read_text("e4")))
     drops, stable = 0, []
     for seed in range(10):
-        res = day_to_day(replace(config, seed=seed), LearningParams())
+        res = day_to_day(replace(config, seed=seed))
         fleet = [row["fleet_participating"] for row in res.trajectory]
         drops += any(f < 90 for f in fleet[:10])
         tail = fleet[-10:]
@@ -402,6 +403,7 @@ def test_c7_performance_envelope(capsys):
 
 # ------------------------------------- 8: platform competition mechanism
 
+@pytest.mark.slow
 def test_c8_competition_mechanism(capsys):
     t0 = time.perf_counter()
     plan = parse_plan(json.loads(presets.read_text("e3")))
@@ -606,7 +608,7 @@ def test_c9_randomized_properties(capsys):
     for _ in range(40):
         seed = int(rng.integers(0, 10 ** 6))
         before = generate_demand(net, 6, 900.0, seed)
-        generate_supply(net, int(rng.integers(1, 9)), 900.0, seed)
+        generate_supply(net, int(rng.integers(1, 9)), 900.0, seed, ())   # no platforms: draws only
         if generate_demand(net, 6, 900.0, seed) != before:
             failures.append("supply draws disturb the demand stream")
         cases += 1
@@ -641,7 +643,7 @@ def test_c9_randomized_properties(capsys):
         raw["behaviour"].update(epsilon=0.0, reservation_wage_per_hour=wage)
         config = parse_config(raw)
         logs = []
-        res = day_to_day(config, LearningParams(max_days=8), on_day=logs.append)
+        res = day_to_day(config, max_days=8, on_day=logs.append)
         fleet = [row["fleet_participating"] for row in res.trajectory]
         if any(b > a for a, b in zip(fleet, fleet[1:])):
             failures.append(f"fleet grew with epsilon=0: {fleet}")

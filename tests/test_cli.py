@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ridesim
 from ridesim import kpi, presets
 from ridesim.cli import main
-from ridesim.decisions import register
+from ridesim.decisions import default_match, register
 
 RUN_FILES = {"events.csv", "kpi_travellers.csv", "kpi_drivers.csv",
              "kpi_system.csv", "kpi_nodes.csv", "manifest.json"}
@@ -270,6 +274,56 @@ def test_run_bad_match_answer_exits_2(hook, shown, tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("slot, hook", [
+    ("f_driver_decline", lambda ctx: ctx.rng.random(1)[0] > 2.0),
+    ("f_driver_repos", lambda ctx: ctx.rng.integers(0, ctx.n_nodes)),
+    ("f_platform_choice", lambda ctx: np.int64(0)),
+    ("f_match", lambda ctx: [(np.int64(r), np.int64(d)) for r, d in default_match(ctx)]),
+], ids=["decline-np-bool", "repos-np-int", "choice-np-int", "match-np-ids"])
+def test_run_accepts_numpy_scalar_answers(slot, hook, tmp_path):
+    # a hook drawing from ctx.rng answers with numpy scalars; the log holds
+    # them as Python values, so the files equal those of the same run with
+    # the answers converted by hand
+    def converted(ctx):
+        answer = hook(ctx)
+        if slot == "f_match":
+            return [(int(r), int(d)) for r, d in answer]
+        return bool(answer) if slot == "f_driver_decline" else int(answer)
+
+    register(slot, "test_numpy_answer", hook)
+    register(slot, "test_python_answer", converted)
+    outs = []
+    for name in ("test_numpy_answer", "test_python_answer"):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(small_config(decisions={slot: name})))
+        out = tmp_path / name
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        outs.append(read_outputs(out))
+    numpy_run, python_run = outs
+    for name in sorted(RUN_FILES - {"manifest.json"}):
+        assert numpy_run[name] == python_run[name], name
+
+
+def test_run_on_one_node_graph_exits_1(tmp_path):
+    # a destination distinct from its origin cannot be drawn; this once
+    # looped for ever, so the commands run under a timeout
+    city = tmp_path / "city"
+    city.mkdir()
+    (city / "nodes.csv").write_text("node_id,x,y\n0,0,0\n")
+    (city / "edges.csv").write_text("from,to,length_m,speed_mps\n")
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(small_config(
+        n_travellers=3, graph={"nodes": "city/nodes.csv", "edges": "city/edges.csv"})))
+    env = {**os.environ, "PYTHONPATH": str(Path(ridesim.__file__).parents[1])}
+    for argv in (["run", "--config", str(config), "--out", str(tmp_path / "run")],
+                 ["generate", "--demand", "2", "--config", str(config),
+                  "--out", str(tmp_path / "gen")]):
+        proc = subprocess.run([sys.executable, "-m", "ridesim", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert "graph" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_rerun_byte_identical(config_file, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(config_file), "--out", str(a)]) == 0
@@ -460,6 +514,17 @@ def test_experiment_bad_grid_path_exits_1(tmp_path, capsys):
     assert "platforms[5].fare_per_km" in capsys.readouterr().err
 
 
+def test_experiment_grid_over_seed_exits_1(tmp_path, capsys):
+    # each replication's seed is base_seed + k; a grid over seed would be
+    # overwritten and label identical rows with seeds they did not run
+    p = plan_file(tmp_path, grid={"seed": [1, 2, 3]})
+    out = tmp_path / "out"
+    assert main(["experiment", "--plan", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "grid.seed" in err and "base_seed" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------- generate
 
 def test_generate_grid(tmp_path):
@@ -622,6 +687,18 @@ def test_console_script_version():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("ridesim ")
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch):
+    # the README's "As a library" code, run as written on e1
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("As a library:", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "my_scenario.json").write_text(presets.read_text("e1"))
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    assert names["fares"] and names["system"]["n_served"] == len(names["fares"])
+    assert len(names["logs"]) == len(names["days"].trajectory) == 3
 
 
 # ------------------------------------------------------------ golden outputs

@@ -11,18 +11,13 @@ import pytest
 
 from ridesim import engine, kpi, presets
 from ridesim.decisions import build_decision_set, default_match, register, repos_to_demand
-from ridesim.engine import (
-    DayState,
-    DriverCarry,
-    run_day,
-)
+from ridesim.engine import DayState, run_day
 from ridesim.errors import ConfigError, SimulationError
 from ridesim.netgraph import Edge, Node, RoadNetwork, build_skim, grid_city
 from ridesim.scenario import (
     DriverSpec,
     Request,
     ScenarioInputs,
-    assign_fleets,
     generate_demand,
     generate_supply,
     materialize,
@@ -196,7 +191,7 @@ def test_no_demand_logs_only_shift_edges():
 def busy_inputs(cfg, rows=3, cols=3):
     net = grid_city(rows, cols, 200.0, 10.0)
     requests = generate_demand(net, cfg.n_travellers, cfg.horizon_s, cfg.seed)
-    drivers = generate_supply(net, cfg.n_drivers, cfg.horizon_s, cfg.seed)
+    drivers = generate_supply(net, cfg.n_drivers, cfg.horizon_s, cfg.seed, cfg.platforms)
     return net, requests, drivers
 
 
@@ -215,7 +210,7 @@ def test_conservation_random_scenario():
     ])
     net = grid_city(4, 4, 250.0, 10.0)
     requests = generate_demand(net, 30, 3600.0, 23)
-    drivers = generate_supply(net, 6, 3600.0, 23)
+    drivers = generate_supply(net, 6, 3600.0, 23, cfg.platforms)
     res = run(cfg, net, requests, drivers)
 
     picked = {r.agent_id: r.t for r in res.log if r.event == "PICKED_UP"}
@@ -252,7 +247,7 @@ def test_outcomes_partition_travellers():
                    behaviour={"max_wait_s": 120.0})
     net = grid_city(4, 4, 300.0, 10.0)
     requests = generate_demand(net, 40, 1800.0, 5)
-    drivers = generate_supply(net, 3, 1800.0, 5)
+    drivers = generate_supply(net, 3, 1800.0, 5, cfg.platforms)
     res = run(cfg, net, requests, drivers)
     assert sorted(outcomes(res)) == list(range(40))
     assert set(outcomes(res).values()) <= {
@@ -391,8 +386,7 @@ def test_f_match_sees_batched_mode_only_at_window_boundaries(sims):
 
     dec = dataclasses.replace(
         build_decision_set(None, cfg.behaviour), f_match=spy)
-    res = run(cfg, net, requests, assign_fleets(drivers, cfg.platforms),
-              decision_set=dec)
+    res = run(cfg, net, requests, drivers, decision_set=dec)
     assert {(pid, mode) for _, pid, mode in calls} == {
         (0, "instant"), (1, "batched")}
     batched = [t for t, _, mode in calls if mode == "batched"]
@@ -543,12 +537,7 @@ def test_driver_opt_out_from_learned_income():
     cfg = make_cfg(0, 2, decisions={"f_driver_out": "learned_participation"})
     net = grid_city(2, 2, 100.0, 10.0)
     drivers = [DriverSpec(i, 0, 0.0, 1000.0, (0,)) for i in range(2)]
-    state = DayState(
-        drivers={
-            0: DriverCarry(learned_income=1.0, participated_yesterday=True),
-            1: DriverCarry(learned_income=9.0, participated_yesterday=True),
-        },
-    )
+    state = DayState(learned_income={0: 1.0, 1: 9.0}, participated={0: True, 1: True})
     res = run(cfg, net, [], drivers, day=1, day_state=state)
     assert names(res.log, agent=0) == ["OPTS_OUT"]
     assert names(res.log, agent=1) == ["STARTS_SHIFT", "ENDS_SHIFT"]
@@ -592,6 +581,19 @@ def test_non_iterable_match_result_rejected(result):
             [Request(0, 0, 1, 2, 100.0)],
             [DriverSpec(0, 0, 0.0, 1000.0, (0,))],
             decision_set=bad)
+
+
+def test_numpy_match_ids_are_logged_as_ints():
+    cfg = make_cfg(20, 4, horizon=3600.0, seed=11)
+    net, requests, drivers = busy_inputs(cfg)
+    dec = dataclasses.replace(
+        build_decision_set(None, cfg.behaviour),
+        f_match=lambda ctx: [(np.int64(r), np.int64(d)) for r, d in default_match(ctx)])
+    res = run(cfg, net, requests, drivers, decision_set=dec)
+    assert res.log == run(cfg, net, requests, drivers).log
+    ids = [v for r in res.log for v in (r.agent_id, r.request_id, r.driver_id)
+           if v is not None]
+    assert ids and {type(v) for v in ids} == {int}
 
 
 def test_match_generator_result_equals_list():
@@ -864,8 +866,7 @@ def test_queue_counts_match_rescan(monkeypatch, sims, platforms):
         dec = dataclasses.replace(
             build_decision_set(cfg.decisions, cfg.behaviour),
             f_match=match, f_driver_repos=repos)
-        res = run(cfg, net, requests, assign_fleets(drivers, cfg.platforms),
-                  decision_set=dec)
+        res = run(cfg, net, requests, drivers, decision_set=dec)
         check_queues(sims[-1])
         assert not sims[-1].open_counts
         seen["events"] |= set(names(res.log))

@@ -10,10 +10,10 @@ from dataclasses import replace
 import pytest
 
 from ridesim import experiments, kpi, presets, scenario
+from ridesim.decisions import default_driver_out, register
 from ridesim.engine import DayState
 from ridesim.errors import ConfigError
 from ridesim.experiments import (
-    LearningParams,
     apply_override,
     day_to_day,
     parse_plan,
@@ -212,8 +212,7 @@ def test_run_grid_matches_manual_replicate():
     for row, rep in zip(rows, alone):
         for key, value in rep.items():
             assert row[key] == value
-        one_day = day_to_day(parse_config({**raw, "seed": row["seed"]}),
-                             LearningParams(max_days=1))
+        one_day = day_to_day(parse_config({**raw, "seed": row["seed"]}), max_days=1)
         assert {k: row[k] for k in one_day.system_rows[0]} == one_day.system_rows[0]
 
 
@@ -308,13 +307,6 @@ def test_results_csv_written(tmp_path):
 
 # -------------------------------------------------------------- day-to-day
 
-def learning(**over):
-    kw = dict(alpha=0.2, convergence_delta=0.02, convergence_window=5,
-              max_days=20)
-    kw.update(over)
-    return LearningParams(**kw)
-
-
 def learning_config(wage=2.5, epsilon=0.0, **over):
     """A scenario whose reservation wage and re-entry probability are set
     through ``behaviour``."""
@@ -326,16 +318,16 @@ def learning_config(wage=2.5, epsilon=0.0, **over):
 LEARNED = {"f_driver_out": "learned_participation"}
 
 
-def day_to_day_logs(cfg, params):
+def day_to_day_logs(cfg, max_days):
     """``day_to_day`` and the event log of each day, collected through
     ``on_day``."""
     logs = []
-    return day_to_day(cfg, params, on_day=logs.append), logs
+    return day_to_day(cfg, max_days, on_day=logs.append), logs
 
 
 def test_unreachable_wage_empties_fleet():
     cfg = learning_config(wage=1e6, decisions=LEARNED)
-    res = day_to_day(cfg, learning())
+    res = day_to_day(cfg, max_days=20)
     fleets = [row["fleet_participating"] for row in res.trajectory]
     assert fleets[0] == 3                   # everyone tries the first day
     assert fleets[1:] == [0] * (len(fleets) - 1)
@@ -345,7 +337,7 @@ def test_unreachable_wage_empties_fleet():
 
 def test_zero_wage_keeps_everyone_driving():
     cfg = learning_config(wage=0.0, decisions=LEARNED)
-    res = day_to_day(cfg, learning())
+    res = day_to_day(cfg, max_days=20)
     fleets = [row["fleet_participating"] for row in res.trajectory]
     assert all(f == 3 for f in fleets)
     assert len(fleets) == 6                 # converges immediately
@@ -356,7 +348,7 @@ def test_zero_wage_keeps_everyone_driving():
 def test_no_reentry_fleet_monotone():
     cfg = learning_config(wage=3.0, n_travellers=6, n_drivers=5,
                           decisions=LEARNED)
-    res = day_to_day(cfg, learning())
+    res = day_to_day(cfg, max_days=20)
     fleets = [row["fleet_participating"] for row in res.trajectory]
     assert all(b <= a for a, b in zip(fleets, fleets[1:]))
 
@@ -367,7 +359,7 @@ def test_behaviour_reservation_wage_sets_the_wage():
     assert defaults["epsilon"] == 0.05
     cfg = parse_config(base_raw(
         behaviour={"reservation_wage_per_hour": 1e6}, decisions=LEARNED))
-    res = day_to_day(cfg, learning(max_days=2))
+    res = day_to_day(cfg, max_days=2)
     assert res.trajectory[1]["fleet_participating"] == 0
 
 
@@ -375,7 +367,7 @@ def test_traveller_outcome_feedback():
     cfg = learning_config(wage=0.0, horizon_s=300, n_travellers=30,
                           n_drivers=1,
                           decisions={"f_trav_out": "opt_out_if_unserved"})
-    res = day_to_day(cfg, learning(max_days=3))
+    res = day_to_day(cfg, max_days=3)
     day0, day1 = res.trajectory[0], res.trajectory[1]
     assert day0["n_unserved"] > 0
     assert day1["n_opted_out"] == day0["n_unserved"]
@@ -383,15 +375,15 @@ def test_traveller_outcome_feedback():
 
 def test_day_to_day_deterministic():
     cfg = learning_config(wage=3.0, epsilon=0.1, decisions=LEARNED)
-    a, a_logs = day_to_day_logs(cfg, learning())
-    b, b_logs = day_to_day_logs(cfg, learning())
+    a, a_logs = day_to_day_logs(cfg, 20)
+    b, b_logs = day_to_day_logs(cfg, 20)
     assert a.trajectory == b.trajectory
     assert a_logs == b_logs
 
 
 def test_day_csv(tmp_path):
     cfg = learning_config(decisions=LEARNED)
-    res = day_to_day(cfg, learning(max_days=4))
+    res = day_to_day(cfg, max_days=4)
     out = tmp_path / "day_to_day.csv"
     kpi.write_system_csv(out, res.trajectory)
     lines = out.read_text().strip().splitlines()
@@ -400,13 +392,13 @@ def test_day_csv(tmp_path):
 
 
 def test_day_to_day_keeps_last_day_rows():
-    res, logs = day_to_day_logs(learning_config(decisions=LEARNED), learning(max_days=3))
+    res, logs = day_to_day_logs(learning_config(decisions=LEARNED), 3)
     assert res.travellers == tuple(kpi.traveller_kpis(logs[-1]))
     assert res.drivers == tuple(kpi.driver_kpis(logs[-1]))
 
 
 def test_day_to_day_zero_days_is_empty():
-    res, logs = day_to_day_logs(learning_config(), learning(max_days=0))
+    res, logs = day_to_day_logs(learning_config(), 0)
     assert res.trajectory == res.system_rows == ()
     assert logs == []
     assert res.travellers == res.drivers == ()
@@ -415,8 +407,7 @@ def test_day_to_day_zero_days_is_empty():
 
 def test_learning_matches_ema_oracle():
     cfg = parse_config(json.loads(presets.read_text("e4")))
-    params = LearningParams(max_days=6)
-    res, logs = day_to_day_logs(cfg, params)
+    res, logs = day_to_day_logs(cfg, 6)
     assert len(logs) == 6
     hours = {d.driver_id: (d.shift_end - d.shift_start) / 3600.0
              for d in res.inputs.drivers}
@@ -431,13 +422,44 @@ def test_learning_matches_ema_oracle():
                 paid[rec.agent_id] += rec.payout
         incomes = [paid[d] / hours[d] for d in sorted(worked)]
         for d, income in zip(sorted(worked), incomes):
-            belief[d] = (1.0 - params.alpha) * belief[d] + params.alpha * income
+            belief[d] = (1.0 - experiments.ALPHA) * belief[d] + experiments.ALPHA * income
         assert day["fleet_participating"] == len(worked)
         assert day["mean_income_per_hour"] == pytest.approx(
             sum(incomes) / len(incomes), rel=1e-12)
         fleets.append(len(worked))
     assert res.learned_income == pytest.approx(belief, rel=1e-12)
     assert len(set(fleets)) > 1             # participation moved with learning
+
+
+def test_day_to_day_feeds_each_driver_its_own_memory():
+    # every f_driver_out context carries the driver's belief after the days
+    # before (none on day 0) and whether it worked the day before
+    seen = {}
+
+    def spy(ctx):
+        seen[ctx.day, ctx.driver_id] = (ctx.learned_income_per_hour,
+                                        ctx.participated_yesterday)
+        return default_driver_out(ctx)
+
+    register("f_driver_out", "test_spy_driver_out", spy)
+    cfg = parse_config(json.loads(presets.read_text("e4")))
+    cfg = replace(cfg, decisions={"f_driver_out": "test_spy_driver_out"})
+    res, logs = day_to_day_logs(cfg, 4)
+    hours = {d.driver_id: (d.shift_end - d.shift_start) / 3600.0
+             for d in res.inputs.drivers}
+    belief = dict.fromkeys(hours, cfg.behaviour["reservation_wage_per_hour"])
+    expected, yesterday = {}, dict.fromkeys(hours)
+    for day, log in enumerate(logs):
+        for d in hours:
+            expected[day, d] = (belief[d] if day else None, yesterday[d])
+        for row in kpi.driver_kpis(log):
+            yesterday[row.driver_id] = row.participated
+            if row.participated:
+                belief[row.driver_id] = (
+                    (1.0 - experiments.ALPHA) * belief[row.driver_id]
+                    + experiments.ALPHA * row.revenue / hours[row.driver_id])
+    assert seen == expected
+    assert {p for _, p in seen.values()} == {None, True, False}
 
 
 def test_day_to_day_memory_does_not_grow_with_days():
@@ -448,7 +470,7 @@ def test_day_to_day_memory_does_not_grow_with_days():
     for days in (5, 20):
         tracemalloc.start()
         try:
-            res = day_to_day(cfg, LearningParams(max_days=days))
+            res = day_to_day(cfg, max_days=days)
             peak[days] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -10,7 +10,7 @@ from ridesim import presets
 from ridesim.decisions import build_decision_set
 from ridesim.engine import EventRecord, run_day
 from ridesim.errors import LogValidationError
-from ridesim.experiments import LearningParams, day_to_day
+from ridesim.experiments import day_to_day
 from ridesim.kpi import (
     _META_KEYS,
     EVENTS_HEADER,
@@ -63,7 +63,7 @@ def busy_result(seed=31, n_trav=40, n_drv=5, horizon=3600.0, behaviour=None,
                    behaviour=behaviour, decisions=decisions)
     net = grid_city(4, 4, 250.0, 10.0)
     requests = generate_demand(net, n_trav, horizon, seed)
-    drivers = generate_supply(net, n_drv, horizon, seed)
+    drivers = generate_supply(net, n_drv, horizon, seed, cfg.platforms)
     return run(cfg, net, requests, drivers), cfg, net, requests, drivers
 
 
@@ -458,7 +458,7 @@ def assert_same_bytes(tmp_path, log):
 def test_events_writer_matches_csv_writer_on_e4_days(tmp_path):
     logs = []
     res = day_to_day(parse_config(json.loads(presets.read_text("e4"))),
-                     LearningParams(max_days=6), on_day=logs.append)
+                     max_days=6, on_day=logs.append)
     assert len(logs) == len(res.trajectory) == 6
     assert_same_bytes(tmp_path, [rec for log in logs for rec in log])
     # appended a day at a time, as ``ridesim run`` writes it

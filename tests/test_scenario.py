@@ -1,8 +1,11 @@
 """Config parsing, validation and seeded demand/supply generation tests."""
 
+import copy
+import itertools
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +13,16 @@ import pytest
 from scipy import stats
 
 import ridesim
+from ridesim import presets
+from ridesim.decisions import build_decision_set
+from ridesim.engine import run_day
 from ridesim.errors import ConfigError, GraphParseError, LogValidationError
+from ridesim.experiments import apply_override, parse_plan
 from ridesim.kpi import read_events_csv
 from ridesim.netgraph import grid_city, load_graph, save_graph
 from ridesim.scenario import (
     DriverSpec,
     PlatformSpec,
-    assign_fleets,
     generate_demand,
     generate_supply,
     load_config,
@@ -27,6 +33,9 @@ from ridesim.scenario import (
     save_drivers_csv,
     save_requests_csv,
 )
+from ridesim.seeds import substream
+
+ONE_PLATFORM = (PlatformSpec(0, 0.0, 1.0, 0.0, "instant"),)
 
 
 def minimal_raw(**overrides):
@@ -232,23 +241,21 @@ def test_all_fleeted_must_match_n_drivers():
     assert [p.fleet for p in cfg.platforms] == [2, 3]
 
 
-def test_assign_fleets_blocks_and_remainder():
-    drivers = [DriverSpec(i, 0, 0.0, 100.0, (0,)) for i in range(5)]
+def test_generate_supply_fleet_blocks_and_remainder():
     platforms = (
         PlatformSpec(7, 0.0, 1.0, 0.0, "instant", fleet=2),
         PlatformSpec(9, 0.0, 1.0, 0.0, "instant"),
     )
-    out = assign_fleets(drivers, platforms)
+    out = generate_supply(grid_city(2, 2, 100.0, 10.0), 5, 100.0, 1, platforms)
     assert [d.platform_ids for d in out] == [(7,), (7,), (9,), (9,), (9,)]
 
 
-def test_assign_fleets_default_multihomes():
-    drivers = [DriverSpec(i, 0, 0.0, 100.0, (0,)) for i in range(3)]
+def test_generate_supply_without_fleets_multihomes():
     platforms = (
         PlatformSpec(0, 0.0, 1.0, 0.0, "instant"),
         PlatformSpec(1, 0.0, 1.0, 0.0, "instant"),
     )
-    out = assign_fleets(drivers, platforms)
+    out = generate_supply(grid_city(2, 2, 100.0, 10.0), 3, 100.0, 1, platforms)
     assert all(d.platform_ids == (0, 1) for d in out)
 
 
@@ -306,12 +313,12 @@ def test_generate_demand_weight_length_mismatch():
 
 def test_generate_supply_empty():
     net = grid_city(2, 2, 100.0, 10.0)
-    assert generate_supply(net, 0, 3600.0, 1) == []
+    assert generate_supply(net, 0, 3600.0, 1, ONE_PLATFORM) == []
 
 
 def test_generate_supply_ranges():
     net = grid_city(2, 2, 100.0, 10.0)
-    drivers = generate_supply(net, 10, 3600.0, 3)
+    drivers = generate_supply(net, 10, 3600.0, 3, ONE_PLATFORM)
     for d in drivers:
         assert 0 <= d.home_node < 4
         assert (d.shift_start, d.shift_end) == (0.0, 3600.0)
@@ -321,10 +328,118 @@ def test_generate_supply_seed_pairs_differ():
     net = grid_city(10, 10, 100.0, 10.0)
     differing = 0
     for s in range(100):
-        a = sorted(d.home_node for d in generate_supply(net, 10, 100.0, s))
-        b = sorted(d.home_node for d in generate_supply(net, 10, 100.0, s + 1))
+        a = sorted(d.home_node for d in generate_supply(net, 10, 100.0, s, ONE_PLATFORM))
+        b = sorted(d.home_node for d in generate_supply(net, 10, 100.0, s + 1, ONE_PLATFORM))
         differing += a != b
     assert differing >= 99
+
+
+def _supply_oracle(net, n, horizon, seed, platforms):
+    """``generate_supply`` as it was before drivers were registered as they
+    are drawn: every driver drawn onto platform 0, then the former
+    ``assign_fleets`` rewriting the registrations. The oracle for
+    ``generate_supply``."""
+    rng = substream(seed, "supply")
+    drivers = [
+        DriverSpec(
+            driver_id=i,
+            home_node=int(rng.integers(0, net.n)),
+            shift_start=0.0,
+            shift_end=float(horizon),
+            platform_ids=(0,),
+        )
+        for i in range(n)
+    ]
+    if all(p.fleet is None for p in platforms):
+        ids = tuple(p.platform_id for p in platforms)
+        return [replace(d, platform_ids=ids) for d in drivers]
+    open_ids = tuple(p.platform_id for p in platforms if p.fleet is None)
+    out = []
+    cursor = 0
+    for p in platforms:
+        if p.fleet is None:
+            continue
+        for d in drivers[cursor:cursor + p.fleet]:
+            out.append(replace(d, platform_ids=(p.platform_id,)))
+        cursor += p.fleet
+    for d in drivers[cursor:]:
+        out.append(replace(d, platform_ids=open_ids))
+    return out
+
+
+def preset_configs():
+    """Every bundled scenario: e1 and e4 as they are, and each grid cell of
+    the e2 and e3 plans."""
+    for name in presets.names():
+        raw = json.loads(presets.read_text(name))
+        if "base" not in raw:
+            yield name, parse_config(raw)
+            continue
+        plan = parse_plan(raw)
+        for combo in itertools.product(*plan.grid.values()):
+            cell = copy.deepcopy(plan.base)
+            for path, value in zip(plan.grid, combo):
+                apply_override(cell, path, value)
+            yield f"{name}{combo}", parse_config(cell, base_dir=plan.base_dir)
+
+
+def test_generate_supply_matches_oracle_on_presets():
+    checked = set()
+    for label, cfg in preset_configs():
+        net = cfg.graph.build()
+        fleet_sum = sum(p.fleet or 0 for p in cfg.platforms)
+        # the config's count, and the counts ``generate --supply M`` may ask
+        for n in {cfg.n_drivers, 0, 1, max(fleet_sum - 1, 0), fleet_sum, fleet_sum + 3}:
+            got = generate_supply(net, n, cfg.horizon_s, cfg.seed, cfg.platforms)
+            assert got == _supply_oracle(net, n, cfg.horizon_s, cfg.seed, cfg.platforms), \
+                (label, n)
+        checked.add(label[:2])
+    assert checked == {"e1", "e2", "e3", "e4"}
+
+
+def test_generate_supply_matches_oracle_on_random_fleets():
+    rng = np.random.default_rng(2024)
+    net = grid_city(3, 3, 100.0, 10.0)
+    seen = Counter()
+    for _ in range(400):
+        k = int(rng.integers(1, 5))
+        fleets = [None if rng.random() < 0.4 else int(rng.integers(0, 5)) for _ in range(k)]
+        ids = [int(i) for i in rng.permutation(10)[:k]]
+        platforms = tuple(PlatformSpec(pid, 0.0, 1.0, 0.0, "instant", fleet=f)
+                          for pid, f in zip(ids, fleets))
+        fleet_sum = sum(f or 0 for f in fleets)
+        n = int(rng.integers(0, fleet_sum + 6))
+        seed = int(rng.integers(0, 2 ** 32))
+        got = generate_supply(net, n, 900.0, seed, platforms)
+        assert got == _supply_oracle(net, n, 900.0, seed, platforms), (platforms, n)
+        if all(f is None for f in fleets):
+            seen["no fleets"] += 1
+        else:
+            seen["n below fleet sum" if n < fleet_sum
+                 else "n at fleet sum" if n == fleet_sum else "n above fleet sum"] += 1
+        seen["zero fleet"] += 0 in fleets
+    assert min(seen.values()) >= 10, seen
+
+
+def test_materialized_drivers_register_on_the_configs_platforms():
+    # no platform 0: drivers drawn straight from the config run as they are
+    raw = minimal_raw(n_travellers=8, n_drivers=3)
+    raw["platforms"][0]["platform_id"] = 5
+    cfg = parse_config(raw)
+    inputs = materialize(cfg)
+    assert [d.platform_ids for d in inputs.drivers] == [(5,)] * 3
+    log = run_day(cfg, inputs, build_decision_set(cfg.decisions, cfg.behaviour)).log
+    assert any(r.event == "MATCH" and r.agent_id == 5 for r in log)
+
+
+def test_generate_demand_on_one_node_graph_is_a_config_error(tmp_path):
+    (tmp_path / "nodes.csv").write_text("node_id,x,y\n0,0,0\n")
+    (tmp_path / "edges.csv").write_text("from,to,length_m,speed_mps\n")
+    net = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
+    assert net.n == 1
+    assert generate_demand(net, 0, 100.0, 1) == []
+    with pytest.raises(ConfigError, match="graph"):
+        generate_demand(net, 1, 100.0, 1)
 
 
 def test_demand_independent_of_supply_size():
