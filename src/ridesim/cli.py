@@ -30,15 +30,19 @@ from ridesim.errors import (
 from ridesim.experiments import day_to_day, parse_plan, run_grid
 from ridesim.netgraph import grid_city, save_graph
 from ridesim.scenario import (
-    check_seed,
+    AT_LEAST_1,
+    COUNT,
+    SEED,
+    Range,
     generate_demand,
     generate_supply,
     materialize,
+    number,
     parse_config,
+    read_json,
     save_drivers_csv,
     save_requests_csv,
 )
-from ridesim.util import read_input
 
 
 def _now() -> str:
@@ -49,27 +53,20 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_input_text(path_str: str, kind: str) -> tuple[str, Path | None]:
-    """Resolve --config/--plan to file text.
+def _load(path_str: str, what: str, parse):
+    """``parse(raw, base_dir)`` of the --config/--plan JSON, and its text.
 
     A bare name with no existing file falls back to the bundled presets, so
-    ``ridesim run --config e1`` works out of the box. Returns the text and
-    the file's parent directory (None for presets, which are self-contained).
+    ``ridesim run --config e1`` works out of the box; a file's ``base_dir``
+    is its directory, a preset's the working directory.
     """
     p = Path(path_str)
-    if p.is_file():
-        return read_input(p, lambda why: ConfigError(path_str, f"{kind} file {why}")), p.parent
     stem = p.name[:-5] if p.name.endswith(".json") else p.name
-    if p.parent == Path(".") and stem in presets.names():
-        return presets.read_text(stem), None
-    raise ConfigError(path_str, f"{kind} file not found")
-
-
-def _parse_json(text: str, source: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(source, f"invalid JSON: {exc}") from None
+    if p.is_file() or p.parent != Path(".") or stem not in presets.names():
+        raw, text = read_json(path_str, what)
+        return parse(raw, p.parent), text
+    raw, text = read_json(presets.path(stem), what)
+    return parse(raw, "."), text
 
 
 def _write_manifest(out_dir: Path, names, seed, config_sha: str, started: str) -> None:
@@ -96,7 +93,11 @@ def _out_dir(path_str: str) -> Path:
     """Create the output directory and drop a manifest left by an earlier
     run, so none is present until this command completes."""
     out = Path(path_str)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError("--out", f"{path_str} is a file or inside one, not a directory") \
+            from None
     (out / "manifest.json").unlink(missing_ok=True)
     return out
 
@@ -104,13 +105,10 @@ def _out_dir(path_str: str) -> Path:
 # ---------------------------------------------------------------- commands
 
 def cmd_run(args) -> int:
-    text, base_dir = _read_input_text(args.config, "config")
-    raw = _parse_json(text, args.config)
-    config = parse_config(raw, base_dir=base_dir or ".")
+    config, text = _load(args.config, "config", parse_config)
     if args.seed is not None:
-        config = replace(config, seed=check_seed(args.seed, "--seed"))
-    if args.days < 1:
-        raise ConfigError("--days", "must be >= 1")
+        config = replace(config, seed=number({"--seed": args.seed}, "--seed", SEED, int))
+    number({"--days": args.days}, "--days", AT_LEAST_1, int)
 
     out = _out_dir(args.out)
     started = _now()
@@ -146,16 +144,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    text, base_dir = _read_input_text(args.plan, "plan")
-    raw = _parse_json(text, args.plan)
-    plan = parse_plan(raw, base_dir=base_dir or ".")
-    threads = args.threads
-    if threads is not None and threads < 1:
-        raise ConfigError("--threads", "must be >= 1")
+    plan, text = _load(args.plan, "plan", parse_plan)
+    if args.threads is not None:
+        number({"--threads": args.threads}, "--threads", AT_LEAST_1, int)
 
     out = _out_dir(args.out)
     started = _now()
-    rows = run_grid(plan, threads=threads)
+    rows = run_grid(plan, threads=args.threads)
     kpi.write_system_csv(out / "experiment_results.csv", rows)
     _write_manifest(out, ["experiment_results.csv"], plan.base_seed,
                     _sha256(text.encode("utf-8")), started)
@@ -164,12 +159,11 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    for flag, count in (("--demand", args.demand), ("--supply", args.supply)):
-        if count is not None and count < 0:
-            raise ConfigError(flag, "must be >= 0")
+    for flag, value, rng in (("--demand", args.demand, COUNT), ("--supply", args.supply, COUNT),
+                             ("--seed", args.seed, SEED)):
+        if value is not None:
+            number({flag: value}, flag, rng, int)
     seed = args.seed
-    if seed is not None:
-        check_seed(seed, "--seed")
     out = _out_dir(args.out)
     started = _now()
 
@@ -183,8 +177,7 @@ def cmd_generate(args) -> int:
     else:
         if args.config is None:
             raise ConfigError("--config", "required for --demand/--supply")
-        text, base_dir = _read_input_text(args.config, "config")
-        config = parse_config(_parse_json(text, args.config), base_dir=base_dir or ".")
+        config = _load(args.config, "config", parse_config)[0]
         if seed is None:
             seed = config.seed
         net = config.graph.build()
@@ -195,6 +188,10 @@ def cmd_generate(args) -> int:
             written = ["requests.csv"]
             save_requests_csv(requests, out / "requests.csv")
         else:
+            fleets = [p.fleet for p in config.platforms]
+            if None not in fleets:      # no platform takes the drivers past the fleets
+                number({"--supply": args.supply}, "--supply", Range(
+                    0, sum(fleets), f"at most {sum(fleets)}, the fleets' sum"), int)
             drivers = generate_supply(net, args.supply, config.horizon_s, seed,
                                       config.platforms)
             written = ["drivers.csv"]
@@ -207,8 +204,15 @@ def cmd_generate(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: one line and exit 1, not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ridesim",
         description="Agent-based simulator of two-sided ride-hailing platforms.",
     )
@@ -250,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, GraphParseError, GraphValidationError) as exc:
         print(f"ridesim: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ one-day run is that loop with one day.
 
 import copy
 import itertools
-import json
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -21,9 +20,8 @@ from ridesim.decisions import build_decision_set
 from ridesim.engine import DayState, run_day
 from ridesim.errors import ConfigError
 from ridesim.netgraph import build_skim
-from ridesim.scenario import (ScenarioConfig, ScenarioInputs, check_seed, materialize,
-                              parse_config)
-from ridesim.util import read_input
+from ridesim.scenario import (AT_LEAST_1, Range, ScenarioConfig, ScenarioInputs,
+                              materialize, number, parse_config, read_json)
 
 _SEGMENT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)\Z")
 
@@ -96,12 +94,7 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
     base_dir = Path(base_dir)
     if isinstance(base, str):
         base_path = base_dir / base
-        text = read_input(base_path, lambda why: ConfigError(
-            "base", f"config file {base_path} {why}"))
-        try:
-            base = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("base", f"invalid JSON in {base_path}: {exc}") from None
+        base = read_json(base_path, "config", at="base")[0]
         base_dir = base_path.parent
     elif not isinstance(base, dict):
         raise ConfigError("base", "must be a config object or file path")
@@ -115,16 +108,11 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
         # each replication's seed is base_seed + k, whatever the cell says
         raise ConfigError("grid.seed", "seeds come from base_seed and replications; "
                                        "vary those instead")
-    reps = raw["replications"]
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
-        raise ConfigError("replications", "must be an integer >= 1")
-    seed = raw["base_seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("base_seed", "must be an integer >= 0")
-    check_seed(seed + reps - 1, "base_seed")     # the last replication's seed
-    threads = raw.get("threads", 1)
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise ConfigError("threads", "must be an integer >= 1")
+    reps = number(raw, "replications", AT_LEAST_1, int)
+    # the last replication's seed, base_seed + reps - 1, must be a seed too
+    seed = number(raw, "base_seed", Range(
+        0, 2 ** 64 - reps, f"an integer in [0, 2**64 - {reps}] for {reps} replications"), int)
+    threads = number(raw, "threads", AT_LEAST_1, int, 1)
     # every override path must resolve against the base before anything runs
     for key, values in grid.items():
         probe = copy.deepcopy(base)
@@ -148,7 +136,8 @@ def _day(config, inputs, decisions, day, state):
     kpi.validate_log(log)
     t_rows = kpi.traveller_kpis(log)
     d_rows = kpi.driver_kpis(log)
-    return log, t_rows, d_rows, kpi.system_kpis(day, t_rows, d_rows, config.platforms, log)
+    return log, t_rows, d_rows, kpi.system_kpis(day, t_rows, d_rows, config.platforms,
+                                                inputs.drivers, log)
 
 
 def _run(tasks, threads, networks) -> list[dict]:

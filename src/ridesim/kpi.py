@@ -8,6 +8,7 @@ the log: ``write_events_csv`` formats each record's detail fields into the
 ``meta`` column and ``read_events_csv`` parses them back.
 """
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -292,14 +293,15 @@ def system_kpis(
     traveller_rows: Sequence[TravellerKpi],
     driver_rows: Sequence[DriverKpi],
     platforms,
+    drivers,
     log: Sequence[EventRecord],
 ) -> dict:
     """Single flat dict of system-level indicators for ``day``, whose log
     may be empty.
 
-    Per-platform fields are derived from ride events; a platform's fleet is
-    its dedicated size when configured, otherwise the pool left over by the
-    dedicated fleets.
+    Per-platform fields are derived from ride events, except a platform's
+    fleet: the number of ``drivers`` (the run's ``DriverSpec``s) registered
+    on it.
     """
     outcomes = [r.outcome for r in traveller_rows]
     waits = [r.wait_s for r in traveller_rows if r.wait_s is not None]
@@ -327,8 +329,7 @@ def system_kpis(
     }
     out["vkm_total"] = out["vkm_empty"] + out["vkm_occupied"]
 
-    explicit = sum(p.fleet for p in platforms if p.fleet is not None)
-    shared = len(driver_rows) - explicit
+    fleet = Counter(pid for d in drivers for pid in d.platform_ids)
     per = {
         p.platform_id: {"revenue": 0.0, "n_served": 0, "vkm": 0.0}
         for p in platforms
@@ -348,7 +349,7 @@ def system_kpis(
         out[f"revenue_platform_{pid}"] = per[pid]["revenue"]
         out[f"n_served_platform_{pid}"] = per[pid]["n_served"]
         out[f"vkm_platform_{pid}"] = per[pid]["vkm"]
-        out[f"fleet_platform_{pid}"] = p.fleet if p.fleet is not None else shared
+        out[f"fleet_platform_{pid}"] = fleet[pid]
     return out
 
 

@@ -19,7 +19,10 @@ def names() -> list[str]:
     )
 
 
+def path(name: str):
+    """The bundled preset file ``name`` as an ``importlib.resources`` path."""
+    return resources.files(__name__).joinpath(name + ".json")
+
+
 def read_text(name: str) -> str:
-    return (
-        resources.files(__name__).joinpath(name + ".json").read_text(encoding="utf-8")
-    )
+    return path(name).read_text(encoding="utf-8")

@@ -10,6 +10,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from ridesim.errors import ConfigError
 from ridesim.netgraph import RoadNetwork, SkimMatrix, build_skim, grid_city, load_graph
@@ -105,47 +106,90 @@ class ScenarioInputs:
 
 # ------------------------------------------------------------ config parsing
 
+def read_json(path, what: str, at: str | None = None):
+    """The JSON value in the UTF-8 ``what`` ("config", "plan") file at
+    ``path`` (a name, ``Path`` or package resource), and its text.
+
+    A file that is missing, not a regular file, unreadable, not UTF-8 or not
+    JSON raises a ``ConfigError`` naming the file as given, or naming the
+    JSON path ``at`` that refers to the file, with the file in the message.
+    """
+    where, label = (str(path), f"{what} file") if at is None else (at, f"{what} file {path}")
+    text = read_input(Path(path) if isinstance(path, str) else path,
+                      lambda why: ConfigError(where, f"{label} {why}"))
+    try:
+        return json.loads(text), text
+    except (ValueError, RecursionError) as exc:   # over-long integers, deep nesting
+        raise ConfigError(where, f"invalid JSON in {label}: {exc}") from None
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read, validate and default-fill a scenario JSON file."""
     p = Path(path)
-    text = read_input(p, lambda why: ConfigError(str(p), f"config file {why}"))
+    return parse_config(read_json(p, "config")[0], base_dir=p.parent)
+
+
+class Range(NamedTuple):
+    """The numbers a field accepts, ``lo`` to ``hi`` with both ends included
+    (an open end is given as the nearest number inside it); ``text``
+    finishes the message "must be ..." that rejects any other value."""
+    lo: float
+    hi: float
+    text: str
+
+
+NUMBER = Range(-math.inf, math.inf, "a number")
+INTEGER = Range(-math.inf, math.inf, "an integer")
+COUNT = Range(0, math.inf, "an integer >= 0")
+AT_LEAST_1 = Range(1, math.inf, "an integer >= 1")
+SEED = Range(0, 2 ** 64 - 1, "a 64-bit unsigned integer")
+AT_LEAST_0 = Range(0, math.inf, "a finite number >= 0")
+UNIT = Range(0, 1, "a number in [0, 1]")
+POSITIVE = Range(math.ulp(0.0), math.inf, "a finite number > 0")
+
+_REQUIRED = object()
+
+
+def number(d, key, rng: Range = NUMBER, kind=None, default=_REQUIRED, *, at: str = ""):
+    """``d[key]`` checked to be a JSON number in ``rng``.
+
+    ``kind`` int accepts integers only; round accepts any whole number and
+    returns it as an int; float returns a float, so an integer too large for
+    one is out of range; None returns the number as written. A missing key
+    returns ``default``, or is an error when there is none. Errors name the
+    JSON path: ``key`` inside the object or list at path ``at``. NaN,
+    infinities and bools are never numbers.
+    """
+    path = key if not at else f"{at}[{key}]" if isinstance(key, int) else f"{at}.{key}"
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(p), f"invalid JSON: {exc}") from None
-    return parse_config(raw, base_dir=p.parent)
-
-
-def check_seed(seed: int, path: str) -> int:
-    """The seed, if it fits the 64-bit unsigned range every sub-stream
-    derives from; a config error naming ``path`` otherwise."""
-    if not (0 <= seed < 2 ** 64):
-        raise ConfigError(path, "must be a 64-bit unsigned integer")
-    return seed
+        v = d[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise ConfigError(path, "required key missing") from None
+        return default
+    try:
+        if (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and v not in (math.inf, -math.inf) and rng.lo <= v <= rng.hi
+                and (kind is not int or isinstance(v, int))
+                and (kind is not round or round(v) == v)):
+            return v if kind in (None, int) else kind(v)
+    except OverflowError:       # float() of an integer past the largest float
+        pass
+    raise ConfigError(path, f"must be {rng.text}")
 
 
 def parse_config(raw: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     """Validate a raw scenario dict. Errors name the offending JSON path."""
     if not isinstance(raw, dict):
         raise ConfigError("$", "config must be a JSON object")
-    known_top = {
-        "horizon_s", "n_travellers", "n_drivers", "platforms", "seed", "graph",
-        "behaviour", "demand_weights", "requests_csv", "drivers_csv", "decisions",
-    }
     for key in raw:
-        if key not in known_top:
+        if key not in ScenarioConfig.__dataclass_fields__:     # one field per key
             raise ConfigError(key, "unknown config key")
 
-    horizon = _number(raw, "horizon_s", required=True)
-    if horizon <= 0:
-        raise ConfigError("horizon_s", "must be > 0")
-    n_travellers = _integer(raw, "n_travellers", required=True)
-    if n_travellers < 0:
-        raise ConfigError("n_travellers", "must be >= 0")
-    n_drivers = _integer(raw, "n_drivers", required=True)
-    if n_drivers < 0:
-        raise ConfigError("n_drivers", "must be >= 0")
-    seed = check_seed(_integer(raw, "seed", required=True), "seed")
+    horizon = number(raw, "horizon_s", POSITIVE, float)
+    n_travellers = number(raw, "n_travellers", COUNT, int)
+    n_drivers = number(raw, "n_drivers", COUNT, int)
+    seed = number(raw, "seed", SEED, int)
 
     platforms = _parse_platforms(raw, n_drivers, horizon)
     graph = _parse_graph(raw, Path(base_dir))
@@ -156,19 +200,14 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     if weights is not None:
         if not isinstance(weights, list) or not weights:
             raise ConfigError("demand_weights", "must be a non-empty list of numbers")
-        for i, w in enumerate(weights):
-            if not isinstance(w, (int, float)) or isinstance(w, bool) \
-                    or not 0 <= w <= sys.float_info.max:
-                raise ConfigError(f"demand_weights[{i}]", "must be a finite number >= 0")
+        finite = Range(0, sys.float_info.max, AT_LEAST_0.text)
+        weights = tuple(number(weights, i, finite, float, at="demand_weights")
+                        for i in range(len(weights)))
         if sum(weights) <= 0:
             raise ConfigError("demand_weights", "must have a positive sum")
-        weights = tuple(float(w) for w in weights)
-
-    requests_csv = _optional_path(raw, "requests_csv", base_dir)
-    drivers_csv = _optional_path(raw, "drivers_csv", base_dir)
 
     return ScenarioConfig(
-        horizon_s=float(horizon),
+        horizon_s=horizon,
         n_travellers=n_travellers,
         n_drivers=n_drivers,
         platforms=platforms,
@@ -176,35 +215,10 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         graph=graph,
         behaviour=behaviour,
         demand_weights=weights,
-        requests_csv=requests_csv,
-        drivers_csv=drivers_csv,
+        requests_csv=_optional_path(raw, "requests_csv", base_dir),
+        drivers_csv=_optional_path(raw, "drivers_csv", base_dir),
         decisions=decisions,
     )
-
-
-def _number(d: dict, key: str, required: bool = False, path: str | None = None):
-    path = path or key
-    if key not in d:
-        if required:
-            raise ConfigError(path, "required key missing")
-        return None
-    v = d[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(path, f"expected a number, got {type(v).__name__}")
-    # only floats: an integer too large for a float fails its range check
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ConfigError(path, f"expected a finite number, got {v}")
-    return v
-
-
-def _integer(d: dict, key: str, required: bool = False, path: str | None = None):
-    path = path or key
-    v = _number(d, key, required, path)
-    if v is None:
-        return None
-    if not isinstance(v, int):
-        raise ConfigError(path, f"expected an integer, got {v!r}")
-    return v
 
 
 def _parse_platforms(raw: dict, n_drivers: int, horizon: float) -> tuple[PlatformSpec, ...]:
@@ -221,27 +235,18 @@ def _parse_platforms(raw: dict, n_drivers: int, horizon: float) -> tuple[Platfor
             if key not in {"platform_id", "base_fare", "fare_per_km",
                            "commission_rate", "matching", "fleet"}:
                 raise ConfigError(f"{at}.{key}", "unknown platform key")
-        pid = _integer(p, "platform_id", required=True, path=f"{at}.platform_id")
+        pid = number(p, "platform_id", INTEGER, int, at=at)
         if pid in seen_ids:
             raise ConfigError(f"{at}.platform_id", f"duplicate platform_id {pid}")
         seen_ids.add(pid)
-        base = _number(p, "base_fare", required=True, path=f"{at}.base_fare")
-        per_km = _number(p, "fare_per_km", required=True, path=f"{at}.fare_per_km")
-        cut = _number(p, "commission_rate", required=True, path=f"{at}.commission_rate")
-        if base < 0:
-            raise ConfigError(f"{at}.base_fare", "must be >= 0")
-        if per_km < 0:
-            raise ConfigError(f"{at}.fare_per_km", "must be >= 0")
-        if not (0 <= cut <= 1):
-            raise ConfigError(f"{at}.commission_rate", f"must be in [0, 1], got {cut}")
+        base = number(p, "base_fare", AT_LEAST_0, float, at=at)
+        per_km = number(p, "fare_per_km", AT_LEAST_0, float, at=at)
+        cut = number(p, "commission_rate", UNIT, float, at=at)
         mode, window = _parse_matching(p.get("matching"), f"{at}.matching", horizon)
-        fleet = _integer(p, "fleet", path=f"{at}.fleet")
-        if fleet is not None and fleet < 0:
-            raise ConfigError(f"{at}.fleet", "must be >= 0")
         out.append(PlatformSpec(
-            platform_id=pid, base_fare=float(base), fare_per_km=float(per_km),
-            commission_rate=float(cut), matching=mode, batch_window_s=window,
-            fleet=fleet,
+            platform_id=pid, base_fare=base, fare_per_km=per_km, commission_rate=cut,
+            matching=mode, batch_window_s=window,
+            fleet=number(p, "fleet", COUNT, int, None, at=at),
         ))
     fleets = [p.fleet for p in out if p.fleet is not None]
     if fleets:
@@ -268,14 +273,12 @@ def _parse_matching(v, at: str, horizon: float) -> tuple[str, float | None]:
         inner = v["batched"]
         if not isinstance(inner, dict):
             raise ConfigError(f"{at}.batched", "expected an object with window_s")
-        window = _number(inner, "window_s", required=True, path=f"{at}.batched.window_s")
-        if window <= 0:
-            raise ConfigError(f"{at}.batched.window_s", "must be > 0")
+        window = number(inner, "window_s", POSITIVE, float, at=f"{at}.batched")
         # below this, k * window_s stops resolving multiples of the window
         # within the horizon and next_batch_boundary cannot step past now
         if window < horizon / 2 ** 40:
             raise ConfigError(f"{at}.batched.window_s", "must be >= horizon_s / 2**40")
-        return "batched", float(window)
+        return "batched", window
     raise ConfigError(at, 'must be "instant" or {"batched": {"window_s": W}}')
 
 
@@ -287,18 +290,13 @@ def _parse_graph(raw: dict, base_dir: Path) -> GraphSpec:
         grid = g["grid"]
         if not isinstance(grid, dict):
             raise ConfigError("graph.grid", "expected an object")
-        rows = _integer(grid, "rows", required=True, path="graph.grid.rows")
-        cols = _integer(grid, "cols", required=True, path="graph.grid.cols")
-        spacing = _number(grid, "spacing_m", required=True, path="graph.grid.spacing_m")
-        speed = _number(grid, "speed_mps", required=True, path="graph.grid.speed_mps")
+        rows = number(grid, "rows", INTEGER, int, at="graph.grid")
+        cols = number(grid, "cols", INTEGER, int, at="graph.grid")
+        spacing = number(grid, "spacing_m", POSITIVE, float, at="graph.grid")
+        speed = number(grid, "speed_mps", POSITIVE, float, at="graph.grid")
         if rows < 2 or cols < 2:
             raise ConfigError("graph.grid", "rows and cols must be >= 2")
-        if spacing <= 0:
-            raise ConfigError("graph.grid.spacing_m", "must be > 0")
-        if speed <= 0:
-            raise ConfigError("graph.grid.speed_mps", "must be > 0")
-        return GraphSpec(kind="grid", rows=rows, cols=cols,
-                         spacing_m=float(spacing), speed_mps=float(speed))
+        return GraphSpec(kind="grid", rows=rows, cols=cols, spacing_m=spacing, speed_mps=speed)
     if set(g) == {"nodes", "edges"}:
         nodes, edges = g["nodes"], g["edges"]
         if not isinstance(nodes, str) or not isinstance(edges, str):
@@ -311,35 +309,28 @@ def _parse_graph(raw: dict, base_dir: Path) -> GraphSpec:
     raise ConfigError("graph", 'must be {"grid": {...}} or {"nodes": ..., "edges": ...}')
 
 
+# the recognised behaviour keys, each with its range, kind (see ``number``)
+# and default (None: absent unless given); any other key is a number
+# passed through as written
+BEHAVIOUR = {
+    "t_board_s": (AT_LEAST_0, None, 0.0),
+    "t_alight_s": (AT_LEAST_0, None, 0.0),
+    "service_variability": (Range(0, math.nextafter(1.0, 0.0), "a number in [0, 1)"),
+                            None, 0.0),
+    "max_rejections": (COUNT, round, 5),
+    "max_wait_s": (AT_LEAST_0, None, None),
+    "reservation_wage_per_hour": (AT_LEAST_0, None, 2.5),
+    "epsilon": (UNIT, None, 0.05),
+}
+
+
 def _parse_behaviour(raw: dict) -> dict:
     b = raw.get("behaviour", {})
     if not isinstance(b, dict):
         raise ConfigError("behaviour", "expected an object")
-    b = dict(b)
-    for key in b:
-        _number(b, key, path=f"behaviour.{key}")
-    b.setdefault("t_board_s", 0.0)
-    b.setdefault("t_alight_s", 0.0)
-    b.setdefault("service_variability", 0.0)
-    b.setdefault("max_rejections", 5)
-    b.setdefault("reservation_wage_per_hour", 2.5)
-    b.setdefault("epsilon", 0.05)
-    if b["t_board_s"] < 0:
-        raise ConfigError("behaviour.t_board_s", "must be >= 0")
-    if b["t_alight_s"] < 0:
-        raise ConfigError("behaviour.t_alight_s", "must be >= 0")
-    if not (0 <= b["service_variability"] < 1):
-        raise ConfigError("behaviour.service_variability", "must be in [0, 1)")
-    if b["max_rejections"] < 0 or int(b["max_rejections"]) != b["max_rejections"]:
-        raise ConfigError("behaviour.max_rejections", "must be an integer >= 0")
-    b["max_rejections"] = int(b["max_rejections"])
-    if "max_wait_s" in b and b["max_wait_s"] < 0:
-        raise ConfigError("behaviour.max_wait_s", "must be >= 0")
-    if not (0 <= b["epsilon"] <= 1):
-        raise ConfigError("behaviour.epsilon", "must be in [0, 1]")
-    if b["reservation_wage_per_hour"] < 0:
-        raise ConfigError("behaviour.reservation_wage_per_hour", "must be >= 0")
-    return b
+    defaults = [k for k, (_, _, default) in BEHAVIOUR.items() if default is not None]
+    return {k: number(b, k, *BEHAVIOUR.get(k, (NUMBER,)), at="behaviour")
+            for k in [*b, *(k for k in defaults if k not in b)]}
 
 
 def _parse_decisions(raw: dict) -> dict:

@@ -1,12 +1,18 @@
-"""Property test: bad configs and plans end in exit 1 or 2 with one message.
+"""Property tests: bad configs, plans and command lines end in one message.
 
-Each example starts from a small valid config or plan and breaks it once:
-one field is replaced by a value from a fixed pool or deleted, an unknown
-key is added, or the file's bytes are corrupted. ``cli.main`` must return
-0, 1 or 2 and never raise, and a nonzero exit prints exactly one
-``ridesim:`` line. The pool holds no value that could make a run bigger
-than the valid one: no large counts, grid sizes or horizons, and no batch
-window below 1 s.
+In the first, each example starts from a small valid config or plan and
+breaks it once: one field is replaced by a value from a fixed pool or
+deleted, an unknown key is added, or the file's bytes are corrupted.
+``cli.main`` must return 0, 1 or 2 and never raise, and a nonzero exit
+prints exactly one ``ridesim:`` line. The pool holds no value that could
+make a run bigger than the valid one: no large counts, grid sizes or
+horizons, and no batch window below 1 s.
+
+In the second, each example breaks a valid ``run``, ``experiment`` or
+``generate`` command line once: a required flag is dropped, a count, seed
+or thread flag gets a non-integer or out-of-range value, or ``--out``
+names a file. That is a usage or input error: exit 1 with one
+``ridesim:`` line.
 """
 
 import contextlib
@@ -119,3 +125,56 @@ def test_bad_input_exits_cleanly(case):
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ridesim: "), err.getvalue()
+
+
+# the valid commands, with their required flags and integer flags
+COMMANDS = {
+    "run": (["--config", "CONFIG", "--out", "OUT", "--seed", "3", "--days", "2"],
+            ["--config", "--out"]),
+    "experiment": (["--plan", "PLAN", "--out", "OUT", "--threads", "2"], ["--plan", "--out"]),
+    "generate-demand": (["--demand", "3", "--config", "CONFIG", "--out", "OUT", "--seed", "3"],
+                        ["--demand", "--config", "--out"]),
+    "generate-supply": (["--supply", "3", "--config", "CONFIG", "--out", "OUT", "--seed", "3"],
+                        ["--supply", "--config", "--out"]),
+}
+OUT_OF_RANGE = {"--days": ["0", "-1"], "--threads": ["0", "-2"], "--demand": ["-1"],
+                "--supply": ["-1"], "--seed": ["-1", str(2 ** 64), str(10 ** 30)]}
+NOT_INTEGERS = ["x", "", "1.5", "2e3", "0x10", "1/2", "--"]
+
+
+@st.composite
+def broken_argv(draw):
+    """A valid command line, broken once; CONFIG, PLAN, OUT and FILE stand
+    for the paths the test fills in."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    flags, required = COMMANDS[name]
+    argv = list(flags)
+    how = draw(st.sampled_from(["drop", "value", "out_file"]))
+    if how == "drop":
+        at = argv.index(draw(st.sampled_from(required)))
+        del argv[at:at + 2]
+    elif how == "value":
+        at = draw(st.sampled_from([i for i, f in enumerate(argv) if f in OUT_OF_RANGE]))
+        argv[at + 1] = draw(st.sampled_from(OUT_OF_RANGE[argv[at]] + NOT_INTEGERS))
+    else:
+        argv[argv.index("OUT")] = "FILE"
+    return [name.split("-")[0], *argv]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(broken_argv())
+def test_bad_command_line_exits_1(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "config.json").write_text(json.dumps(CONFIG))
+        (tmp / "plan.json").write_text(json.dumps(PLAN))
+        (tmp / "file").write_text("")
+        paths = {"CONFIG": tmp / "config.json", "PLAN": tmp / "plan.json",
+                 "OUT": tmp / "out", "FILE": tmp / "file"}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([str(paths.get(a, a)) for a in argv])
+    assert code == 1, argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ridesim: "), (argv, err.getvalue())

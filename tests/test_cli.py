@@ -181,11 +181,14 @@ def test_run_keeps_request_ids_above_2_53(tmp_path):
     assert ids == {big, big + 1}
 
 
-def test_run_out_path_is_a_file_exits_2(config_file, tmp_path):
+@pytest.mark.parametrize("under", [(), ("sub",)], ids=["file", "under-file"])
+def test_run_out_path_is_a_file_exits_1(under, config_file, tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("")
-    code = main(["run", "--config", str(config_file), "--out", str(blocker)])
-    assert code == 2
+    code = main(["run", "--config", str(config_file), "--out", str(blocker.joinpath(*under))])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ridesim: ") and err[0].endswith("--out")
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
@@ -612,6 +615,45 @@ def test_generate_negative_count_exits_1(flag, config_file, tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def _all_fleets_config(tmp_path):
+    """Fleets 4 and 2 on the only two platforms, 6 drivers."""
+    raw = small_config(n_drivers=6, platforms=[
+        {"platform_id": pid, "base_fare": 0.0, "fare_per_km": 1.0,
+         "commission_rate": 0.1, "matching": "instant", "fleet": fleet}
+        for pid, fleet in ((0, 4), (1, 2))])
+    p = tmp_path / "fleets.json"
+    p.write_text(json.dumps(raw))
+    return p, raw
+
+
+def test_generate_supply_above_all_fleets_exits_1(tmp_path, capsys):
+    config, _ = _all_fleets_config(tmp_path)
+    out = tmp_path / "out"
+    argv = ["generate", "--config", str(config), "--out", str(out), "--supply"]
+    assert main(argv + ["9"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ridesim: ") and "--supply" in err and "6" in err
+    assert not (out / "manifest.json").exists()
+    for supply in ("6", "3"):          # the fleets' sum, and below it
+        assert main(argv + [supply]) == 0
+
+
+def test_fleet_columns_count_the_drivers_of_the_run(tmp_path):
+    config, raw = _all_fleets_config(tmp_path)
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    assert main(["generate", "--supply", "6", "--config", str(config),
+                 "--out", str(gen)]) == 0
+    lines = (gen / "drivers.csv").read_text().splitlines()
+    # every driver on platform 1, against the configured fleets 4 and 2
+    (tmp_path / "drivers.csv").write_text(
+        "\n".join([lines[0], *(line.rsplit(",", 1)[0] + ",1" for line in lines[1:])]) + "\n")
+    config.write_text(json.dumps({**raw, "drivers_csv": "drivers.csv"}))
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    header, row = (out / "kpi_system.csv").read_text().splitlines()
+    system = dict(zip(header.split(","), row.split(",")))
+    assert (system["fleet_platform_0"], system["fleet_platform_1"]) == ("0", "6")
+
+
 BOM_UTF16 = b"\xff\xfe{}"          # a UTF-16 byte-order mark: not UTF-8
 
 
@@ -687,6 +729,26 @@ def test_console_script_version():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("ridesim ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bogus"], "bogus"),
+    (["run", "--config", "e1"], "--out"),
+    (["run", "--config", "e1", "--out", "o", "--days", "x"], "--days"),
+    (["generate", "--out", "o"], "--supply"),
+], ids=["unknown-command", "missing-out", "days-not-int", "no-generate-target"])
+def test_usage_error_exits_1(argv, flag, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ridesim: ") and flag in err[0]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_readme_library_snippet_runs(tmp_path, monkeypatch):

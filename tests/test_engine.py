@@ -152,11 +152,8 @@ def test_match_meta_format():
 
 def test_driver_day_accounting():
     cfg = make_cfg(1, 1)
-    res = run(
-        cfg, line_net(),
-        [Request(0, 0, 1, 2, 100.0)],
-        [DriverSpec(0, 0, 0.0, 1000.0, (0,))],
-    )
+    drivers = [DriverSpec(0, 0, 0.0, 1000.0, (0,))]
+    res = run(cfg, line_net(), [Request(0, 0, 1, 2, 100.0)], drivers)
     row = kpi.driver_kpis(res.log)[0]
     assert row.participated
     assert row.revenue == pytest.approx(1.2)
@@ -168,7 +165,7 @@ def test_driver_day_accounting():
     assert row.idle_s + row.empty_drive_s + row.occupied_s == pytest.approx(1000.0)
     assert outcomes(res)[0] == "ARRIVED"
     system = kpi.system_kpis(res.day, kpi.traveller_kpis(res.log), [row],
-                             cfg.platforms, res.log)
+                             cfg.platforms, drivers, res.log)
     assert system["revenue_platform_0"] == pytest.approx(1.2)
 
 
@@ -228,7 +225,7 @@ def test_conservation_random_scenario():
             cuts += r.cut
     assert abs((payouts + cuts) - fares) < 1e-9
     system = kpi.system_kpis(res.day, kpi.traveller_kpis(res.log), drows,
-                             cfg.platforms, res.log)
+                             cfg.platforms, drivers, res.log)
     assert system["revenue_platform_0"] == pytest.approx(fares, abs=1e-9)
     earned = sum(r.revenue for r in drows)
     assert earned == pytest.approx(payouts, abs=1e-9)

@@ -47,13 +47,16 @@ def write_events(path, log):
         write_events_csv(fh, log)
 
 
+SINGLE_DRIVER = [DriverSpec(0, home_node=0, shift_start=0.0, shift_end=1000.0,
+                            platform_ids=(0,))]
+
+
 def single_ride_result():
     cfg = make_cfg(1, 1)
     return run(
         cfg, line_net(),
         [Request(0, 0, origin=1, destination=2, t_request=100.0)],
-        [DriverSpec(0, home_node=0, shift_start=0.0, shift_end=1000.0,
-                    platform_ids=(0,))],
+        SINGLE_DRIVER,
     ), cfg
 
 
@@ -245,7 +248,7 @@ def test_single_ride_system_row():
     res, cfg = single_ride_result()
     trows = traveller_kpis(res.log)
     drows = driver_kpis(res.log)
-    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, res.log)
+    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, SINGLE_DRIVER, res.log)
     assert sys_row["n_travellers"] == 1
     assert sys_row["n_served"] == 1
     assert sys_row["n_unserved"] == 0
@@ -265,10 +268,10 @@ def test_single_ride_system_row():
 
 
 def test_outcome_partition():
-    res, cfg, *_ = busy_result(seed=3, behaviour={"max_wait_s": 150.0})
+    res, cfg, *_, drivers = busy_result(seed=3, behaviour={"max_wait_s": 150.0})
     trows = traveller_kpis(res.log)
     drows = driver_kpis(res.log)
-    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, res.log)
+    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, drivers, res.log)
     total = (sys_row["n_served"] + sys_row["n_unserved"]
              + sys_row["n_opted_out"] + sys_row["n_rejected"])
     assert total == sys_row["n_travellers"] == 40
@@ -284,10 +287,10 @@ def test_occupied_time_equals_in_vehicle_time():
 
 
 def test_money_conservation_from_rows():
-    res, cfg, *_ = busy_result(seed=29)
+    res, cfg, *_, drivers = busy_result(seed=29)
     trows = traveller_kpis(res.log)
     drows = driver_kpis(res.log)
-    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, res.log)
+    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, drivers, res.log)
     fares = sum(r.fare_paid for r in trows if r.fare_paid is not None)
     assert sys_row["revenue_platform_0"] == pytest.approx(fares, abs=1e-9)
     # commission 0 in make_cfg platforms: payouts equal fares
@@ -297,17 +300,15 @@ def test_money_conservation_from_rows():
 
 def test_first_match_wait_censored_at_shift():
     cfg = make_cfg(1, 2)
-    res = run(
-        cfg, line_net(),
-        [Request(0, 0, 1, 2, 100.0)],
-        [
-            DriverSpec(0, 1, 0.0, 1000.0, (0,)),    # matched at t=100
-            DriverSpec(1, 2, 0.0, 800.0, (0,)),     # never matched
-        ],
-    )
+    drivers = [
+        DriverSpec(0, 1, 0.0, 1000.0, (0,)),    # matched at t=100
+        DriverSpec(1, 2, 0.0, 800.0, (0,)),     # never matched
+    ]
+    res = run(cfg, line_net(), [Request(0, 0, 1, 2, 100.0)], drivers)
     drows = driver_kpis(res.log)
     assert drows[1].first_match_wait_s is None
-    sys_row = system_kpis(res.day, traveller_kpis(res.log), drows, cfg.platforms, res.log)
+    sys_row = system_kpis(res.day, traveller_kpis(res.log), drows, cfg.platforms, drivers,
+                          res.log)
     assert sys_row["driver_first_match_wait_mean_s"] == (100.0 + 800.0) / 2
 
 
@@ -319,17 +320,14 @@ def test_two_platform_fleet_fields():
          "commission_rate": 0.0, "matching": "instant"},
     ]
     cfg = make_cfg(1, 3, platforms=platforms)
-    res = run(
-        cfg, line_net(),
-        [Request(0, 0, 1, 2, 50.0)],
-        [
-            DriverSpec(0, 1, 0.0, 1000.0, (0,)),
-            DriverSpec(1, 2, 0.0, 1000.0, (1,)),
-            DriverSpec(2, 0, 0.0, 1000.0, (1,)),
-        ],
-    )
+    drivers = [
+        DriverSpec(0, 1, 0.0, 1000.0, (0,)),
+        DriverSpec(1, 2, 0.0, 1000.0, (1,)),
+        DriverSpec(2, 0, 0.0, 1000.0, (1,)),
+    ]
+    res = run(cfg, line_net(), [Request(0, 0, 1, 2, 50.0)], drivers)
     sys_row = system_kpis(res.day, traveller_kpis(res.log), driver_kpis(res.log),
-                          cfg.platforms, res.log)
+                          cfg.platforms, drivers, res.log)
     assert sys_row["fleet_platform_0"] == 1
     assert sys_row["fleet_platform_1"] == 2      # the non-dedicated remainder
     assert sys_row["n_served_platform_0"] == 1   # cheaper platform wins
@@ -494,7 +492,7 @@ def test_event_csv_round_trip(tmp_path):
 
 
 def test_kpis_pure_function_of_stored_log(tmp_path):
-    res, cfg, *_ = busy_result(seed=43, behaviour={"max_wait_s": 200.0})
+    res, cfg, *_, drivers = busy_result(seed=43, behaviour={"max_wait_s": 200.0})
     path = tmp_path / "events.csv"
     write_events(path, res.log)
     back = read_events_csv(path)
@@ -502,9 +500,9 @@ def test_kpis_pure_function_of_stored_log(tmp_path):
     assert traveller_kpis(back) == traveller_kpis(res.log)
     assert driver_kpis(back) == driver_kpis(res.log)
     assert system_kpis(res.day, traveller_kpis(back), driver_kpis(back),
-                       cfg.platforms, back) == \
+                       cfg.platforms, drivers, back) == \
         system_kpis(res.day, traveller_kpis(res.log), driver_kpis(res.log),
-                    cfg.platforms, res.log)
+                    cfg.platforms, drivers, res.log)
 
 
 def test_null_cells_written_empty(tmp_path):
