@@ -28,7 +28,7 @@ from ridesim.errors import (
     RidesimError,
 )
 from ridesim.experiments import day_to_day, parse_plan, run_grid
-from ridesim.netgraph import grid_city, save_graph
+from ridesim.netgraph import save_graph
 from ridesim.scenario import (
     AT_LEAST_1,
     COUNT,
@@ -36,6 +36,7 @@ from ridesim.scenario import (
     Range,
     generate_demand,
     generate_supply,
+    grid_spec,
     materialize,
     number,
     parse_config,
@@ -90,14 +91,23 @@ def _write_manifest(out_dir: Path, names, seed, config_sha: str, started: str) -
 
 
 def _out_dir(path_str: str) -> Path:
+    """``--out``, checked not to be a file or inside one. Nothing is created
+    yet: a command calls ``_claim`` just before it writes its first file,
+    so an input error found before then leaves ``--out`` as it was."""
+    out = Path(path_str)
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigError("--out", f"{path_str} is a file or inside one, "
+                                           "not a directory")
+            break
+    return out
+
+
+def _claim(out: Path) -> Path:
     """Create the output directory and drop a manifest left by an earlier
     run, so none is present until this command completes."""
-    out = Path(path_str)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise ConfigError("--out", f"{path_str} is a file or inside one, not a directory") \
-            from None
+    out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
     return out
 
@@ -117,7 +127,7 @@ def cmd_run(args) -> int:
     def on_day(log):
         nonlocal events
         if events is None:
-            events = kpi.open_events_csv(out / "events.csv")
+            events = kpi.open_events_csv(_claim(out) / "events.csv")
         kpi.write_events_csv(events, log)
 
     try:
@@ -151,7 +161,7 @@ def cmd_experiment(args) -> int:
     out = _out_dir(args.out)
     started = _now()
     rows = run_grid(plan, threads=args.threads)
-    kpi.write_system_csv(out / "experiment_results.csv", rows)
+    kpi.write_system_csv(_claim(out) / "experiment_results.csv", rows)
     _write_manifest(out, ["experiment_results.csv"], plan.base_seed,
                     _sha256(text.encode("utf-8")), started)
     print(f"experiment complete: {len(rows)} rows, outputs in {out}")
@@ -173,7 +183,9 @@ def cmd_generate(args) -> int:
             spacing, speed = float(args.grid[2]), float(args.grid[3])
         except ValueError:
             raise ConfigError("--grid", "expects ROWS COLS SPACING_M SPEED_MPS") from None
-        written = [p.name for p in save_graph(grid_city(rows, cols, spacing, speed), out)]
+        net = grid_spec({"rows": rows, "cols": cols, "spacing_m": spacing,
+                         "speed_mps": speed}, "--grid").build()
+        written = [p.name for p in save_graph(net, _claim(out))]
     else:
         if args.config is None:
             raise ConfigError("--config", "required for --demand/--supply")
@@ -186,7 +198,7 @@ def cmd_generate(args) -> int:
                 net, args.demand, config.horizon_s, seed, config.demand_weights
             )
             written = ["requests.csv"]
-            save_requests_csv(requests, out / "requests.csv")
+            save_requests_csv(requests, _claim(out) / "requests.csv")
         else:
             fleets = [p.fleet for p in config.platforms]
             if None not in fleets:      # no platform takes the drivers past the fleets
@@ -195,7 +207,7 @@ def cmd_generate(args) -> int:
             drivers = generate_supply(net, args.supply, config.horizon_s, seed,
                                       config.platforms)
             written = ["drivers.csv"]
-            save_drivers_csv(drivers, out / "drivers.csv")
+            save_drivers_csv(drivers, _claim(out) / "drivers.csv")
 
     _write_manifest(out, written, seed, "", started)
     print(f"generate complete: outputs in {out}")

@@ -111,7 +111,7 @@ class DayState:
 @dataclass(frozen=True)
 class DayResult:
     """One simulated day. Participation, earnings and traveller outcomes are
-    read from ``log`` by the ``kpi`` builders."""
+    read from ``log``, which ``kpi.validate_log`` replays for the builders."""
     day: int
     log: tuple
 

@@ -130,14 +130,14 @@ def _network(graph):
 
 
 def _day(config, inputs, decisions, day, state):
-    """Run one day and validate its log; return the log and its traveller,
+    """Run one day and replay its log; return the log and its traveller,
     driver and system rows."""
     log = run_day(config, inputs, decisions, day=day, day_state=state).log
-    kpi.validate_log(log)
-    t_rows = kpi.traveller_kpis(log)
-    d_rows = kpi.driver_kpis(log)
+    replay = kpi.validate_log(log)
+    t_rows = kpi.traveller_kpis(replay)
+    d_rows = kpi.driver_kpis(replay)
     return log, t_rows, d_rows, kpi.system_kpis(day, t_rows, d_rows, config.platforms,
-                                                inputs.drivers, log)
+                                                inputs.drivers, replay)
 
 
 def _run(tasks, threads, networks) -> list[dict]:
@@ -211,9 +211,9 @@ CONVERGENCE_WINDOW = 5      # consecutive stable days to stop
 @dataclass(frozen=True)
 class DayToDayResult:
     trajectory: tuple
-    system_rows: tuple       # kpi.system_kpis of each day's log
-    travellers: tuple        # kpi.traveller_kpis of the last day's log
-    drivers: tuple           # kpi.driver_kpis of the last day's log
+    system_rows: tuple       # kpi.system_kpis of each day's replay
+    travellers: tuple        # kpi.traveller_kpis of the last day's replay
+    drivers: tuple           # kpi.driver_kpis of the last day's replay
     inputs: ScenarioInputs
     converged: bool
     learned_income: dict     # driver_id -> final income belief

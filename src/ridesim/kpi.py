@@ -1,17 +1,17 @@
 """KPI pipeline: event-log validation, per-agent and system indicators, CSV.
 
 Every indicator is computed purely from the event log, never from simulator
-internals, so any stored log can be re-analysed later. ``validate_log``
-replays the per-agent event sequences against the allowed transitions and is
-a precondition of the KPI builders. This module also owns the CSV form of
-the log: ``write_events_csv`` formats each record's detail fields into the
-``meta`` column and ``read_events_csv`` parses them back.
+internals, so any stored log can be re-analysed later. ``validate_log`` walks
+a log once: it checks each agent's events against the allowed transitions
+and folds them into a ``Replay``, the only input of the traveller, driver and
+system builders, so no log reaches them unvalidated. This module also owns
+the CSV form of the log: ``write_events_csv`` formats each record's detail
+fields into the ``meta`` column and ``read_events_csv`` parses them back.
 """
 
-from collections import Counter
-from dataclasses import dataclass, fields
+from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ridesim.engine import EventRecord
 from ridesim.errors import LogValidationError
@@ -32,7 +32,9 @@ _TRAVELLER_FSM = {
     "OPTS_OUT": set(),
     "UNSERVED": set(),
 }
-_TRAVELLER_TERMINAL = {"ARRIVES", "OPTS_OUT", "UNSERVED", "REJECTS_OFFER"}
+# each terminal traveller event and the outcome it ends in
+_TRAVELLER_OUTCOME = {"ARRIVES": "ARRIVED", "OPTS_OUT": "OPTED_OUT",
+                      "UNSERVED": "UNSERVED", "REJECTS_OFFER": "REJECTED_OFFER"}
 
 _DRIVER_FSM = {
     None: {"OPTS_OUT", "STARTS_SHIFT"},
@@ -101,49 +103,102 @@ def _parse_meta(text: str) -> dict:
 _EVENTS_TYPES = (int, float, str, int, str, int, _parse_meta)
 
 
-# ---------------------------------------------------------------- validation
+# ------------------------------------------------------------------ replay
 
-def validate_log(log: Sequence[EventRecord]) -> None:
-    """Replay the log and raise on any impossible sequence.
+class _Story:
+    """One agent's day so far: its last record, and the latest record of
+    each event type it has logged."""
+    __slots__ = ("last", "seen")
+
+    def __init__(self):
+        self.seen = {}
+
+
+class _DriverStory(_Story):
+    """A driver's story, with its ride sums added up in record order."""
+    n_rides = 0
+    revenue = empty_s = occupied_s = empty_m = occupied_m = 0.0
+    first_match_wait_s = None
+
+    def fold(self, rec: EventRecord, rides: dict) -> None:
+        """Add ``rec`` to this driver's sums and to its platform's in ``rides``."""
+        event = rec.event
+        if event == "ACCEPTS_REQUEST":
+            if self.first_match_wait_s is None:
+                self.first_match_wait_s = rec.t - self.seen["STARTS_SHIFT"].t
+        elif event == "ARRIVES_PICKUP":
+            self.empty_s += rec.t - self.seen["ACCEPTS_REQUEST"].t
+            self.empty_m += rec.dist_m
+            rides[rec.platform_id]["vkm"] += rec.dist_m / 1000.0
+        elif event == "COMPLETES_RIDE":
+            self.n_rides += 1
+            self.revenue += rec.payout
+            self.occupied_s += rec.t - self.seen["DEPARTS_WITH_TRAVELLER"].t
+            self.occupied_m += rec.dist_m
+            platform = rides[rec.platform_id]
+            platform["revenue"] += rec.fare
+            platform["n_served"] += 1
+            platform["vkm"] += rec.dist_m / 1000.0
+        elif event == "ARRIVES_REPOSITION":
+            self.empty_s += rec.t - self.seen["STARTS_REPOSITIONING"].t
+            self.empty_m += rec.dist_m
+
+
+class Replay(NamedTuple):
+    """What one walk of a valid log leaves for the KPI builders: each
+    traveller's and driver's story, keyed by ``(day, agent_kind,
+    agent_id)`` in sorted order, and each platform's ride sums
+    (``revenue``, ``n_served``, ``vkm``), added in log order."""
+    stories: dict
+    rides: dict
+
+
+def validate_log(log: Sequence[EventRecord]) -> Replay:
+    """Replay the log once: raise on any impossible sequence, else return
+    the ``Replay`` the KPI builders read.
 
     Checks global time monotonicity, per-agent transitions, and that every
     traveller and driver story is complete (ends in a terminal event).
     """
-    last_t = None
-    state: dict[tuple, Optional[str]] = {}
+    last = ()       # (day, t) of the record before; every pair sorts after ()
+    stories: dict[tuple, _Story] = {}
+    rides = defaultdict(lambda: {"revenue": 0.0, "n_served": 0, "vkm": 0.0})
     for i, rec in enumerate(log):
-        if last_t is not None and rec.t < last_t[1] and rec.day == last_t[0]:
-            raise LogValidationError(f"{_where(i, rec)}: time went backwards")
-        if last_t is not None and rec.day < last_t[0]:
-            raise LogValidationError(f"{_where(i, rec)}: day went backwards")
-        last_t = (rec.day, rec.t)
-        key = (rec.day, rec.agent_kind, rec.agent_id)
-        if rec.agent_kind == "PLATFORM":
-            if rec.event not in _PLATFORM_EVENTS:
-                raise LogValidationError(
-                    f"{_where(i, rec)}: unknown platform event {rec.event}"
-                )
+        day, t, kind, agent_id, event = rec[:5]
+        if (day, t) < last:
+            what = "time" if day == last[0] else "day"
+            raise LogValidationError(f"{_where(i, rec)}: {what} went backwards")
+        last = (day, t)
+        if kind == "PLATFORM":
+            if event not in _PLATFORM_EVENTS:
+                raise LogValidationError(f"{_where(i, rec)}: unknown platform event {event}")
             continue
-        fsm = _TRAVELLER_FSM if rec.agent_kind == "TRAVELLER" else _DRIVER_FSM
-        if rec.agent_kind not in ("TRAVELLER", "DRIVER"):
+        driver = kind == "DRIVER"
+        if not driver and kind != "TRAVELLER":
+            raise LogValidationError(f"{_where(i, rec)}: unknown agent kind {kind}")
+        key = (day, kind, agent_id)
+        story = stories.get(key)
+        prev = None if story is None else story.last.event
+        if event not in (_DRIVER_FSM if driver else _TRAVELLER_FSM)[prev]:
             raise LogValidationError(
-                f"{_where(i, rec)}: unknown agent kind {rec.agent_kind}"
+                f"{_where(i, rec)}: {kind.lower()} {agent_id} "
+                f"cannot go from {prev} to {event}"
             )
-        prev = state.get(key)
-        allowed = fsm.get(prev, set())
-        if rec.event not in allowed:
-            raise LogValidationError(
-                f"{_where(i, rec)}: {rec.agent_kind.lower()} {rec.agent_id} "
-                f"cannot go from {prev} to {rec.event}"
-            )
-        state[key] = rec.event
-    for (day, kind, agent_id), last in sorted(state.items()):
-        terminal = _TRAVELLER_TERMINAL if kind == "TRAVELLER" else _DRIVER_TERMINAL
-        if last not in terminal:
+        if story is None:
+            story = stories[key] = _DriverStory() if driver else _Story()
+        if driver:
+            story.fold(rec, rides)
+        story.last = rec
+        story.seen[event] = rec
+    stories = dict(sorted(stories.items()))
+    for (day, kind, agent_id), story in stories.items():
+        terminal = _TRAVELLER_OUTCOME if kind == "TRAVELLER" else _DRIVER_TERMINAL
+        if story.last.event not in terminal:
             raise LogValidationError(
                 f"day {day}: {kind.lower()} {agent_id} story ends in "
-                f"{last}, which is not terminal"
+                f"{story.last.event}, which is not terminal"
             )
+    return Replay(stories, dict(rides))
 
 
 def _where(i: int, rec: EventRecord) -> str:
@@ -168,8 +223,7 @@ def _mean(values: Sequence[float]) -> Optional[float]:
 
 # ----------------------------------------------------------- traveller rows
 
-@dataclass(frozen=True)
-class TravellerKpi:
+class TravellerKpi(NamedTuple):
     traveller_id: int
     outcome: str
     wait_s: Optional[float]
@@ -178,110 +232,62 @@ class TravellerKpi:
     fare_paid: Optional[float]
 
 
-def traveller_kpis(log: Sequence[EventRecord]) -> list[TravellerKpi]:
-    """One row per traveller appearing in a single-day log."""
-    events: dict[int, list[EventRecord]] = {}
-    for rec in log:
-        if rec.agent_kind == "TRAVELLER":
-            events.setdefault(rec.agent_id, []).append(rec)
+def traveller_kpis(replay: Replay) -> list[TravellerKpi]:
+    """One row per traveller of a one-day replay, in id order (a longer
+    replay gives one row per traveller and day, in day order)."""
     rows = []
-    for t_id in sorted(events):
-        seq = events[t_id]
-        times = {rec.event: rec.t for rec in seq}
-        last = seq[-1].event
-        if last in ("ARRIVES",):
-            outcome = "ARRIVED"
-        elif last == "OPTS_OUT":
-            outcome = "OPTED_OUT"
-        elif last == "UNSERVED":
-            outcome = "UNSERVED"
-        else:
-            outcome = "REJECTED_OFFER"
+    for (_, kind, t_id), story in replay.stories.items():
+        if kind != "TRAVELLER":
+            continue
+        outcome = _TRAVELLER_OUTCOME[story.last.event]
         wait = in_vehicle = total = fare = None
         if outcome == "ARRIVED":
-            wait = times["PICKED_UP"] - times["REQUESTS"]
-            in_vehicle = times["ARRIVES"] - times["PICKED_UP"]
-            total = times["ARRIVES"] - times["REQUESTS"]
-            accepted = [r for r in seq if r.event == "ACCEPTS_OFFER"]
-            fare = accepted[-1].fare
-        rows.append(TravellerKpi(
-            traveller_id=t_id, outcome=outcome, wait_s=wait,
-            in_vehicle_s=in_vehicle, total_s=total, fare_paid=fare,
-        ))
+            seen = story.seen
+            wait = seen["PICKED_UP"].t - seen["REQUESTS"].t
+            in_vehicle = seen["ARRIVES"].t - seen["PICKED_UP"].t
+            total = seen["ARRIVES"].t - seen["REQUESTS"].t
+            fare = seen["ACCEPTS_OFFER"].fare
+        rows.append(TravellerKpi(t_id, outcome, wait, in_vehicle, total, fare))
     return rows
 
 
 # -------------------------------------------------------------- driver rows
 
-@dataclass(frozen=True)
-class DriverKpi:
+class DriverKpi(NamedTuple):
     driver_id: int
     participated: bool
-    n_rides: int
-    revenue: float
-    idle_s: Optional[float]
-    empty_drive_s: Optional[float]
-    occupied_s: Optional[float]
-    empty_drive_m: Optional[float]
-    occupied_m: Optional[float]
-    mileage_m: Optional[float]
-    first_match_wait_s: Optional[float]
-    shift_s: Optional[float]
+    n_rides: int = 0
+    revenue: float = 0.0
+    idle_s: Optional[float] = None
+    empty_drive_s: Optional[float] = None
+    occupied_s: Optional[float] = None
+    empty_drive_m: Optional[float] = None
+    occupied_m: Optional[float] = None
+    mileage_m: Optional[float] = None
+    first_match_wait_s: Optional[float] = None
+    shift_s: Optional[float] = None
 
 
-def driver_kpis(log: Sequence[EventRecord]) -> list[DriverKpi]:
-    """One row per driver, reconstructed from its event sequence alone."""
-    events: dict[int, list[EventRecord]] = {}
-    for rec in log:
-        if rec.agent_kind == "DRIVER":
-            events.setdefault(rec.agent_id, []).append(rec)
+def driver_kpis(replay: Replay) -> list[DriverKpi]:
+    """One row per driver of a one-day replay, in id order (a longer replay
+    gives one row per driver and day, in day order)."""
     rows = []
-    for d_id in sorted(events):
-        seq = events[d_id]
-        if seq[0].event == "OPTS_OUT":
-            rows.append(DriverKpi(
-                driver_id=d_id, participated=False, n_rides=0, revenue=0.0,
-                idle_s=None, empty_drive_s=None, occupied_s=None,
-                empty_drive_m=None, occupied_m=None, mileage_m=None,
-                first_match_wait_s=None, shift_s=None,
-            ))
+    for (_, kind, d_id), story in replay.stories.items():
+        if kind != "DRIVER":
             continue
-        start = seq[0].t
-        end = seq[-1].t
-        n_rides = 0
-        revenue = 0.0
-        empty_s = occupied_s = empty_m = occupied_m = 0.0
-        first_match = None
-        t_accept = t_depart = t_repos = None
-        for rec in seq:
-            if rec.event == "ACCEPTS_REQUEST":
-                t_accept = rec.t
-                if first_match is None:
-                    first_match = rec.t - start
-            elif rec.event == "ARRIVES_PICKUP":
-                empty_s += rec.t - t_accept
-                empty_m += rec.dist_m
-            elif rec.event == "DEPARTS_WITH_TRAVELLER":
-                t_depart = rec.t
-            elif rec.event == "COMPLETES_RIDE":
-                n_rides += 1
-                revenue += rec.payout
-                occupied_s += rec.t - t_depart
-                occupied_m += rec.dist_m
-            elif rec.event == "STARTS_REPOSITIONING":
-                t_repos = rec.t
-            elif rec.event == "ARRIVES_REPOSITION":
-                empty_s += rec.t - t_repos
-                empty_m += rec.dist_m
+        if story.last.event == "OPTS_OUT":
+            rows.append(DriverKpi(d_id, participated=False))
+            continue
+        shift = story.last.t - story.seen["STARTS_SHIFT"].t
         rows.append(DriverKpi(
-            driver_id=d_id, participated=True, n_rides=n_rides,
-            revenue=revenue,
-            idle_s=(end - start) - empty_s - occupied_s,
-            empty_drive_s=empty_s, occupied_s=occupied_s,
-            empty_drive_m=empty_m, occupied_m=occupied_m,
-            mileage_m=empty_m + occupied_m,
-            first_match_wait_s=first_match,
-            shift_s=end - start,
+            driver_id=d_id, participated=True, n_rides=story.n_rides,
+            revenue=story.revenue,
+            idle_s=shift - story.empty_s - story.occupied_s,
+            empty_drive_s=story.empty_s, occupied_s=story.occupied_s,
+            empty_drive_m=story.empty_m, occupied_m=story.occupied_m,
+            mileage_m=story.empty_m + story.occupied_m,
+            first_match_wait_s=story.first_match_wait_s,
+            shift_s=shift,
         ))
     return rows
 
@@ -294,14 +300,15 @@ def system_kpis(
     driver_rows: Sequence[DriverKpi],
     platforms,
     drivers,
-    log: Sequence[EventRecord],
+    replay: Replay,
 ) -> dict:
     """Single flat dict of system-level indicators for ``day``, whose log
     may be empty.
 
-    Per-platform fields are derived from ride events, except a platform's
-    fleet: the number of ``drivers`` (the run's ``DriverSpec``s) registered
-    on it.
+    Per-platform fields are the ride sums of ``replay``, except a
+    platform's fleet: the number of ``drivers`` (the run's
+    ``DriverSpec``s) registered on it. A ride on a platform that
+    ``platforms`` lacks raises ``LogValidationError``.
     """
     outcomes = [r.outcome for r in traveller_rows]
     waits = [r.wait_s for r in traveller_rows if r.wait_s is not None]
@@ -330,33 +337,24 @@ def system_kpis(
     out["vkm_total"] = out["vkm_empty"] + out["vkm_occupied"]
 
     fleet = Counter(pid for d in drivers for pid in d.platform_ids)
-    per = {
-        p.platform_id: {"revenue": 0.0, "n_served": 0, "vkm": 0.0}
-        for p in platforms
-    }
-    for rec in log:
-        if rec.agent_kind != "DRIVER":
-            continue
-        if rec.event == "COMPLETES_RIDE":
-            pid = rec.platform_id
-            per[pid]["revenue"] += rec.fare
-            per[pid]["n_served"] += 1
-            per[pid]["vkm"] += rec.dist_m / 1000.0
-        elif rec.event == "ARRIVES_PICKUP":
-            per[rec.platform_id]["vkm"] += rec.dist_m / 1000.0
-    for p in sorted(platforms, key=lambda p: p.platform_id):
-        pid = p.platform_id
-        out[f"revenue_platform_{pid}"] = per[pid]["revenue"]
-        out[f"n_served_platform_{pid}"] = per[pid]["n_served"]
-        out[f"vkm_platform_{pid}"] = per[pid]["vkm"]
+    known = {p.platform_id for p in platforms}
+    for pid in replay.rides:
+        if pid not in known:
+            raise LogValidationError(f"day {day}: rides on platform {pid}, "
+                                     f"which is not among the configured platforms")
+    no_rides = {"revenue": 0.0, "n_served": 0, "vkm": 0.0}
+    for pid in sorted(known):
+        sums = replay.rides.get(pid, no_rides)
+        out[f"revenue_platform_{pid}"] = sums["revenue"]
+        out[f"n_served_platform_{pid}"] = sums["n_served"]
+        out[f"vkm_platform_{pid}"] = sums["vkm"]
         out[f"fleet_platform_{pid}"] = fleet[pid]
     return out
 
 
 # ---------------------------------------------------------------- node rows
 
-@dataclass(frozen=True)
-class NodeKpi:
+class NodeKpi(NamedTuple):
     node: int
     n_requests: int
     wait_mean_s: Optional[float]
@@ -444,28 +442,19 @@ def read_events_csv(path) -> tuple[EventRecord, ...]:
     return tuple(EventRecord(*row[:6], **row[6]) for _, row in rows)
 
 
-def _write_records(path, rows, cls) -> None:
-    header = [f.name for f in fields(cls)]
-    write_csv(path, header, ([getattr(r, h) for h in header] for r in rows), "\r\n")
-
-
 def write_traveller_csv(path, rows: Sequence[TravellerKpi]) -> None:
-    _write_records(path, rows, TravellerKpi)
+    write_csv(path, TravellerKpi._fields, rows, "\r\n")
 
 
 def write_driver_csv(path, rows: Sequence[DriverKpi]) -> None:
-    _write_records(path, rows, DriverKpi)
+    write_csv(path, DriverKpi._fields, rows, "\r\n")
 
 
 def write_system_csv(path, day_rows: Sequence[dict]) -> None:
     """One row per day; the union of keys in first-seen order."""
-    header: list[str] = []
-    for row in day_rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
+    header = list(dict.fromkeys(key for row in day_rows for key in row))
     write_csv(path, header, ([row.get(h) for h in header] for row in day_rows), "\r\n")
 
 
 def write_node_csv(path, rows: Sequence[NodeKpi]) -> None:
-    _write_records(path, rows, NodeKpi)
+    write_csv(path, NodeKpi._fields, rows, "\r\n")

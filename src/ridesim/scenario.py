@@ -282,21 +282,26 @@ def _parse_matching(v, at: str, horizon: float) -> tuple[str, float | None]:
     raise ConfigError(at, 'must be "instant" or {"batched": {"window_s": W}}')
 
 
+def grid_spec(grid, at: str) -> GraphSpec:
+    """The grid city ``grid`` describes (``rows``, ``cols``, ``spacing_m``,
+    ``speed_mps``), each value checked; an error names the path ``at``."""
+    if not isinstance(grid, dict):
+        raise ConfigError(at, "expected an object")
+    rows = number(grid, "rows", INTEGER, int, at=at)
+    cols = number(grid, "cols", INTEGER, int, at=at)
+    spacing = number(grid, "spacing_m", POSITIVE, float, at=at)
+    speed = number(grid, "speed_mps", POSITIVE, float, at=at)
+    if rows < 2 or cols < 2:
+        raise ConfigError(at, "rows and cols must be >= 2")
+    return GraphSpec(kind="grid", rows=rows, cols=cols, spacing_m=spacing, speed_mps=speed)
+
+
 def _parse_graph(raw: dict, base_dir: Path) -> GraphSpec:
     g = raw.get("graph")
     if not isinstance(g, dict):
         raise ConfigError("graph", "required key missing or not an object")
     if set(g) == {"grid"}:
-        grid = g["grid"]
-        if not isinstance(grid, dict):
-            raise ConfigError("graph.grid", "expected an object")
-        rows = number(grid, "rows", INTEGER, int, at="graph.grid")
-        cols = number(grid, "cols", INTEGER, int, at="graph.grid")
-        spacing = number(grid, "spacing_m", POSITIVE, float, at="graph.grid")
-        speed = number(grid, "speed_mps", POSITIVE, float, at="graph.grid")
-        if rows < 2 or cols < 2:
-            raise ConfigError("graph.grid", "rows and cols must be >= 2")
-        return GraphSpec(kind="grid", rows=rows, cols=cols, spacing_m=spacing, speed_mps=speed)
+        return grid_spec(g["grid"], "graph.grid")
     if set(g) == {"nodes", "edges"}:
         nodes, edges = g["nodes"], g["edges"]
         if not isinstance(nodes, str) or not isinstance(edges, str):

@@ -262,8 +262,9 @@ def test_c3_skim_oracle(capsys):
 # -------------------------------------------------- 4: conservation laws
 
 def conservation_violations(config, log):
-    t_rows = kpi.traveller_kpis(log)
-    d_rows = kpi.driver_kpis(log)
+    replay = kpi.validate_log(log)
+    t_rows = kpi.traveller_kpis(replay)
+    d_rows = kpi.driver_kpis(replay)
     bad = []
     occupied = sum(r.occupied_s for r in d_rows)
     in_vehicle = sum(r.in_vehicle_s or 0.0 for r in t_rows)
@@ -285,8 +286,8 @@ def conservation_violations(config, log):
     return bad
 
 
-def test_c4_conservation_laws(capsys):
-    t0 = time.perf_counter()
+def c4_variants():
+    """The rich scenario and five variants of it."""
     variants = [rich_raw()]
     base = rich_raw()
     for tweak in (
@@ -302,6 +303,12 @@ def test_c4_conservation_laws(capsys):
         raw = json.loads(json.dumps(base))
         raw.update(tweak)
         variants.append(raw)
+    return variants
+
+
+def test_c4_conservation_laws(capsys):
+    t0 = time.perf_counter()
+    variants = c4_variants()
 
     checked = 0
     problems = []
@@ -392,10 +399,11 @@ def test_c7_performance_envelope(capsys):
     inputs = materialize(config)                # skim built fresh, not cached
     result = run_day(config, inputs,
                      build_decision_set(config.decisions, config.behaviour))
-    t_rows = kpi.traveller_kpis(result.log)
-    d_rows = kpi.driver_kpis(result.log)
+    replay = kpi.validate_log(result.log)
+    t_rows = kpi.traveller_kpis(replay)
+    d_rows = kpi.driver_kpis(replay)
     kpi.system_kpis(result.day, t_rows, d_rows, config.platforms, inputs.drivers,
-                    result.log)
+                    replay)
     elapsed = time.perf_counter() - t0
     verdict(capsys, 7, elapsed < 70,
             f"1000 travellers / 100 drivers / 4h / {inputs.net.n}-node grid "
@@ -654,7 +662,7 @@ def test_c9_randomized_properties(capsys):
         hours = {d.driver_id: (d.shift_end - d.shift_start) / 3600.0
                  for d in res.inputs.drivers}
         for log in logs:
-            for row in kpi.driver_kpis(log):
+            for row in kpi.driver_kpis(kpi.validate_log(log)):
                 if row.participated:
                     realized[row.driver_id].append(
                         row.revenue / hours[row.driver_id])

@@ -10,9 +10,14 @@ horizons, and no batch window below 1 s.
 
 In the second, each example breaks a valid ``run``, ``experiment`` or
 ``generate`` command line once: a required flag is dropped, a count, seed
-or thread flag gets a non-integer or out-of-range value, or ``--out``
-names a file. That is a usage or input error: exit 1 with one
-``ridesim:`` line.
+or thread flag gets a non-integer or out-of-range value, one of the four
+``--grid`` values is not a number, not finite, not positive or below 2,
+or ``--out`` names a file. That is a usage or input error: exit 1 with
+one ``ridesim:`` line.
+
+In both, ``--out`` already holds an earlier run's ``manifest.json`` and
+one other file, and an exit 1 must leave it as it was: the same names and
+bytes.
 """
 
 import contextlib
@@ -25,6 +30,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ridesim.cli import main
+
+# an earlier run's output directory, which an exit 1 must not touch
+EARLIER = {"manifest.json": b'{"files": []}\n', "events.csv": b"day,t_s\r\n"}
+
+
+def _fill(out):
+    out.mkdir()
+    for name, data in EARLIER.items():
+        (out / name).write_bytes(data)
+
+
+def _contents(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
 
 CONFIG = {
     "horizon_s": 600,
@@ -118,9 +136,13 @@ def test_bad_input_exits_cleanly(case):
         path = Path(tmp) / "input.json"
         path.write_bytes(data)
         flag = "--config" if command == "run" else "--plan"
+        out = Path(tmp) / "out"
+        _fill(out)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, flag, str(path), "--out", str(Path(tmp) / "out")])
+            code = main([command, flag, str(path), "--out", str(out)])
+        if code == 1:
+            assert _contents(out) == EARLIER
     assert code in (0, 1, 2)
     if code:
         lines = err.getvalue().splitlines()
@@ -136,10 +158,16 @@ COMMANDS = {
                         ["--demand", "--config", "--out"]),
     "generate-supply": (["--supply", "3", "--config", "CONFIG", "--out", "OUT", "--seed", "3"],
                         ["--supply", "--config", "--out"]),
+    "generate-grid": (["--grid", "3", "3", "100", "10", "--out", "OUT", "--seed", "3"],
+                      ["--grid", "--out"]),
 }
 OUT_OF_RANGE = {"--days": ["0", "-1"], "--threads": ["0", "-2"], "--demand": ["-1"],
                 "--supply": ["-1"], "--seed": ["-1", str(2 ** 64), str(10 ** 30)]}
 NOT_INTEGERS = ["x", "", "1.5", "2e3", "0x10", "1/2", "--"]
+# broken --grid values: ROWS and COLS below 2 or not integers, SPACING_M
+# and SPEED_MPS not finite, not positive or not numbers
+BAD_SIZES = ["1", "0", "-3", "nan", "inf", "2.5", "x", ""]
+BAD_LENGTHS = ["nan", "inf", "-inf", "0", "-5", "x", ""]
 
 
 @st.composite
@@ -149,10 +177,15 @@ def broken_argv(draw):
     name = draw(st.sampled_from(sorted(COMMANDS)))
     flags, required = COMMANDS[name]
     argv = list(flags)
-    how = draw(st.sampled_from(["drop", "value", "out_file"]))
+    hows = ["drop", "value", "out_file"] + (["grid"] if "--grid" in argv else [])
+    how = draw(st.sampled_from(hows))
     if how == "drop":
         at = argv.index(draw(st.sampled_from(required)))
-        del argv[at:at + 2]
+        del argv[at:at + (5 if argv[at] == "--grid" else 2)]
+    elif how == "grid":
+        k = draw(st.integers(0, 3))
+        argv[argv.index("--grid") + 1 + k] = draw(st.sampled_from(
+            BAD_SIZES if k < 2 else BAD_LENGTHS))
     elif how == "value":
         at = draw(st.sampled_from([i for i, f in enumerate(argv) if f in OUT_OF_RANGE]))
         argv[at + 1] = draw(st.sampled_from(OUT_OF_RANGE[argv[at]] + NOT_INTEGERS))
@@ -172,9 +205,11 @@ def test_bad_command_line_exits_1(argv):
         (tmp / "file").write_text("")
         paths = {"CONFIG": tmp / "config.json", "PLAN": tmp / "plan.json",
                  "OUT": tmp / "out", "FILE": tmp / "file"}
+        _fill(paths["OUT"])
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([str(paths.get(a, a)) for a in argv])
-    assert code == 1, argv
+        assert code == 1, argv
+        assert _contents(paths["OUT"]) == EARLIER, argv
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("ridesim: "), (argv, err.getvalue())

@@ -191,6 +191,53 @@ def test_run_out_path_is_a_file_exits_1(under, config_file, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("ridesim: ") and err[0].endswith("--out")
 
 
+def _config_argv(tmp_path, command, **over):
+    p = tmp_path / "late.json"
+    p.write_text(json.dumps(small_config(**over)))
+    return [*command, "--config", str(p)]
+
+
+# input errors found only after --out has been checked
+LATE_INPUT_ERRORS = {
+    "run-unknown-hook": lambda tmp: _config_argv(tmp, ["run"], decisions={"f_match": "nope"}),
+    "run-missing-requests-csv": lambda tmp: _config_argv(tmp, ["run"],
+                                                         requests_csv="missing.csv"),
+    "experiment-negative-drivers": lambda tmp: [
+        "experiment", "--plan", str(plan_file(tmp, grid={"n_drivers": [25, -1]}))],
+    "generate-unknown-key": lambda tmp: _config_argv(tmp, ["generate", "--supply", "3"],
+                                                     zz_unknown=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_INPUT_ERRORS))
+def test_late_input_error_leaves_out_as_it_was(case, tmp_path, capsys):
+    argv = LATE_INPUT_ERRORS[case](tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}")
+    (out / "events.csv").write_text("earlier")
+    assert main(argv + ["--out", str(out)]) == 1
+    assert read_outputs(out) == {"manifest.json": b"{}", "events.csv": b"earlier"}
+    fresh = tmp_path / "fresh" / "out"
+    assert main(argv + ["--out", str(fresh)]) == 1
+    assert not (tmp_path / "fresh").exists()
+    assert len(capsys.readouterr().err.splitlines()) == 2
+
+
+@pytest.mark.parametrize("grid, where", [
+    (["1", "3", "100", "10"], "rows and cols must be >= 2: --grid"),
+    (["3", "3", "nan", "10"], "must be a finite number > 0: --grid.spacing_m"),
+    (["3", "3", "100", "inf"], "must be a finite number > 0: --grid.speed_mps"),
+    (["3", "3", "-5", "10"], "must be a finite number > 0: --grid.spacing_m"),
+    (["3", "2.5", "100", "10"], "expects ROWS COLS SPACING_M SPEED_MPS: --grid"),
+])
+def test_generate_bad_grid_names_the_flag(grid, where, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["generate", "--grid", *grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ridesim: {where}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_run_seed_out_of_range_exits_1(seed, config_file, tmp_path, capsys):
     out = tmp_path / "out"

@@ -67,7 +67,8 @@ def run(cfg, net, requests, drivers, day=0, day_state=DayState(), decision_set=N
 
 def outcomes(res):
     """Traveller id -> outcome, read from the day's log."""
-    return {row.traveller_id: row.outcome for row in kpi.traveller_kpis(res.log)}
+    return {row.traveller_id: row.outcome
+            for row in kpi.traveller_kpis(kpi.validate_log(res.log))}
 
 
 def names(log, kind=None, agent=None):
@@ -154,7 +155,8 @@ def test_driver_day_accounting():
     cfg = make_cfg(1, 1)
     drivers = [DriverSpec(0, 0, 0.0, 1000.0, (0,))]
     res = run(cfg, line_net(), [Request(0, 0, 1, 2, 100.0)], drivers)
-    row = kpi.driver_kpis(res.log)[0]
+    replay = kpi.validate_log(res.log)
+    row = kpi.driver_kpis(replay)[0]
     assert row.participated
     assert row.revenue == pytest.approx(1.2)
     assert row.shift_s == pytest.approx(1000.0)
@@ -164,8 +166,8 @@ def test_driver_day_accounting():
     assert row.mileage_m == pytest.approx(1800.0)
     assert row.idle_s + row.empty_drive_s + row.occupied_s == pytest.approx(1000.0)
     assert outcomes(res)[0] == "ARRIVED"
-    system = kpi.system_kpis(res.day, kpi.traveller_kpis(res.log), [row],
-                             cfg.platforms, drivers, res.log)
+    system = kpi.system_kpis(res.day, kpi.traveller_kpis(replay), [row],
+                             cfg.platforms, drivers, replay)
     assert system["revenue_platform_0"] == pytest.approx(1.2)
 
 
@@ -213,7 +215,8 @@ def test_conservation_random_scenario():
     picked = {r.agent_id: r.t for r in res.log if r.event == "PICKED_UP"}
     arrived = {r.agent_id: r.t for r in res.log if r.event == "ARRIVES"}
     in_vehicle = sum(arrived[i] - picked[i] for i in picked)
-    drows = kpi.driver_kpis(res.log)
+    replay = kpi.validate_log(res.log)
+    drows = kpi.driver_kpis(replay)
     occupied = sum(r.occupied_s for r in drows if r.participated)
     assert occupied == pytest.approx(in_vehicle, abs=1e-6)
 
@@ -224,8 +227,8 @@ def test_conservation_random_scenario():
             payouts += r.payout
             cuts += r.cut
     assert abs((payouts + cuts) - fares) < 1e-9
-    system = kpi.system_kpis(res.day, kpi.traveller_kpis(res.log), drows,
-                             cfg.platforms, drivers, res.log)
+    system = kpi.system_kpis(res.day, kpi.traveller_kpis(replay), drows,
+                             cfg.platforms, drivers, replay)
     assert system["revenue_platform_0"] == pytest.approx(fares, abs=1e-9)
     earned = sum(r.revenue for r in drows)
     assert earned == pytest.approx(payouts, abs=1e-9)
@@ -460,7 +463,7 @@ def test_boarding_and_alighting_delays():
     assert first(res.log, "ARRIVES_PICKUP").t == 160.0
     assert first(res.log, "PICKED_UP").t == 190.0
     assert first(res.log, "ARRIVES").t == 330.0
-    row = kpi.driver_kpis(res.log)[0]
+    row = kpi.driver_kpis(kpi.validate_log(res.log))[0]
     assert row.occupied_s == pytest.approx(140.0)   # ride leg plus alighting
     assert row.empty_drive_s == pytest.approx(60.0)
 
@@ -538,7 +541,7 @@ def test_driver_opt_out_from_learned_income():
     res = run(cfg, net, [], drivers, day=1, day_state=state)
     assert names(res.log, agent=0) == ["OPTS_OUT"]
     assert names(res.log, agent=1) == ["STARTS_SHIFT", "ENDS_SHIFT"]
-    assert [row.participated for row in kpi.driver_kpis(res.log)] == [False, True]
+    assert [row.participated for row in kpi.driver_kpis(kpi.validate_log(res.log))] == [False, True]
 
 
 def test_traveller_opt_out_after_bad_day():

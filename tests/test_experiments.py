@@ -393,8 +393,9 @@ def test_day_csv(tmp_path):
 
 def test_day_to_day_keeps_last_day_rows():
     res, logs = day_to_day_logs(learning_config(decisions=LEARNED), 3)
-    assert res.travellers == tuple(kpi.traveller_kpis(logs[-1]))
-    assert res.drivers == tuple(kpi.driver_kpis(logs[-1]))
+    replay = kpi.validate_log(logs[-1])
+    assert res.travellers == tuple(kpi.traveller_kpis(replay))
+    assert res.drivers == tuple(kpi.driver_kpis(replay))
 
 
 def test_day_to_day_zero_days_is_empty():
@@ -452,7 +453,7 @@ def test_day_to_day_feeds_each_driver_its_own_memory():
     for day, log in enumerate(logs):
         for d in hours:
             expected[day, d] = (belief[d] if day else None, yesterday[d])
-        for row in kpi.driver_kpis(log):
+        for row in kpi.driver_kpis(kpi.validate_log(log)):
             yesterday[row.driver_id] = row.participated
             if row.participated:
                 belief[row.driver_id] = (

@@ -132,7 +132,7 @@ def test_percentile_nearest_rank():
 
 def test_single_ride_traveller_row():
     res, _ = single_ride_result()
-    rows = traveller_kpis(res.log)
+    rows = traveller_kpis(validate_log(res.log))
     assert len(rows) == 1
     row = rows[0]
     assert row.outcome == "ARRIVED"
@@ -145,7 +145,7 @@ def test_single_ride_traveller_row():
 def test_unserved_traveller_row_has_null_times():
     cfg = make_cfg(1, 0, horizon=500.0)
     res = run(cfg, line_net(), [Request(0, 0, 1, 2, 100.0)], [])
-    row = traveller_kpis(res.log)[0]
+    row = traveller_kpis(validate_log(res.log))[0]
     assert row.outcome == "UNSERVED"
     assert row.wait_s is None and row.fare_paid is None
 
@@ -154,7 +154,7 @@ def test_unserved_traveller_row_has_null_times():
 
 def test_single_ride_driver_row():
     res, _ = single_ride_result()
-    row = driver_kpis(res.log)[0]
+    row = driver_kpis(validate_log(res.log))[0]
     assert row.participated
     assert row.n_rides == 1
     assert row.revenue == 1.2
@@ -214,7 +214,7 @@ def test_driver_rows_match_skim_oracle():
             if rec.event in ("MATCH", "BATCH_MATCH"):
                 payout = settle(by_platform[rec.agent_id], rec.fare)[0]
                 payouts[rec.driver_id] = payouts.get(rec.driver_id, 0.0) + payout
-        rows = driver_kpis(res.log)
+        rows = driver_kpis(validate_log(res.log))
         assert sum(r.participated for r in rows) > 0
         for row in rows:
             if not row.participated:
@@ -236,7 +236,7 @@ def test_driver_rows_match_skim_oracle():
 
 def test_opted_out_driver_row():
     log = [EventRecord(0, 0.0, "DRIVER", 3, "OPTS_OUT", 2)]
-    row = driver_kpis(log)[0]
+    row = driver_kpis(validate_log(log))[0]
     assert not row.participated
     assert row.n_rides == 0 and row.revenue == 0.0
     assert row.idle_s is None and row.shift_s is None
@@ -246,9 +246,10 @@ def test_opted_out_driver_row():
 
 def test_single_ride_system_row():
     res, cfg = single_ride_result()
-    trows = traveller_kpis(res.log)
-    drows = driver_kpis(res.log)
-    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, SINGLE_DRIVER, res.log)
+    replay = validate_log(res.log)
+    trows = traveller_kpis(replay)
+    drows = driver_kpis(replay)
+    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, SINGLE_DRIVER, replay)
     assert sys_row["n_travellers"] == 1
     assert sys_row["n_served"] == 1
     assert sys_row["n_unserved"] == 0
@@ -269,9 +270,10 @@ def test_single_ride_system_row():
 
 def test_outcome_partition():
     res, cfg, *_, drivers = busy_result(seed=3, behaviour={"max_wait_s": 150.0})
-    trows = traveller_kpis(res.log)
-    drows = driver_kpis(res.log)
-    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, drivers, res.log)
+    replay = validate_log(res.log)
+    trows = traveller_kpis(replay)
+    drows = driver_kpis(replay)
+    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, drivers, replay)
     total = (sys_row["n_served"] + sys_row["n_unserved"]
              + sys_row["n_opted_out"] + sys_row["n_rejected"])
     assert total == sys_row["n_travellers"] == 40
@@ -279,8 +281,9 @@ def test_outcome_partition():
 
 def test_occupied_time_equals_in_vehicle_time():
     res, cfg, *_ = busy_result(seed=17)
-    trows = traveller_kpis(res.log)
-    drows = driver_kpis(res.log)
+    replay = validate_log(res.log)
+    trows = traveller_kpis(replay)
+    drows = driver_kpis(replay)
     in_vehicle = sum(r.in_vehicle_s for r in trows if r.in_vehicle_s is not None)
     occupied = sum(r.occupied_s for r in drows if r.occupied_s is not None)
     assert occupied == pytest.approx(in_vehicle, abs=1e-6)
@@ -288,9 +291,10 @@ def test_occupied_time_equals_in_vehicle_time():
 
 def test_money_conservation_from_rows():
     res, cfg, *_, drivers = busy_result(seed=29)
-    trows = traveller_kpis(res.log)
-    drows = driver_kpis(res.log)
-    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, drivers, res.log)
+    replay = validate_log(res.log)
+    trows = traveller_kpis(replay)
+    drows = driver_kpis(replay)
+    sys_row = system_kpis(res.day, trows, drows, cfg.platforms, drivers, replay)
     fares = sum(r.fare_paid for r in trows if r.fare_paid is not None)
     assert sys_row["revenue_platform_0"] == pytest.approx(fares, abs=1e-9)
     # commission 0 in make_cfg platforms: payouts equal fares
@@ -305,10 +309,11 @@ def test_first_match_wait_censored_at_shift():
         DriverSpec(1, 2, 0.0, 800.0, (0,)),     # never matched
     ]
     res = run(cfg, line_net(), [Request(0, 0, 1, 2, 100.0)], drivers)
-    drows = driver_kpis(res.log)
+    replay = validate_log(res.log)
+    drows = driver_kpis(replay)
     assert drows[1].first_match_wait_s is None
-    sys_row = system_kpis(res.day, traveller_kpis(res.log), drows, cfg.platforms, drivers,
-                          res.log)
+    sys_row = system_kpis(res.day, traveller_kpis(replay), drows, cfg.platforms, drivers,
+                          replay)
     assert sys_row["driver_first_match_wait_mean_s"] == (100.0 + 800.0) / 2
 
 
@@ -326,13 +331,27 @@ def test_two_platform_fleet_fields():
         DriverSpec(2, 0, 0.0, 1000.0, (1,)),
     ]
     res = run(cfg, line_net(), [Request(0, 0, 1, 2, 50.0)], drivers)
-    sys_row = system_kpis(res.day, traveller_kpis(res.log), driver_kpis(res.log),
-                          cfg.platforms, drivers, res.log)
+    replay = validate_log(res.log)
+    sys_row = system_kpis(res.day, traveller_kpis(replay), driver_kpis(replay),
+                          cfg.platforms, drivers, replay)
     assert sys_row["fleet_platform_0"] == 1
     assert sys_row["fleet_platform_1"] == 2      # the non-dedicated remainder
     assert sys_row["n_served_platform_0"] == 1   # cheaper platform wins
     assert sys_row["n_served_platform_1"] == 0
     assert sys_row["revenue_platform_1"] == 0.0
+
+
+def test_rides_on_a_platform_the_config_lacks_fail_validation(tmp_path):
+    # a stored log scored against a config without its platform 1
+    res, cfg = single_ride_result()
+    log = [rec._replace(platform_id=1) if rec.platform_id == 0 else rec
+           for rec in res.log]
+    path = tmp_path / "events.csv"
+    write_events(path, log)
+    replay = validate_log(read_events_csv(path))
+    with pytest.raises(LogValidationError, match=r"^day 0: rides on platform 1, "):
+        system_kpis(0, traveller_kpis(replay), driver_kpis(replay), cfg.platforms,
+                    SINGLE_DRIVER, replay)
 
 
 # ---------------------------------------------------------------- node rows
@@ -347,8 +366,9 @@ def test_node_aggregates_by_origin_and_home():
     ]
     drivers = [DriverSpec(0, 1, 0.0, 4000.0, (0,))]
     res = run(cfg, net, requests, drivers)
+    replay = validate_log(res.log)
     rows = node_aggregates(
-        traveller_kpis(res.log), driver_kpis(res.log), requests, drivers, net)
+        traveller_kpis(replay), driver_kpis(replay), requests, drivers, net)
     assert [r.node for r in rows] == [0, 1, 2]
     assert rows[1].n_requests == 2
     assert rows[2].n_requests == 1
@@ -496,20 +516,21 @@ def test_kpis_pure_function_of_stored_log(tmp_path):
     path = tmp_path / "events.csv"
     write_events(path, res.log)
     back = read_events_csv(path)
-    validate_log(back)
-    assert traveller_kpis(back) == traveller_kpis(res.log)
-    assert driver_kpis(back) == driver_kpis(res.log)
-    assert system_kpis(res.day, traveller_kpis(back), driver_kpis(back),
-                       cfg.platforms, drivers, back) == \
-        system_kpis(res.day, traveller_kpis(res.log), driver_kpis(res.log),
-                    cfg.platforms, drivers, res.log)
+    stored = validate_log(back)
+    replay = validate_log(res.log)
+    assert traveller_kpis(stored) == traveller_kpis(replay)
+    assert driver_kpis(stored) == driver_kpis(replay)
+    assert system_kpis(res.day, traveller_kpis(stored), driver_kpis(stored),
+                       cfg.platforms, drivers, stored) == \
+        system_kpis(res.day, traveller_kpis(replay), driver_kpis(replay),
+                    cfg.platforms, drivers, replay)
 
 
 def test_null_cells_written_empty(tmp_path):
     cfg = make_cfg(1, 0, horizon=500.0)
     res = run(cfg, line_net(), [Request(0, 0, 1, 2, 100.0)], [])
     path = tmp_path / "kpi_travellers.csv"
-    write_traveller_csv(path, traveller_kpis(res.log))
+    write_traveller_csv(path, traveller_kpis(validate_log(res.log)))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "traveller_id,outcome,wait_s,in_vehicle_s,total_s,fare_paid"
     assert lines[1] == "0,UNSERVED,,,,"
@@ -531,6 +552,6 @@ def test_system_csv_multi_day_union_header(tmp_path):
 def test_driver_csv_round_numbers(tmp_path):
     res, _ = single_ride_result()
     path = tmp_path / "kpi_drivers.csv"
-    write_driver_csv(path, driver_kpis(res.log))
+    write_driver_csv(path, driver_kpis(validate_log(res.log)))
     lines = path.read_text().strip().splitlines()
     assert lines[1].startswith("0,true,1,1.2,820,60,120,600,1200,1800,100,1000")
