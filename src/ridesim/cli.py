@@ -1,10 +1,10 @@
 """Command-line entry points: single runs, experiment grids, input generation.
 
 Every successful command leaves a ``manifest.json`` in the output directory
-listing the written files with sizes and SHA-256 digests; the manifest is
-written last, so its presence marks a complete run. All other outputs are
-plain CSV and byte-reproducible for a fixed config and seed (wall-clock
-timestamps live only in the manifest).
+listing exactly the files the command wrote, with sizes and SHA-256 digests;
+the manifest is written last, so its presence marks a complete run. All
+other outputs are plain CSV and byte-reproducible for a fixed config and
+seed (wall-clock timestamps live only in the manifest).
 
 Exit codes: 0 success, 1 invalid input or config, 2 runtime failure.
 """
@@ -70,64 +70,66 @@ def _load(path_str: str, what: str, parse):
     return parse(raw, "."), text
 
 
-def _write_manifest(out_dir: Path, names, seed, config_sha: str, started: str) -> None:
-    """List the files this command wrote (``names``), never the directory's
-    other contents."""
-    entries = []
-    for name in sorted(names):
-        data = (out_dir / name).read_bytes()
-        entries.append({"name": name, "size": len(data), "sha256": _sha256(data)})
-    manifest = {
-        "tool": "ridesim",
-        "version": __version__,
-        "config_sha256": config_sha,
-        "seed": seed,
-        "started_utc": started,
-        "finished_utc": _now(),
-        "files": entries,
-    }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+class Output:
+    """``--out`` for one command. Built in ``main``, it checks that the path
+    is not a file or inside one. A command asks ``file(name)`` for each path
+    it writes; the first request creates the directory and drops a manifest
+    left by an earlier run, so an input error found before then leaves
+    ``--out`` as it was. ``write_manifest`` lists exactly the requested
+    names, never the directory's other contents."""
 
+    def __init__(self, path_str: str):
+        self.dir = Path(path_str)
+        for p in (self.dir, *self.dir.parents):
+            if p.exists():
+                if not p.is_dir():
+                    raise ConfigError("--out", f"{path_str} is a file or inside one, "
+                                               "not a directory")
+                break
+        self.names = []
+        self.started = _now()
 
-def _out_dir(path_str: str) -> Path:
-    """``--out``, checked not to be a file or inside one. Nothing is created
-    yet: a command calls ``_claim`` just before it writes its first file,
-    so an input error found before then leaves ``--out`` as it was."""
-    out = Path(path_str)
-    for p in (out, *out.parents):
-        if p.exists():
-            if not p.is_dir():
-                raise ConfigError("--out", f"{path_str} is a file or inside one, "
-                                           "not a directory")
-            break
-    return out
+    def file(self, name: str) -> Path:
+        if not self.names:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            (self.dir / "manifest.json").unlink(missing_ok=True)
+        self.names.append(name)
+        return self.dir / name
 
-
-def _claim(out: Path) -> Path:
-    """Create the output directory and drop a manifest left by an earlier
-    run, so none is present until this command completes."""
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").unlink(missing_ok=True)
-    return out
+    def write_manifest(self, seed, config_sha: str) -> None:
+        entries = []
+        for name in sorted(self.names):
+            data = (self.dir / name).read_bytes()
+            entries.append({"name": name, "size": len(data), "sha256": _sha256(data)})
+        manifest = {
+            "tool": "ridesim",
+            "version": __version__,
+            "config_sha256": config_sha,
+            "seed": seed,
+            "started_utc": self.started,
+            "finished_utc": _now(),
+            "files": entries,
+        }
+        path = self.dir / "manifest.json"
+        path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------- commands
+# Each command writes through ``out`` and returns the manifest's seed and
+# config digest, and its summary line.
 
-def cmd_run(args) -> int:
+def cmd_run(args, out: Output):
     config, text = _load(args.config, "config", parse_config)
     if args.seed is not None:
         config = replace(config, seed=number({"--seed": args.seed}, "--seed", SEED, int))
     number({"--days": args.days}, "--days", AT_LEAST_1, int)
 
-    out = _out_dir(args.out)
-    started = _now()
     events = None       # events.csv, opened when the first day ends
 
     def on_day(log):
         nonlocal events
         if events is None:
-            events = kpi.open_events_csv(_claim(out) / "events.csv")
+            events = kpi.open_events_csv(out.file("events.csv"))
         kpi.write_events_csv(events, log)
 
     try:
@@ -135,47 +137,36 @@ def cmd_run(args) -> int:
     finally:
         if events is not None:
             events.close()
-    written = ["events.csv", "kpi_travellers.csv", "kpi_drivers.csv",
-               "kpi_system.csv", "kpi_nodes.csv"]
     if args.days > 1:
-        kpi.write_system_csv(out / "day_to_day.csv", res.trajectory)
-        written.append("day_to_day.csv")
+        kpi.write_system_csv(out.file("day_to_day.csv"), res.trajectory)
     # per-traveller/driver/node files describe the last simulated day
-    kpi.write_traveller_csv(out / "kpi_travellers.csv", res.travellers)
-    kpi.write_driver_csv(out / "kpi_drivers.csv", res.drivers)
-    kpi.write_system_csv(out / "kpi_system.csv", res.system_rows)
+    kpi.write_traveller_csv(out.file("kpi_travellers.csv"), res.travellers)
+    kpi.write_driver_csv(out.file("kpi_drivers.csv"), res.drivers)
+    kpi.write_system_csv(out.file("kpi_system.csv"), res.system_rows)
     inputs = res.inputs
-    kpi.write_node_csv(out / "kpi_nodes.csv", kpi.node_aggregates(
+    kpi.write_node_csv(out.file("kpi_nodes.csv"), kpi.node_aggregates(
         res.travellers, res.drivers, inputs.requests, inputs.drivers, inputs.net))
-
-    _write_manifest(out, written, config.seed, _sha256(text.encode("utf-8")), started)
-    print(f"run complete: {len(res.trajectory)} day(s), outputs in {out}")
-    return 0
+    return (config.seed, _sha256(text.encode("utf-8")),
+            f"run complete: {len(res.trajectory)} day(s), outputs in {out.dir}")
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args, out: Output):
     plan, text = _load(args.plan, "plan", parse_plan)
     if args.threads is not None:
         number({"--threads": args.threads}, "--threads", AT_LEAST_1, int)
 
-    out = _out_dir(args.out)
-    started = _now()
     rows = run_grid(plan, threads=args.threads)
-    kpi.write_system_csv(_claim(out) / "experiment_results.csv", rows)
-    _write_manifest(out, ["experiment_results.csv"], plan.base_seed,
-                    _sha256(text.encode("utf-8")), started)
-    print(f"experiment complete: {len(rows)} rows, outputs in {out}")
-    return 0
+    kpi.write_system_csv(out.file("experiment_results.csv"), rows)
+    return (plan.base_seed, _sha256(text.encode("utf-8")),
+            f"experiment complete: {len(rows)} rows, outputs in {out.dir}")
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args, out: Output):
     for flag, value, rng in (("--demand", args.demand, COUNT), ("--supply", args.supply, COUNT),
                              ("--seed", args.seed, SEED)):
         if value is not None:
             number({flag: value}, flag, rng, int)
     seed = args.seed
-    out = _out_dir(args.out)
-    started = _now()
 
     if args.grid is not None:
         try:
@@ -185,7 +176,7 @@ def cmd_generate(args) -> int:
             raise ConfigError("--grid", "expects ROWS COLS SPACING_M SPEED_MPS") from None
         net = grid_spec({"rows": rows, "cols": cols, "spacing_m": spacing,
                          "speed_mps": speed}, "--grid").build()
-        written = [p.name for p in save_graph(net, _claim(out))]
+        save_graph(net, out.file("nodes.csv"), out.file("edges.csv"))
     else:
         if args.config is None:
             raise ConfigError("--config", "required for --demand/--supply")
@@ -197,8 +188,7 @@ def cmd_generate(args) -> int:
             requests = generate_demand(
                 net, args.demand, config.horizon_s, seed, config.demand_weights
             )
-            written = ["requests.csv"]
-            save_requests_csv(requests, _claim(out) / "requests.csv")
+            save_requests_csv(requests, out.file("requests.csv"))
         else:
             fleets = [p.fleet for p in config.platforms]
             if None not in fleets:      # no platform takes the drivers past the fleets
@@ -206,12 +196,8 @@ def cmd_generate(args) -> int:
                     0, sum(fleets), f"at most {sum(fleets)}, the fleets' sum"), int)
             drivers = generate_supply(net, args.supply, config.horizon_s, seed,
                                       config.platforms)
-            written = ["drivers.csv"]
-            save_drivers_csv(drivers, _claim(out) / "drivers.csv")
-
-    _write_manifest(out, written, seed, "", started)
-    print(f"generate complete: outputs in {out}")
-    return 0
+            save_drivers_csv(drivers, out.file("drivers.csv"))
+    return seed, "", f"generate complete: outputs in {out.dir}"
 
 
 # ------------------------------------------------------------------ parser
@@ -268,16 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        out = Output(args.out)
+        seed, config_sha, summary = args.fn(args, out)
+        out.write_manifest(seed, config_sha)
     except (ConfigError, GraphParseError, GraphValidationError) as exc:
         print(f"ridesim: {exc}", file=sys.stderr)
         return 1
-    except RidesimError as exc:
+    except (RidesimError, OSError) as exc:     # a runtime failure or an I/O error
         print(f"ridesim: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"ridesim: {exc}", file=sys.stderr)
-        return 2
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -141,9 +141,9 @@ def _day(config, inputs, decisions, day, state):
 
 
 def _run(tasks, threads, networks) -> list[dict]:
-    """One single-day row (seed, then system KPIs) per ``(config, seed)``
-    task, in task order whatever the thread count. ``networks`` maps each
-    task's graph spec to its (net, skim); workers only read it.
+    """One single-day row (seed, then system KPIs) per ``(config, seed,
+    decisions)`` task, in task order whatever the thread count. ``networks``
+    maps each task's graph spec to its (net, skim); workers only read it.
 
     Each distinct generated demand is built once, by the first task that
     needs it, and reused by every later task until the grid ends. Demand is
@@ -161,11 +161,10 @@ def _run(tasks, threads, networks) -> list[dict]:
             return demands[key]
 
     def one(task) -> dict:
-        config, seed = task
+        config, seed, dec = task
         cfg = replace(config, seed=seed)
         net, skim = networks[cfg.graph]
         inputs = materialize(cfg, net=net, skim=skim, requests=demand(cfg, net))
-        dec = build_decision_set(cfg.decisions, cfg.behaviour)
         return {"seed": seed, **_day(cfg, inputs, dec, 0, DayState())[3]}
 
     if threads <= 1:
@@ -177,8 +176,9 @@ def _run(tasks, threads, networks) -> list[dict]:
 def run_grid(plan: Plan, threads: int | None = None) -> list[dict]:
     """Execute every grid cell x replication of a plan.
 
-    Each distinct graph's network and skim is built once, in the calling
-    thread, before any worker starts; the pool then runs one task per cell
+    Each cell's decision set, and each distinct graph's network and skim,
+    are built once, in the calling thread, before any worker starts, so a
+    bad cell fails before any run; the pool then runs one task per cell
     and replication, and builds each distinct demand once (see ``_run``).
     Rows are ordered by cell (grid keys in plan order, row-major) then
     replication, and carry the cell's parameter values, the replication
@@ -192,11 +192,12 @@ def run_grid(plan: Plan, threads: int | None = None) -> list[dict]:
         for path, value in cell.items():
             apply_override(raw, path, value)
         cfg = parse_config(raw, base_dir=plan.base_dir)
+        dec = build_decision_set(cfg.decisions, cfg.behaviour)
         if cfg.graph not in networks:
             networks[cfg.graph] = _network(cfg.graph)
         for k in range(plan.replications):
             labels.append({**cell, "replication": k})
-            tasks.append((cfg, plan.base_seed + k))
+            tasks.append((cfg, plan.base_seed + k, dec))
     rows = _run(tasks, plan.threads if threads is None else threads, networks)
     return [{**label, **row} for label, row in zip(labels, rows)]
 
@@ -238,8 +239,8 @@ def day_to_day(config: ScenarioConfig, max_days: int = 50, on_day=None) -> DayTo
     ``on_day(log)``, if given, receives each day's validated event log as
     that day ends; no log is kept past its day.
     """
-    inputs = materialize(config)
     dec = build_decision_set(config.decisions, config.behaviour)
+    inputs = materialize(config)
     wage = float(config.behaviour["reservation_wage_per_hour"])
     hours = {
         d.driver_id: (d.shift_end - d.shift_start) / 3600.0 for d in inputs.drivers

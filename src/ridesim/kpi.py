@@ -93,8 +93,8 @@ def _parse_meta(text: str) -> dict:
     detail = {}
     for part in text.split(";") if text else ():
         key, value = part.split("=", 1)
-        if key not in _META_TYPES:
-            raise ValueError(f"unknown meta key {key!r}")
+        if key not in _META_TYPES or key in detail:
+            raise ValueError(f"unknown or repeated meta key {key!r}")
         detail[key] = _META_TYPES[key](value)
     return detail
 
@@ -436,10 +436,22 @@ def write_events_csv(fh, log: Sequence[EventRecord]) -> None:
 
 
 def read_events_csv(path) -> tuple[EventRecord, ...]:
+    """The records of an ``events.csv``. A row's ``meta`` must carry exactly
+    the keys its event writes, in their order, so writing the records back
+    gives the same rows."""
     p = Path(path)
-    rows = read_csv(p, EVENTS_HEADER, _EVENTS_TYPES, lambda why, line: LogValidationError(
-        f"{p}: row {line}: {why}" if line else f"{p}: {why}"))
-    return tuple(EventRecord(*row[:6], **row[6]) for _, row in rows)
+
+    def fail(why, line):
+        return LogValidationError(f"{p}: row {line}: {why}" if line else f"{p}: {why}")
+
+    records = []
+    for line, row in read_csv(p, EVENTS_HEADER, _EVENTS_TYPES, fail):
+        keys = _META_KEYS.get(row[4], ())
+        if tuple(row[6]) != keys:
+            raise fail(f"{row[4]} meta must have the keys "
+                       f"{';'.join(keys) or '(none)'}", line)
+        records.append(EventRecord(*row[:6], **row[6]))
+    return tuple(records)
 
 
 def write_traveller_csv(path, rows: Sequence[TravellerKpi]) -> None:

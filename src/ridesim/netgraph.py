@@ -181,16 +181,12 @@ def _parse_error(path: Path):
         f"{path}: row {line}: {why}" if line else f"{path}: {why}")
 
 
-def save_graph(net: RoadNetwork, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write ``nodes.csv`` and ``edges.csv`` for ``net`` into ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    nodes_p, edges_p = out / "nodes.csv", out / "edges.csv"
-    write_csv(nodes_p, NODES_HEADER,
+def save_graph(net: RoadNetwork, nodes_path: str | Path, edges_path: str | Path) -> None:
+    """Write ``net``'s nodes and edges CSV files to the two paths."""
+    write_csv(nodes_path, NODES_HEADER,
               ((nd.node_id, nd.x, nd.y) for nd in net.nodes), "\n")
-    write_csv(edges_p, EDGES_HEADER,
+    write_csv(edges_path, EDGES_HEADER,
               ((e.src, e.dst, e.length_m, e.speed_mps) for e in net.edges), "\n")
-    return nodes_p, edges_p
 
 
 def build_skim(net: RoadNetwork) -> SkimMatrix:

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, output layout, manifests, reruns."""
 
+import ast
 import hashlib
 import json
 import os
@@ -460,6 +461,55 @@ def test_manifest_omits_stale_files(config_file, tmp_path):
     assert {f["name"] for f in manifest["files"]} == RUN_FILES - {"manifest.json"}
 
 
+@pytest.mark.parametrize("command, written", [
+    (["run", "--days", "1"], RUN_FILES - {"manifest.json"}),
+    (["run", "--days", "2"], RUN_FILES - {"manifest.json"} | {"day_to_day.csv"}),
+    (["experiment"], {"experiment_results.csv"}),
+    (["generate", "--grid", "3", "2", "100", "10"], {"nodes.csv", "edges.csv"}),
+    (["generate", "--demand", "5"], {"requests.csv"}),
+    (["generate", "--supply", "2"], {"drivers.csv"}),
+], ids=["run-1", "run-2", "experiment", "grid", "demand", "supply"])
+def test_manifest_lists_this_commands_files(command, written, config_file, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stray.txt").write_bytes(b"not ours")
+    (out / "manifest.json").write_text('{"files": [{"name": "stray.txt"}]}')
+    if command[0] == "experiment":
+        argv = [*command, "--plan", str(plan_file(tmp_path))]
+    elif command[1] == "--grid":
+        argv = command
+    else:
+        argv = [*command, "--config", str(config_file)]
+    assert main([*argv, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f["name"] for f in manifest["files"]] == sorted(written)
+    assert (out / "stray.txt").read_bytes() == b"not ours"
+    assert {p.name for p in out.iterdir()} == written | {"stray.txt", "manifest.json"}
+
+
+def test_only_the_output_class_creates_dirs_or_drops_manifests():
+    # cli.Output owns --out: no other code under src/ creates a directory
+    # or unlinks a file
+    calls = []
+    for path in sorted(Path(ridesim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.Module, ast.ClassDef)):
+                continue
+            for fn in scope.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr in ("mkdir", "makedirs", "unlink", "rmtree")):
+                        calls.append((path.name, getattr(scope, "name", None), fn.name,
+                                      ast.unparse(node.func)))
+    assert calls == [
+        ("cli.py", "Output", "file", "self.dir.mkdir"),
+        ("cli.py", "Output", "file", "(self.dir / 'manifest.json').unlink"),
+    ]
+
+
 def test_run_days_validates_each_log_once(config_file, tmp_path, monkeypatch):
     calls = []
     validate = kpi.validate_log
@@ -643,6 +693,8 @@ def test_generate_golden_outputs(case, tmp_path):
         if name != "manifest.json"
     }
     assert digests == golden
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f["name"] for f in manifest["files"]] == sorted(golden)
 
 
 def test_generate_demand_without_config_exits_1(tmp_path, capsys):
@@ -913,3 +965,5 @@ def test_golden_outputs(case, tmp_path):
         if name != "manifest.json"
     }
     assert digests == GOLDEN[case]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f["name"] for f in manifest["files"]] == sorted(GOLDEN[case])

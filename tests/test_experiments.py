@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from ridesim import experiments, kpi, presets, scenario
+from ridesim.cli import main
 from ridesim.decisions import default_driver_out, register
 from ridesim.engine import DayState
 from ridesim.errors import ConfigError
@@ -216,17 +217,49 @@ def test_run_grid_matches_manual_replicate():
         assert {k: row[k] for k in one_day.system_rows[0]} == one_day.system_rows[0]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("slot, bad, needle", [
+    ("f_match", "nope", 'unknown module "nope"'),
+    ("f_driver_decline", "decline_far_pickup", "requires behaviour.decline_eta_s"),
+])
+def test_bad_decisions_in_last_cell_fail_before_any_run(
+        monkeypatch, tmp_path, capsys, threads, slot, bad, needle):
+    calls = []
+    monkeypatch.setattr(experiments, "run_day", lambda *args, **kw: calls.append(args))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_raw(
+        base=base_raw(decisions={}),
+        grid={"n_drivers": [2, 3, 4], f"decisions.{slot}": ["default", bad]})))
+    out = tmp_path / "out"
+    assert main(["experiment", "--plan", str(plan), "--out", str(out),
+                 "--threads", str(threads)]) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert f"decisions.{slot}" in err and needle in err
+    assert not out.exists()
+
+
+def test_run_with_bad_decisions_fails_before_materialize(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(experiments, "materialize", lambda *args, **kw: calls.append(args))
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(base_raw(decisions={"f_match": "nope"})))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert 'unknown module "nope"' in err and "decisions.f_match" in err
+
+
 # ------------------------------------------------------- shared demand
 
 def run_every_demand(tasks, threads, networks):
     """``experiments._run`` as it was before demand was shared: each task
     builds its own demand in ``materialize``. The oracle for shared demand."""
     def one(task):
-        config, seed = task
+        config, seed, dec = task
         cfg = replace(config, seed=seed)
         net, skim = networks[cfg.graph]
         inputs = experiments.materialize(cfg, net=net, skim=skim)
-        dec = experiments.build_decision_set(cfg.decisions, cfg.behaviour)
         return {"seed": seed, **experiments._day(cfg, inputs, dec, 0, DayState())[3]}
     return [one(t) for t in tasks]
 

@@ -39,6 +39,7 @@ from ridesim.scenario import (
 )
 from ridesim.util import fmt_num
 
+from tests.test_acceptance import rich_raw
 from tests.test_engine import line_net, make_cfg, run
 
 
@@ -433,6 +434,47 @@ def test_read_events_csv_rejects_unknown_meta_key(tmp_path):
                     "0,0,TRAVELLER,0,UNSERVED,0,colour=red\n")
     with pytest.raises(LogValidationError, match="malformed row"):
         read_events_csv(path)
+
+
+def _meta_variants():
+    """(event, meta text) for each event's meta with one key dropped, with
+    one key it does not write added, with a key repeated and with two keys
+    swapped; none of them may be read."""
+    for event in [*META_TEXT, "PLANS"]:
+        parts = META_TEXT[event].split(";") if event in META_TEXT else []
+        for i in range(len(parts)):
+            yield event, ";".join(parts[:i] + parts[i + 1:])
+        foreign = next(k for k in META_DETAIL if k not in _META_KEYS.get(event, ()))
+        yield event, ";".join([*parts, f"{foreign}={META_DETAIL[foreign]}"])
+    yield "UNSERVED", "reason=horizon;reason=horizon"
+    yield "PICKED_UP", "platform_id=1;driver_id=4"
+
+
+@pytest.mark.parametrize("event,meta", list(_meta_variants()))
+def test_read_events_csv_rejects_meta_not_of_its_event(event, meta, tmp_path):
+    path = tmp_path / "events.csv"
+    write_events(path, meta_golden_log())
+    lines = path.read_text().splitlines()
+    row = 2 + [*META_TEXT, "PLANS"].index(event)        # the header is line 1
+    lines[row - 1] = f"0,1.5,DRIVER,7,{event},2,{meta}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogValidationError, match=f"events.csv: row {row}: ") as err:
+        read_events_csv(path)
+    parts = meta.split(";")
+    expected = ";".join(_META_KEYS.get(event, ())) or "(none)"
+    assert (f"must have the keys {expected}" if len(set(parts)) == len(parts)
+            else "malformed row") in str(err.value)
+
+
+@pytest.mark.parametrize("raw", [json.loads(presets.read_text("e1")), rich_raw()],
+                         ids=["e1", "rich"])
+def test_engine_log_reads_back_equal(raw, tmp_path):
+    cfg = parse_config(raw)
+    logs = []
+    day_to_day(cfg, 1, on_day=logs.append)
+    path = tmp_path / "events.csv"
+    write_events(path, logs[0])
+    assert read_events_csv(path) == tuple(logs[0])
 
 
 @pytest.mark.parametrize("content", ["byte_ff", "directory", "missing"])

@@ -399,8 +399,8 @@ def test_load_graph_from_explicit_paths(tmp_path):
 
 def test_save_load_roundtrip(tmp_path):
     net = grid_city(3, 4, 275.5, 8.0)
-    save_graph(net, tmp_path / "city")
-    again = load_graph(tmp_path / "city")
+    save_graph(net, tmp_path / "nodes.csv", tmp_path / "edges.csv")
+    again = load_graph(tmp_path)
     assert again == net
     assert np.array_equal(build_skim(again).travel_time, build_skim(net).travel_time)
 

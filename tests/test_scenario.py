@@ -166,7 +166,9 @@ def test_grid_dimensions_validated():
 
 
 def test_graph_files_resolved_relative_to_config(tmp_path):
-    save_graph(grid_city(2, 2, 100.0, 10.0), tmp_path / "city")
+    (tmp_path / "city").mkdir()
+    save_graph(grid_city(2, 2, 100.0, 10.0), tmp_path / "city" / "nodes.csv",
+               tmp_path / "city" / "edges.csv")
     raw = minimal_raw(graph={"nodes": "city/nodes.csv", "edges": "city/edges.csv"})
     (tmp_path / "scenario.json").write_text(json.dumps(raw))
     cfg = load_config(tmp_path / "scenario.json")
