@@ -10,9 +10,14 @@ Event ordering: the queue pops by (time, phase, agent kind, agent id, seq).
 Phases at one timestamp run state changes first (arrivals, shift edges),
 then platform matching, then traveller reactions to offers, then the horizon
 wrap-up, so matching always sees every state change at time t before agents
-react to its outcome. Boarding and alighting that take no time run inline
-in the step that starts them instead of going through the queue: nothing
-can sort between the two steps, so the order is the same.
+react to its outcome.
+
+A ride is one routine: a generator that runs from the leg to the pickup
+until the driver is released, and yields each wait (a leg's travel time, a
+boarding or alighting dwell) to the event queue, which resumes it when the
+wait is over. A dwell that takes no time is not yielded: it runs inline in
+the step that starts it, since nothing can sort between the two steps, so
+the order is the same.
 """
 
 import bisect
@@ -127,13 +132,12 @@ class _TravellerSim:
 
 
 class _DriverSim:
-    __slots__ = ("spec", "position", "wants_off", "serving")
+    __slots__ = ("spec", "position", "wants_off")
 
     def __init__(self, spec):
         self.spec = spec
         self.position = spec.home_node
         self.wants_off = False
-        self.serving = None           # request currently aboard or en route
 
 
 def run_day(
@@ -181,7 +185,6 @@ class _Sim:
         self.open_counts = {}          # origin node -> requests waiting there
         self.open_view = MappingProxyType(self.open_counts)
         self.excluded = set()          # (request_id, driver_id), cleared per timestamp
-        self.excluded_t = 0.0
         self.resolve_pending = None    # timestamp of a scheduled instant pass
         # states of the platforms an instant pass matches, in id order
         self.instant = [s for s in self.platforms.values()
@@ -270,10 +273,9 @@ class _Sim:
             t, _, _, _, _, fn = heapq.heappop(self.heap)
             if t < self.now - 1e-9:
                 self.fail(f"event time went backwards ({t} < {self.now})")
-            self.now = t
-            if self.excluded and t != self.excluded_t:
+            if self.excluded and t != self.now:
                 self.excluded.clear()
-            self.excluded_t = t
+            self.now = t
             fn()
         return self._result()
 
@@ -323,15 +325,6 @@ class _Sim:
             return
         self._add_idle(driver)
         self.schedule_matching()
-
-    def move(self, driver, to_node, on_arrival):
-        """Start a leg; the arrival callback receives the leg's skim distance
-        and fires after its skim travel time."""
-        d_id = driver.spec.driver_id
-        dist = float(self.skim.distance[driver.position, to_node])
-        tt = float(self.skim.travel_time[driver.position, to_node])
-        self.push(self.now + tt, _PH_STATE, DRIVER, d_id,
-                  lambda: on_arrival(dist))
 
     def _timed(self, base_key):
         """Service duration with optional uniform variability."""
@@ -579,54 +572,47 @@ class _Sim:
                     chosen.pickup_eta, chosen.fare)
         trav.status = "matched"
         driver = self.drivers[chosen.driver_id]
-        driver.serving = chosen
-        self.move(driver, trav.request.origin,
-                  lambda dist, d=driver: self.on_pickup_arrival(d, dist))
+        self._resume(self._ride(driver, trav, chosen), chosen.driver_id)
 
     # ------------------------------------------------------------ the ride
 
-    def on_pickup_arrival(self, driver, dist):
-        offer = driver.serving
-        request = self.travellers[offer.request_id].request
-        d_id = driver.spec.driver_id
-        driver.position = request.origin
+    def _resume(self, routine, d_id):
+        """Run a driver's routine to its next wait and queue the step after
+        the wait; a routine that returns is done."""
+        try:
+            wait = next(routine)
+        except StopIteration:
+            return
+        self.push(self.now + wait, _PH_STATE, DRIVER, d_id,
+                  lambda: self._resume(routine, d_id))
+
+    def _drive(self, driver, to_node):
+        """One leg: waits its skim travel time, moves the driver and returns
+        the leg's skim distance."""
+        dist = float(self.skim.distance[driver.position, to_node])
+        yield float(self.skim.travel_time[driver.position, to_node])
+        driver.position = to_node
+        return dist
+
+    def _ride(self, driver, trav, offer):
+        """One ride, from the leg to the pickup until the driver is released
+        or has repositioned; yields each wait in simulated seconds."""
+        request, d_id = trav.request, driver.spec.driver_id
+        dist = yield from self._drive(driver, request.origin)
         self.record(DRIVER, d_id, "ARRIVES_PICKUP", request.origin,
                     request.request_id, offer.platform_id, *_NO_DETAIL[:5], dist)
         boarding = self._timed("t_board_s")
-        if boarding == 0.0:
-            self.on_departure(driver)
-            return
-        self.push(self.now + boarding, _PH_STATE, DRIVER, d_id,
-                  lambda: self.on_departure(driver))
-
-    def on_departure(self, driver):
-        offer = driver.serving
-        trav = self.travellers[offer.request_id]
-        request = trav.request
-        d_id = driver.spec.driver_id
+        if boarding:
+            yield boarding
         self.record(DRIVER, d_id, "DEPARTS_WITH_TRAVELLER", request.origin,
                     request.request_id, offer.platform_id)
         trav.status = "in_vehicle"
         self.record(TRAVELLER, request.traveller_id, "PICKED_UP", request.origin,
                     None, offer.platform_id, d_id)
-        self.move(driver, request.destination,
-                  lambda dist, d=driver: self.on_service_arrival(d, dist))
-
-    def on_service_arrival(self, driver, dist):
-        request = self.travellers[driver.serving.request_id].request
-        driver.position = request.destination
+        dist = yield from self._drive(driver, request.destination)
         alight = self._timed("t_alight_s")
-        if alight == 0.0:
-            self.on_ride_complete(driver, dist)
-            return
-        self.push(self.now + alight, _PH_STATE, DRIVER, driver.spec.driver_id,
-                  lambda: self.on_ride_complete(driver, dist))
-
-    def on_ride_complete(self, driver, dist):
-        offer = driver.serving
-        trav = self.travellers[offer.request_id]
-        request = trav.request
-        d_id = driver.spec.driver_id
+        if alight:
+            yield alight
         payout, cut = plat.settle(self.platforms[offer.platform_id].spec, offer.fare)
         self.record(DRIVER, d_id, "COMPLETES_RIDE", request.destination,
                     request.request_id, offer.platform_id, None, None,
@@ -634,15 +620,14 @@ class _Sim:
         trav.status = "arrived"
         self.record(TRAVELLER, request.traveller_id, "ARRIVES",
                     request.destination)
-        driver.serving = None
         target = None if driver.wants_off else self._consult_repos(driver)
-        if target is None:
-            self._release_driver(driver)
-            return
-        self.record(DRIVER, d_id, "STARTS_REPOSITIONING", driver.position,
-                    *_NO_DETAIL[:8], target)
-        self.move(driver, target,
-                  lambda dist2, d=driver, to=target: self.on_repos_arrival(d, to, dist2))
+        if target is not None:
+            self.record(DRIVER, d_id, "STARTS_REPOSITIONING", driver.position,
+                        *_NO_DETAIL[:8], target)
+            dist = yield from self._drive(driver, target)
+            self.record(DRIVER, d_id, "ARRIVES_REPOSITION", target,
+                        *_NO_DETAIL[:7], dist)
+        self._release_driver(driver)
 
     def _consult_repos(self, driver):
         d_id, n = driver.spec.driver_id, self.inputs.net.n
@@ -659,12 +644,6 @@ class _Sim:
                             f"None or a node id in [0, {n})")
         target = operator.index(target)     # a numpy integer as an int
         return None if target == driver.position else target
-
-    def on_repos_arrival(self, driver, node, dist):
-        driver.position = node
-        self.record(DRIVER, driver.spec.driver_id, "ARRIVES_REPOSITION", node,
-                    *_NO_DETAIL[:7], dist)
-        self._release_driver(driver)
 
     # ------------------------------------------------------------- horizon
 

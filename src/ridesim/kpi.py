@@ -307,9 +307,15 @@ def system_kpis(
 
     Per-platform fields are the ride sums of ``replay``, except a
     platform's fleet: the number of ``drivers`` (the run's
-    ``DriverSpec``s) registered on it. A ride on a platform that
-    ``platforms`` lacks raises ``LogValidationError``.
+    ``DriverSpec``s) registered on it. A replay that holds any other day,
+    or a ride on a platform that ``platforms`` lacks, raises
+    ``LogValidationError``.
     """
+    other_days = sorted({d for d, _, _ in replay.stories} - {day})
+    if other_days:
+        raise LogValidationError(
+            f"day {day}: the log also holds day(s) {', '.join(map(str, other_days))}; "
+            f"score a multi-day log one day at a time")
     outcomes = [r.outcome for r in traveller_rows]
     waits = [r.wait_s for r in traveller_rows if r.wait_s is not None]
     participants = [r for r in driver_rows if r.participated]

@@ -203,8 +203,11 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         finite = Range(0, sys.float_info.max, AT_LEAST_0.text)
         weights = tuple(number(weights, i, finite, float, at="demand_weights")
                         for i in range(len(weights)))
-        if sum(weights) <= 0:
+        total = sum(weights)
+        if total <= 0:
             raise ConfigError("demand_weights", "must have a positive sum")
+        if not math.isfinite(total):
+            raise ConfigError("demand_weights", "must have a finite sum")
 
     return ScenarioConfig(
         horizon_s=horizon,

@@ -39,11 +39,13 @@ from ridesim.engine import run_day
 from ridesim.netgraph import Edge, Node, RoadNetwork, build_skim, grid_city
 from ridesim.platforms import Offer, match_batch, match_instant
 from ridesim.scenario import (
+    DriverSpec,
     Request,
     generate_demand,
     generate_supply,
     materialize,
     parse_config,
+    save_drivers_csv,
 )
 from ridesim.experiments import (
     day_to_day,
@@ -454,7 +456,10 @@ def test_c8_competition_mechanism(capsys):
 
 # ------------------------------------------- 9: randomized properties
 
-def random_scenario_raw(rng):
+def random_scenario_raw(rng, drivers_dir=None):
+    """A small random scenario. Given a directory, half of them read their
+    drivers from a ``drivers_csv`` written there, with partial shifts, some
+    of whose edges fall on a batch boundary."""
     n_platforms = int(rng.integers(1, 3))
     platforms = []
     for pid in range(n_platforms):
@@ -496,7 +501,38 @@ def random_scenario_raw(rng):
         "behaviour": behaviour,
         "decisions": decisions,
     }
+    if drivers_dir is not None and rng.random() < 0.5:
+        path = drivers_dir / f"drivers_{len(list(drivers_dir.glob('drivers_*.csv')))}.csv"
+        save_drivers_csv(random_shifts(rng, raw), path)
+        raw["drivers_csv"] = str(path)
     return raw
+
+
+def random_shifts(rng, raw):
+    """Drivers for ``raw``: random homes, a non-empty random set of its
+    platforms each, and shifts that mostly end before the horizon."""
+    horizon = raw["horizon_s"]
+    grid = raw["graph"]["grid"]
+    windows = [p["matching"]["batched"]["window_s"] for p in raw["platforms"]
+               if p["matching"] != "instant"]
+    pids = [p["platform_id"] for p in raw["platforms"]]
+
+    def edge():
+        # a batch boundary half the time when a platform batches
+        if windows and rng.random() < 0.5:
+            window = float(rng.choice(windows))
+            return window * int(rng.integers(0, int(horizon // window) + 1))
+        return float(rng.integers(0, int(horizon) + 1))
+
+    drivers = []
+    for d_id in range(raw["n_drivers"]):
+        start, end = sorted((edge(), edge()))
+        if start == end:
+            start, end = 0.0, horizon
+        on = tuple(pid for pid in pids if rng.random() < 0.6) or (pids[0],)
+        drivers.append(DriverSpec(d_id, int(rng.integers(0, grid["rows"] * grid["cols"])),
+                                  start, end, on))
+    return drivers
 
 
 def _pairs(rng, fn, make_builder, n):
@@ -511,7 +547,7 @@ def _pairs(rng, fn, make_builder, n):
     return agree, n
 
 
-def test_c9_randomized_properties(capsys):
+def test_c9_randomized_properties(capsys, tmp_path):
     t0 = time.perf_counter()
     rng = np.random.default_rng(99)
     cases = 0
@@ -519,7 +555,7 @@ def test_c9_randomized_properties(capsys):
 
     # replay validation + conservation over random scenarios
     for _ in range(300):
-        raw = random_scenario_raw(rng)
+        raw = random_scenario_raw(rng, tmp_path)
         try:
             config, _, result = run_config(raw)
             bad = conservation_violations(config, result.log)
@@ -644,7 +680,7 @@ def test_c9_randomized_properties(capsys):
     # epsilon = 0: no re-entry, so participation only shrinks;
     # learned income stays inside the envelope of wage and realized incomes
     for i in range(12):
-        raw = random_scenario_raw(rng)
+        raw = random_scenario_raw(rng, tmp_path)
         raw["n_travellers"] = max(raw["n_travellers"], 4)
         raw["decisions"] = {"f_driver_out": "learned_participation"}
         raw["behaviour"].pop("max_wait_s", None)

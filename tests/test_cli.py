@@ -225,6 +225,17 @@ def test_late_input_error_leaves_out_as_it_was(case, tmp_path, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 2
 
 
+@pytest.mark.parametrize("command", [["run"], ["generate", "--demand", "5"]])
+def test_demand_weights_with_overflowing_sum_exit_1(command, tmp_path, capsys):
+    argv = _config_argv(tmp_path, command, demand_weights=[1e308, 1e308] + [1.0] * 7)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ridesim: ")
+    assert "must have a finite sum" in err[0] and "demand_weights" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid, where", [
     (["1", "3", "100", "10"], "rows and cols must be >= 2: --grid"),
     (["3", "3", "nan", "10"], "must be a finite number > 0: --grid.spacing_m"),

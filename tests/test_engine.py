@@ -756,6 +756,18 @@ def test_engine_calls_hooks_in_one_place():
     assert sorted(bool_checks) == ["_is_index", "hook"]
 
 
+def test_engine_queues_events_in_few_places():
+    # a ride queues its waits through _resume alone, so no chain of
+    # callbacks that each push the next grows back
+    tree = ast.parse(Path(engine.__file__).read_text())
+    sim = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "_Sim")
+    pushers = {fn.name for fn in sim.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "self.push"}
+    assert pushers == {"run", "schedule_matching", "_enact", "_resume"}
+
+
 # ---------------------------------------------------------- queue invariants
 
 def check_queues(sim):
@@ -1005,28 +1017,37 @@ def test_no_instant_pass_without_a_possible_pair(instant_passes):
 
 # ------------------------------------------ zero-length dwell: fast path
 
-def on_pickup_arrival_via_queue(self, driver, dist):
-    """``_Sim.on_pickup_arrival`` as it was before zero-length boarding ran
-    inline: the departure always goes through the event queue. With
-    ``on_service_arrival_via_queue``, the oracle for the fast path."""
-    offer = driver.serving
-    request = self.travellers[offer.request_id].request
-    d_id = driver.spec.driver_id
-    driver.position = request.origin
+def ride_via_queue(self, driver, trav, offer):
+    """``_Sim._ride`` as it would be if zero-length boarding and alighting
+    did not run inline: both dwells always go through the event queue. The
+    oracle for the fast path."""
+    request, d_id = trav.request, driver.spec.driver_id
+    dist = yield from self._drive(driver, request.origin)
     self.record(engine.DRIVER, d_id, "ARRIVES_PICKUP", request.origin,
                 request.request_id, offer.platform_id, *engine._NO_DETAIL[:5], dist)
-    boarding = self._timed("t_board_s")
-    self.push(self.now + boarding, engine._PH_STATE, engine.DRIVER, d_id,
-              lambda: self.on_departure(driver))
-
-
-def on_service_arrival_via_queue(self, driver, dist):
-    """``_Sim.on_service_arrival`` with the ride's completion always queued."""
-    request = self.travellers[driver.serving.request_id].request
-    driver.position = request.destination
-    alight = self._timed("t_alight_s")
-    self.push(self.now + alight, engine._PH_STATE, engine.DRIVER, driver.spec.driver_id,
-              lambda: self.on_ride_complete(driver, dist))
+    yield self._timed("t_board_s")
+    self.record(engine.DRIVER, d_id, "DEPARTS_WITH_TRAVELLER", request.origin,
+                request.request_id, offer.platform_id)
+    trav.status = "in_vehicle"
+    self.record(engine.TRAVELLER, request.traveller_id, "PICKED_UP", request.origin,
+                None, offer.platform_id, d_id)
+    dist = yield from self._drive(driver, request.destination)
+    yield self._timed("t_alight_s")
+    payout, cut = engine.plat.settle(self.platforms[offer.platform_id].spec, offer.fare)
+    self.record(engine.DRIVER, d_id, "COMPLETES_RIDE", request.destination,
+                request.request_id, offer.platform_id, None, None,
+                offer.fare, payout, cut, dist)
+    trav.status = "arrived"
+    self.record(engine.TRAVELLER, request.traveller_id, "ARRIVES",
+                request.destination)
+    target = None if driver.wants_off else self._consult_repos(driver)
+    if target is not None:
+        self.record(engine.DRIVER, d_id, "STARTS_REPOSITIONING", driver.position,
+                    *engine._NO_DETAIL[:8], target)
+        dist = yield from self._drive(driver, target)
+        self.record(engine.DRIVER, d_id, "ARRIVES_REPOSITION", target,
+                    *engine._NO_DETAIL[:7], dist)
+    self._release_driver(driver)
 
 
 @pytest.fixture
@@ -1050,13 +1071,13 @@ DWELLS = [
 ]
 
 
-def test_inline_dwell_steps_match_slow_path(monkeypatch, pushes):
+def test_inline_dwell_steps_match_slow_path(monkeypatch, pushes, tmp_path):
     cases = [(f"{name} seed {seed} dwell {k}",
               dict(preset_base(name), seed=seed, behaviour=dwell))
              for name in ("e1", "e2", "e3", "e4") for seed in (1, 2, 3)
              for k, dwell in enumerate(DWELLS)]
     rng = np.random.default_rng(16)
-    cases += [(f"random {i}", random_scenario_raw(rng)) for i in range(50)]
+    cases += [(f"random {i}", random_scenario_raw(rng, tmp_path)) for i in range(50)]
     networks = {}
     total = {"fast": 0, "slow": 0}
     for label, raw in cases:
@@ -1071,10 +1092,7 @@ def test_inline_dwell_steps_match_slow_path(monkeypatch, pushes):
         for path in ("fast", "slow"):
             with monkeypatch.context() as m:
                 if path == "slow":
-                    m.setattr(engine._Sim, "on_pickup_arrival",
-                              on_pickup_arrival_via_queue)
-                    m.setattr(engine._Sim, "on_service_arrival",
-                              on_service_arrival_via_queue)
+                    m.setattr(engine._Sim, "_ride", ride_via_queue)
                 before = pushes[0]
                 logs[path] = run_day(cfg, inputs, dec).log
                 pushed[path] = pushes[0] - before

@@ -102,6 +102,14 @@ def _config(field, value):
     return raw
 
 
+def test_demand_weights_sum_must_be_finite():
+    # every weight is in range, but two of them sum past the largest float
+    parse_config(dict(CONFIG, demand_weights=[MAX] + [0] * 8))
+    with pytest.raises(ConfigError, match="must have a finite sum") as info:
+        parse_config(dict(CONFIG, demand_weights=[MAX, MAX] + [1] * 7))
+    assert info.value.path == "demand_weights"
+
+
 def _plan(field, value):
     raw = copy.deepcopy(PLAN)
     apply_override(raw, field, value)

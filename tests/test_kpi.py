@@ -355,6 +355,24 @@ def test_rides_on_a_platform_the_config_lacks_fail_validation(tmp_path):
                     SINGLE_DRIVER, replay)
 
 
+def test_stored_multi_day_log_is_scored_one_day_at_a_time(tmp_path):
+    # the events.csv of ``ridesim run --days 3`` holds all three days
+    cfg = parse_config(json.loads(presets.read_text("e4")))
+    path = tmp_path / "events.csv"
+    with open_events_csv(path) as fh:
+        res = day_to_day(cfg, max_days=3, on_day=lambda log: write_events_csv(fh, log))
+    assert len(res.system_rows) == 3
+    log = read_events_csv(path)
+    replay = validate_log(log)
+    with pytest.raises(LogValidationError, match=r"^day 0: the log also holds day\(s\) 1, 2;"):
+        system_kpis(0, traveller_kpis(replay), driver_kpis(replay), cfg.platforms,
+                    res.inputs.drivers, replay)
+    for d, want in enumerate(res.system_rows):
+        day = validate_log([rec for rec in log if rec.day == d])
+        assert system_kpis(d, traveller_kpis(day), driver_kpis(day), cfg.platforms,
+                           res.inputs.drivers, day) == want
+
+
 # ---------------------------------------------------------------- node rows
 
 def test_node_aggregates_by_origin_and_home():

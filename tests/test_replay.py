@@ -47,10 +47,10 @@ def test_c4_variants_match_the_oracles():
             result.log, result.day, config.platforms, inputs.drivers), raw
 
 
-def test_c9_random_scenarios_match_the_oracles():
+def test_c9_random_scenarios_match_the_oracles(tmp_path):
     rng = np.random.default_rng(99)     # the 300 scenarios c9 runs
     for _ in range(300):
-        raw = random_scenario_raw(rng)
+        raw = random_scenario_raw(rng, tmp_path)
         config, inputs, result = run_config(raw)
         assert not kpi_oracle.replay_differences(
             result.log, result.day, config.platforms, inputs.drivers), raw
