@@ -25,6 +25,7 @@ class ConfigError(RidesimError):
     def __init__(self, path: str, message: str = ""):
         super().__init__(f"{message}: {path}" if message else path)
         self.path = path
+        self.message = message
 
 
 class SimulationError(RidesimError):

@@ -9,6 +9,7 @@ one-day run is that loop with one day.
 
 import copy
 import itertools
+import json
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -23,65 +24,55 @@ from ridesim.netgraph import build_skim
 from ridesim.scenario import (AT_LEAST_1, Range, ScenarioConfig, ScenarioInputs,
                               materialize, number, parse_config, read_json)
 
-_SEGMENT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)\Z")
+# a dotted path of keys, each with optional indexes, after a leading dot:
+# .platforms[1].fare_per_km
+_PATH = re.compile(r"(\.[A-Za-z_][A-Za-z0-9_]*(\[\d+\])*)+")
 
 
 # ------------------------------------------------------------ grid overrides
-
-def _tokens(path: str) -> list[tuple[str, object]]:
-    out: list[tuple[str, object]] = []
-    for part in path.split("."):
-        m = _SEGMENT.match(part)
-        if not m:
-            raise ConfigError(f"grid.{path}", "malformed override path")
-        out.append(("key", m.group(1)))
-        for idx in re.findall(r"\[(\d+)\]", m.group(2)):
-            out.append(("idx", int(idx)))
-    return out
-
 
 def apply_override(raw: dict, path: str, value) -> None:
     """Set a dotted/indexed path like ``platforms[1].fare_per_km`` in a raw
     config dict. Containers along the path must already exist; the last key
     may be new."""
-    toks = _tokens(path)
+    if not _PATH.fullmatch("." + path):
+        raise ConfigError(f"grid.{path}", "malformed override path")
+    toks = [int(t) if t[0].isdigit() else t for t in re.findall(r"[^.[\]]+", path)]
     target = raw
-    for kind, tok in toks[:-1]:
-        if kind == "idx" and isinstance(target, list) and not (0 <= tok < len(target)):
+    for n, tok in enumerate(toks, 1):
+        last = n == len(toks)
+        in_list = isinstance(target, list)
+        # an index must fall inside a list; mid-path, a non-list fails below
+        if isinstance(tok, int) and (in_list or last) and not (in_list and tok < len(target)):
             raise ConfigError(f"grid.{path}", f"index {tok} out of range")
-        try:
-            target = target[tok]
-        except (KeyError, IndexError, TypeError):
-            raise ConfigError(
-                f"grid.{path}", f"cannot resolve segment {tok!r}"
-            ) from None
-    kind, tok = toks[-1]
-    if kind == "idx":
-        if not isinstance(target, list) or not (0 <= tok < len(target)):
-            raise ConfigError(f"grid.{path}", f"index {tok} out of range")
-        target[tok] = value
-    else:
-        if not isinstance(target, dict):
+        if not last:
+            try:
+                target = target[tok]
+            except (KeyError, IndexError, TypeError):
+                raise ConfigError(f"grid.{path}", f"cannot resolve segment {tok!r}") from None
+        elif isinstance(tok, str) and not isinstance(target, dict):
             raise ConfigError(f"grid.{path}", f"segment {tok!r} is not an object")
-        target[tok] = value
+        else:
+            target[tok] = value
 
 
 # -------------------------------------------------------------------- plans
 
 @dataclass(frozen=True)
 class Plan:
-    base: dict
+    cells: tuple        # (cell values, parsed config) per grid cell, row-major
     grid: dict
     replications: int
     base_seed: int
     threads: int = 1
-    base_dir: str = "."
 
 
 _PLAN_KEYS = {"base", "grid", "replications", "base_seed", "threads"}
 
 
 def parse_plan(raw: dict, base_dir=".") -> Plan:
+    """Validate a plan and parse each of its grid cells, so a bad cell fails
+    before any run; an error in a cell names its grid values."""
     if not isinstance(raw, dict):
         raise ConfigError("$", "plan must be a JSON object")
     unknown = set(raw) - _PLAN_KEYS
@@ -113,21 +104,22 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
     seed = number(raw, "base_seed", Range(
         0, 2 ** 64 - reps, f"an integer in [0, 2**64 - {reps}] for {reps} replications"), int)
     threads = number(raw, "threads", AT_LEAST_1, int, 1)
-    # every override path must resolve against the base before anything runs
-    for key, values in grid.items():
-        probe = copy.deepcopy(base)
-        apply_override(probe, key, values[0])
-    return Plan(base=base, grid=dict(grid), replications=reps,
-                base_seed=seed, threads=threads, base_dir=str(base_dir))
+    cells = []
+    for combo in itertools.product(*grid.values()):
+        cell = dict(zip(grid, combo))
+        cell_raw = copy.deepcopy(base)
+        try:
+            for path, value in cell.items():
+                apply_override(cell_raw, path, value)
+            cells.append((cell, parse_config(cell_raw, base_dir=base_dir)))
+        except ConfigError as exc:
+            raise ConfigError(f"{exc.path} in grid cell {json.dumps(cell)}",
+                              exc.message) from None
+    return Plan(cells=tuple(cells), grid=dict(grid), replications=reps,
+                base_seed=seed, threads=threads)
 
 
 # ------------------------------------------------------------------ runner
-
-def _network(graph):
-    """Build a graph spec's network and its skim."""
-    net = graph.build()
-    return net, build_skim(net)
-
 
 def _day(config, inputs, decisions, day, state):
     """Run one day and replay its log; return the log and its traveller,
@@ -178,23 +170,18 @@ def run_grid(plan: Plan, threads: int | None = None) -> list[dict]:
 
     Each cell's decision set, and each distinct graph's network and skim,
     are built once, in the calling thread, before any worker starts, so a
-    bad cell fails before any run; the pool then runs one task per cell
-    and replication, and builds each distinct demand once (see ``_run``).
+    bad hook or graph fails before any run; the pool then runs one task per
+    cell and replication, and builds each distinct demand once (see ``_run``).
     Rows are ordered by cell (grid keys in plan order, row-major) then
     replication, and carry the cell's parameter values, the replication
     index and seed, and the system KPIs.
     """
-    keys = list(plan.grid)
     labels, tasks, networks = [], [], {}
-    for combo in itertools.product(*(plan.grid[k] for k in keys)):
-        cell = dict(zip(keys, combo))
-        raw = copy.deepcopy(plan.base)
-        for path, value in cell.items():
-            apply_override(raw, path, value)
-        cfg = parse_config(raw, base_dir=plan.base_dir)
+    for cell, cfg in plan.cells:
         dec = build_decision_set(cfg.decisions, cfg.behaviour)
         if cfg.graph not in networks:
-            networks[cfg.graph] = _network(cfg.graph)
+            net = cfg.graph.build()
+            networks[cfg.graph] = net, build_skim(net)
         for k in range(plan.replications):
             labels.append({**cell, "replication": k})
             tasks.append((cfg, plan.base_seed + k, dec))

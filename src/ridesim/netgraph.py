@@ -155,19 +155,10 @@ def grid_city(rows: int, cols: int, spacing: float, speed: float) -> RoadNetwork
     return _validate(nodes, edges, f"grid_city({rows}x{cols})")
 
 
-def load_graph(path: str | Path, edges_path: str | Path | None = None) -> RoadNetwork:
-    """Load and validate a network from the two-file graph CSV format.
-
-    ``path`` is either a directory containing ``nodes.csv`` and ``edges.csv``,
-    or the nodes file itself with ``edges_path`` naming the edges file
-    (defaulting to a sibling ``edges.csv``).
-    """
-    p = Path(path)
-    if p.is_dir():
-        nodes_p, edges_p = p / "nodes.csv", p / "edges.csv"
-    else:
-        nodes_p = p
-        edges_p = Path(edges_path) if edges_path is not None else p.with_name("edges.csv")
+def load_graph(nodes_path: str | Path, edges_path: str | Path) -> RoadNetwork:
+    """Load and validate a network from its nodes and edges CSV files (the
+    files ``save_graph`` writes)."""
+    nodes_p, edges_p = Path(nodes_path), Path(edges_path)
     nodes = [Node(*row) for _, row in
              read_csv(nodes_p, NODES_HEADER, (int, float, float), _parse_error(nodes_p))]
     edges = [Edge(*row) for _, row in

@@ -487,9 +487,11 @@ def load_drivers_csv(
             )
         if not spec.platform_ids:
             raise ConfigError(at, "platform_ids must name at least one platform")
-        for pid in spec.platform_ids:
+        for k, pid in enumerate(spec.platform_ids):
             if pid not in valid_platforms:
                 raise ConfigError(at, f"unknown platform_id {pid}")
+            if pid in spec.platform_ids[:k]:
+                raise ConfigError(at, f"duplicate platform_id {pid}")
         out.append(spec)
     out.sort(key=lambda d: d.driver_id)
     return out

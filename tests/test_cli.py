@@ -105,7 +105,36 @@ def _csv_config(tmp_path, key, text):
     return small_config(**{key: name})
 
 
+def _no_node_config(tmp_path):
+    city = tmp_path / "city"
+    city.mkdir()
+    (city / "nodes.csv").write_text("node_id,x,y\n")
+    (city / "edges.csv").write_text("from,to,length_m,speed_mps\n")
+    return small_config(graph={"nodes": "city/nodes.csv", "edges": "city/edges.csv"})
+
+
+DRIVERS_CSV_HEADER = "driver_id,home_node,shift_start_s,shift_end_s,platform_ids\n"
+
 BAD_VALUES = {
+    "config_not_object": (lambda tmp: [], "config must be a JSON object: $"),
+    "platform_not_object": (lambda tmp: small_config(platforms=[7]),
+                            "expected an object: platforms[0]"),
+    "batched_not_object": (lambda tmp: _with("platforms.matching", {"batched": 60}),
+                           "expected an object with window_s: platforms[0].matching.batched"),
+    "grid_not_object": (lambda tmp: small_config(graph={"grid": [3, 3]}),
+                        "expected an object: graph.grid"),
+    "graph_paths_not_strings": (lambda tmp: small_config(graph={"nodes": 1, "edges": "e.csv"}),
+                                "nodes and edges must be file paths: graph"),
+    "graph_without_nodes": (_no_node_config, "city: graph has no nodes"),
+    "decisions_not_object": (lambda tmp: small_config(decisions=["default"]),
+                             "expected an object mapping hook to module name: decisions"),
+    "decision_name_not_string": (lambda tmp: small_config(decisions={"f_match": 1}),
+                                 "module name must be a string: decisions.f_match"),
+    "requests_csv_not_string": (lambda tmp: small_config(requests_csv=1),
+                                "expected a file path string: requests_csv"),
+    "drivers_csv_too_few_rows": (
+        lambda tmp: _csv_config(tmp, "drivers_csv", DRIVERS_CSV_HEADER + "0,1,0,600,0\n"),
+        "drivers.csv has 1 drivers: n_drivers"),
     "behaviour_list": (lambda tmp: small_config(behaviour=[1]), "behaviour"),
     "behaviour_string": (lambda tmp: small_config(behaviour="xy"), "behaviour"),
     "horizon_nan": (lambda tmp: _with("horizon_s", float("nan")), "horizon_s"),
@@ -203,8 +232,13 @@ LATE_INPUT_ERRORS = {
     "run-unknown-hook": lambda tmp: _config_argv(tmp, ["run"], decisions={"f_match": "nope"}),
     "run-missing-requests-csv": lambda tmp: _config_argv(tmp, ["run"],
                                                          requests_csv="missing.csv"),
+    "run-driver-on-a-platform-twice": lambda tmp: _config_argv(
+        tmp, ["run"], **_csv_config(tmp, "drivers_csv", DRIVERS_CSV_HEADER + "0,1,0,600,0;0\n")),
     "experiment-negative-drivers": lambda tmp: [
         "experiment", "--plan", str(plan_file(tmp, grid={"n_drivers": [25, -1]}))],
+    "experiment-fleet-over-drivers-in-last-cell": lambda tmp: [
+        "experiment", "--plan", str(plan_file(tmp, grid={"n_drivers": [3, 2],
+                                                         "platforms[0].fleet": [3]}))],
     "generate-unknown-key": lambda tmp: _config_argv(tmp, ["generate", "--supply", "3"],
                                                      zz_unknown=1),
 }

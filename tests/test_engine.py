@@ -308,6 +308,27 @@ def test_max_rejections_kills_request():
     assert names(res.log).count("ENDS_SHIFT") == 4
 
 
+def test_request_dies_of_rejections_while_holding_an_offer():
+    # platform 0's driver accepts, platform 1's declines in the same pass;
+    # with max_rejections 1 the request dies before it sees its offer, and
+    # the driver who accepted goes back to work
+    two = two_platform_cfg(1.0, 1.0)
+    cfg = dataclasses.replace(two, behaviour={**two.behaviour, "max_rejections": 1})
+    dec = dataclasses.replace(build_decision_set(None, cfg.behaviour),
+                              f_driver_decline=lambda ctx: ctx.platform_id == 1)
+    res = run(cfg, line_net(), [Request(0, 0, 1, 2, 10.0)],
+              [DriverSpec(0, 1, 0.0, 1000.0, (0,)), DriverSpec(1, 1, 0.0, 1000.0, (1,))],
+              decision_set=dec)
+    kpi.validate_log(res.log)
+    unserved = first(res.log, "UNSERVED")
+    assert (unserved.t, unserved.reason) == (10.0, "max_rejections")
+    assert outcomes(res)[0] == "UNSERVED"
+    assert "RECEIVES_OFFER" not in names(res.log)
+    assert names(res.log, "DRIVER", 0) == [
+        "STARTS_SHIFT", "RECEIVES_REQUEST", "ACCEPTS_REQUEST", "ENDS_SHIFT"]
+    assert first(res.log, "ENDS_SHIFT", 0).t == 1000.0
+
+
 def test_rejected_then_rematched_later():
     cfg = make_cfg(1, 2, behaviour={"max_wait_s": 100.0})
     net = line_net()
@@ -685,6 +706,7 @@ def test_hook_ridesim_error_passes_through():
     ("f_driver_repos", "north", "'north'", "driver 0"),
     ("f_match", 42, "42", "platform 0"),
     ("f_match", [(0,)], "(0,)", "platform 0"),
+    ("f_match", [(0, 0), (0, 0)], "(0, 0)", "platform 0"),
 ])
 def test_bad_hook_answer_names_slot_agent_and_time(slot, answer, shown, agent):
     cfg = make_cfg(1, 1)

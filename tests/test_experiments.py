@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -78,6 +79,18 @@ def test_apply_override_index_out_of_range():
         apply_override(base_raw(), "platforms[3].fare_per_km", 2.0)
 
 
+@pytest.mark.parametrize("path, message", [
+    ("platforms[1]", "index 1 out of range"),
+    ("horizon_s[0]", "index 0 out of range"),
+    ("horizon_s.x", "segment 'x' is not an object"),
+    ("platforms.x", "segment 'x' is not an object"),
+])
+def test_apply_override_last_segment_errors(path, message):
+    with pytest.raises(ConfigError) as info:
+        apply_override(base_raw(), path, 1)
+    assert str(info.value) == f"{message}: grid.{path}"
+
+
 def test_apply_override_malformed_path():
     for bad in ("a..b", "platforms[x]", "", "a.b["):
         with pytest.raises(ConfigError, match="malformed"):
@@ -109,6 +122,12 @@ def test_parse_plan_defaults():
     (lambda r: r.update(surprise=1), "surprise"),
     pytest.param(lambda r: r.update(base="broken.json"), "invalid JSON.*: base$",
                  id="base_invalid_json"),
+    (lambda r: r.update(base=5), "must be a config object or file path: base$"),
+    pytest.param(lambda r: r.update(grid={"n_drivers": [4, 2],
+                                          "platforms[0].fare_per_km": [1.0, -2]}),
+                 re.escape('must be a finite number >= 0: platforms[0].fare_per_km '
+                           'in grid cell {"n_drivers": 4, "platforms[0].fare_per_km": -2}'),
+                 id="cell_error_names_the_cell"),
 ])
 def test_parse_plan_rejects(mutate, needle, tmp_path):
     (tmp_path / "broken.json").write_text("{not json")
@@ -116,6 +135,11 @@ def test_parse_plan_rejects(mutate, needle, tmp_path):
     mutate(raw)
     with pytest.raises(ConfigError, match=needle):
         parse_plan(raw, base_dir=tmp_path)
+
+
+def test_parse_plan_rejects_a_non_object():
+    with pytest.raises(ConfigError, match=r"^plan must be a JSON object: \$$"):
+        parse_plan([plan_raw()])
 
 
 def test_parse_plan_last_seed_at_range_end():
@@ -129,10 +153,11 @@ def test_parse_plan_rejects_bad_override_path_up_front():
 
 
 def test_parse_plan_with_base_file(tmp_path):
-    (tmp_path / "base.json").write_text(json.dumps(base_raw()))
+    (tmp_path / "base.json").write_text(json.dumps(base_raw(requests_csv="requests.csv")))
     plan = parse_plan(plan_raw(base="base.json"), base_dir=tmp_path)
-    assert plan.base["n_travellers"] == 12
-    assert plan.base_dir == str(tmp_path)
+    for _, config in plan.cells:
+        assert config.n_travellers == 12
+        assert config.requests_csv == str(tmp_path / "requests.csv")
 
 
 # ----------------------------------------------------------- replications

@@ -11,7 +11,6 @@ rewrite the file with ``json.dumps(_digests(), indent=1)``.
 
 import copy
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -142,11 +141,8 @@ def _parsed():
     for name in ("e2", "e3"):
         plan = parse_plan(json.loads(presets.read_text(name)))
         yield name, plan
-        for combo in itertools.product(*plan.grid.values()):
-            raw = copy.deepcopy(plan.base)
-            for path, value in zip(plan.grid, combo):
-                apply_override(raw, path, value)
-            yield f"{name}{list(combo)}", parse_config(raw, base_dir=plan.base_dir)
+        for cell, config in plan.cells:
+            yield f"{name}{list(cell.values())}", config
     rng = np.random.default_rng(18)
     for i in range(50):
         yield f"random{i}", parse_config(random_scenario_raw(rng))

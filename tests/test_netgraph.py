@@ -324,7 +324,7 @@ def test_two_node_graph_is_smallest_valid():
 def test_dangling_edge_rejected(tmp_path):
     _write_graph(tmp_path, 3, [(0, 1), (1, 2), (2, 0), (1, 99)])
     with pytest.raises(GraphValidationError, match="99"):
-        load_graph(tmp_path)
+        load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
 
 def test_unreachable_node_named(tmp_path):
@@ -333,7 +333,7 @@ def test_unreachable_node_named(tmp_path):
     assert 3 not in reachable_from(4, edges, 0)  # oracle agrees it is cut off
     _write_graph(tmp_path, 4, edges)
     with pytest.raises(GraphValidationError, match="node 3 is unreachable from node 0"):
-        load_graph(tmp_path)
+        load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
 
 def test_sink_component_rejected(tmp_path):
@@ -342,7 +342,7 @@ def test_sink_component_rejected(tmp_path):
     assert 0 not in reachable_from(4, edges, 3)
     _write_graph(tmp_path, 4, edges)
     with pytest.raises(GraphValidationError, match="node 3 is unreachable towards node 0"):
-        load_graph(tmp_path)
+        load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
 
 def test_duplicate_node_id_rejected(tmp_path):
@@ -351,7 +351,7 @@ def test_duplicate_node_id_rejected(tmp_path):
     (tmp_path / "nodes.csv").write_text(nodes)
     (tmp_path / "edges.csv").write_text(edges)
     with pytest.raises(GraphValidationError, match="duplicate"):
-        load_graph(tmp_path)
+        load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
 
 def test_gapped_node_ids_rejected(tmp_path):
@@ -360,7 +360,7 @@ def test_gapped_node_ids_rejected(tmp_path):
     (tmp_path / "nodes.csv").write_text(nodes)
     (tmp_path / "edges.csv").write_text(edges)
     with pytest.raises(GraphValidationError, match="dense"):
-        load_graph(tmp_path)
+        load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
 
 @pytest.mark.parametrize("length,speed", [(0.0, 10.0), (-5.0, 10.0), (100.0, 0.0), (100.0, -1.0)])
@@ -370,7 +370,7 @@ def test_nonpositive_edge_attributes_rejected(tmp_path, length, speed):
     (tmp_path / "nodes.csv").write_text(nodes)
     (tmp_path / "edges.csv").write_text(edges)
     with pytest.raises(GraphValidationError):
-        load_graph(tmp_path)
+        load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
 
 # ---------------------------------------------------------------- file I/O
@@ -384,55 +384,49 @@ def _write_graph(tmp_path, n, edge_pairs):
     (tmp_path / "edges.csv").write_text(edges)
 
 
-def test_load_graph_from_directory(tmp_path):
-    _write_graph(tmp_path, 2, [(0, 1), (1, 0)])
-    net = load_graph(tmp_path)
-    assert net.n == 2
-    assert net.edges[0].length_m == 100.0
-
-
 def test_load_graph_from_explicit_paths(tmp_path):
     _write_graph(tmp_path, 2, [(0, 1), (1, 0)])
     net = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
     assert net.n == 2
+    assert net.edges[0].length_m == 100.0
 
 
 def test_save_load_roundtrip(tmp_path):
     net = grid_city(3, 4, 275.5, 8.0)
     save_graph(net, tmp_path / "nodes.csv", tmp_path / "edges.csv")
-    again = load_graph(tmp_path)
+    again = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
     assert again == net
     assert np.array_equal(build_skim(again).travel_time, build_skim(net).travel_time)
 
 
 def test_missing_file_reported(tmp_path):
     with pytest.raises(GraphParseError, match="not found"):
-        load_graph(tmp_path / "nowhere")
+        load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
 
 def test_bad_header_reported(tmp_path):
     (tmp_path / "nodes.csv").write_text("id,x,y\n0,0,0\n")
     (tmp_path / "edges.csv").write_text("from,to,length_m,speed_mps\n")
     with pytest.raises(GraphParseError, match="header"):
-        load_graph(tmp_path)
+        load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
 
 def test_short_row_reported(tmp_path):
     (tmp_path / "nodes.csv").write_text("node_id,x,y\n0,0\n")
     (tmp_path / "edges.csv").write_text("from,to,length_m,speed_mps\n")
     with pytest.raises(GraphParseError, match="row 2"):
-        load_graph(tmp_path)
+        load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
 
 def test_unparseable_cell_reported(tmp_path):
     (tmp_path / "nodes.csv").write_text("node_id,x,y\n0,0,0\n1,east,0\n")
     (tmp_path / "edges.csv").write_text("from,to,length_m,speed_mps\n")
     with pytest.raises(GraphParseError, match="row 3"):
-        load_graph(tmp_path)
+        load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
 
 def test_fractional_node_id_reported(tmp_path):
     (tmp_path / "nodes.csv").write_text("node_id,x,y\n0.5,0,0\n")
     (tmp_path / "edges.csv").write_text("from,to,length_m,speed_mps\n")
     with pytest.raises(GraphParseError):
-        load_graph(tmp_path)
+        load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")

@@ -1,7 +1,5 @@
 """Config parsing, validation and seeded demand/supply generation tests."""
 
-import copy
-import itertools
 import json
 import re
 from collections import Counter
@@ -17,7 +15,7 @@ from ridesim import presets
 from ridesim.decisions import build_decision_set
 from ridesim.engine import run_day
 from ridesim.errors import ConfigError, GraphParseError, LogValidationError
-from ridesim.experiments import apply_override, parse_plan
+from ridesim.experiments import parse_plan
 from ridesim.kpi import read_events_csv
 from ridesim.netgraph import grid_city, load_graph, save_graph
 from ridesim.scenario import (
@@ -378,11 +376,8 @@ def preset_configs():
             yield name, parse_config(raw)
             continue
         plan = parse_plan(raw)
-        for combo in itertools.product(*plan.grid.values()):
-            cell = copy.deepcopy(plan.base)
-            for path, value in zip(plan.grid, combo):
-                apply_override(cell, path, value)
-            yield f"{name}{combo}", parse_config(cell, base_dir=plan.base_dir)
+        for cell, config in plan.cells:
+            yield f"{name}{tuple(cell.values())}", config
 
 
 def test_generate_supply_matches_oracle_on_presets():
@@ -549,9 +544,10 @@ CSV_FORMATS = {
         ["0,1,0,3600,0", "1,2,600,1800,0;1"], ConfigError,
         lambda d: load_drivers_csv(str(d / "drivers.csv"), grid_city(3, 3, 100.0, 10.0),
                                    3600.0, {0, 1})),
-    "nodes.csv": ("node_id,x,y", ["0,0,0", "1,100,0"], GraphParseError, load_graph),
+    "nodes.csv": ("node_id,x,y", ["0,0,0", "1,100,0"], GraphParseError,
+                  lambda d: load_graph(d / "nodes.csv", d / "edges.csv")),
     "edges.csv": ("from,to,length_m,speed_mps", ["0,1,100,10", "1,0,100,10"],
-                  GraphParseError, load_graph),
+                  GraphParseError, lambda d: load_graph(d / "nodes.csv", d / "edges.csv")),
     "events.csv": (
         "day,t_s,agent_kind,agent_id,event,node,meta",
         ["0,0,TRAVELLER,0,PLANS,0,", "0,5,TRAVELLER,0,REQUESTS,0,"], LogValidationError,
@@ -586,6 +582,22 @@ def test_csv_bad_row_after_blank_line_names_file_and_line(name, extra, tmp_path)
         load(tmp_path)
     assert str(tmp_path / name) in str(exc.value)
     assert re.search(r"\brow 4\b", str(exc.value))
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    ("requests.csv", "0,1,2,3,20", "duplicate request_id 0"),
+    ("requests.csv", "1,1,2,9,20", "origin or destination is not a valid node"),
+    ("drivers.csv", "0,2,0,3600,1", "duplicate driver_id 0"),
+    ("drivers.csv", "1,9,0,3600,1", "home_node is not a valid node"),
+    ("drivers.csv", "1,2,0,3600,", "platform_ids must name at least one platform"),
+    ("drivers.csv", "1,2,0,3600,1;0;1", "duplicate platform_id 1"),
+])
+def test_csv_bad_second_row_names_file_and_row(name, bad, message, tmp_path):
+    header, rows, error, load = CSV_FORMATS[name]
+    (tmp_path / name).write_text(f"{header}\n{rows[0]}\n{bad}\n")
+    with pytest.raises(error) as exc:
+        load(tmp_path)
+    assert str(exc.value) == f"{message}: {tmp_path / name}:row 3"
 
 
 def test_csv_module_is_used_only_in_util():
