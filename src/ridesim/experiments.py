@@ -13,6 +13,7 @@ import json
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,7 +23,8 @@ from ridesim.engine import DayState, run_day
 from ridesim.errors import ConfigError
 from ridesim.netgraph import build_skim
 from ridesim.scenario import (AT_LEAST_1, Range, ScenarioConfig, ScenarioInputs,
-                              materialize, number, parse_config, read_json)
+                              check_weights, json_object, materialize, number,
+                              parse_config, read_json)
 
 # a dotted path of keys, each with optional indexes, after a leading dot:
 # .platforms[1].fare_per_km
@@ -67,31 +69,18 @@ class Plan:
     threads: int = 1
 
 
-_PLAN_KEYS = {"base", "grid", "replications", "base_seed", "threads"}
-
-
 def parse_plan(raw: dict, base_dir=".") -> Plan:
     """Validate a plan and parse each of its grid cells, so a bad cell fails
     before any run; an error in a cell names its grid values."""
-    if not isinstance(raw, dict):
-        raise ConfigError("$", "plan must be a JSON object")
-    unknown = set(raw) - _PLAN_KEYS
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown plan key")
-    for key in ("base", "grid", "replications", "base_seed"):
-        if key not in raw:
-            raise ConfigError(key, "missing required plan key")
-    base = raw["base"]
-    base_dir = Path(base_dir)
+    json_object(raw, "", ("base", "grid", "replications", "base_seed"), ("threads",))
+    base, base_dir = raw["base"], Path(base_dir)
     if isinstance(base, str):
         base_path = base_dir / base
-        base = read_json(base_path, "config", at="base")[0]
-        base_dir = base_path.parent
-    elif not isinstance(base, dict):
-        raise ConfigError("base", "must be a config object or file path")
-    grid = raw["grid"]
-    if not isinstance(grid, dict) or not grid:
-        raise ConfigError("grid", "must be a non-empty object of value lists")
+        base, base_dir = read_json(base_path, "config", at="base")[0], base_path.parent
+    json_object(base, "base", (), None)
+    grid = json_object(raw["grid"], "grid", (), None)
+    if not grid:
+        raise ConfigError("grid", "must hold at least one override path")
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid.{key}", "must be a non-empty list")
@@ -108,15 +97,22 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
     for combo in itertools.product(*grid.values()):
         cell = dict(zip(grid, combo))
         cell_raw = copy.deepcopy(base)
-        try:
+        with _in_cell(cell):
             for path, value in cell.items():
                 apply_override(cell_raw, path, value)
             cells.append((cell, parse_config(cell_raw, base_dir=base_dir)))
-        except ConfigError as exc:
-            raise ConfigError(f"{exc.path} in grid cell {json.dumps(cell)}",
-                              exc.message) from None
     return Plan(cells=tuple(cells), grid=dict(grid), replications=reps,
                 base_seed=seed, threads=threads)
+
+
+@contextmanager
+def _in_cell(cell: dict):
+    """Name ``cell``'s grid values in a config error raised inside."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{exc.path} in grid cell {json.dumps(cell)}",
+                          exc.message) from None
 
 
 # ------------------------------------------------------------------ runner
@@ -169,19 +165,23 @@ def run_grid(plan: Plan, threads: int | None = None) -> list[dict]:
     """Execute every grid cell x replication of a plan.
 
     Each cell's decision set, and each distinct graph's network and skim,
-    are built once, in the calling thread, before any worker starts, so a
-    bad hook or graph fails before any run; the pool then runs one task per
-    cell and replication, and builds each distinct demand once (see ``_run``).
+    are built once, in the calling thread, before any worker starts, and
+    each cell's ``demand_weights`` are checked against its graph; so a bad
+    module, graph or weight count fails before any run, naming the cell.
+    The pool then runs one task per cell and replication, and builds each
+    distinct demand once (see ``_run``).
     Rows are ordered by cell (grid keys in plan order, row-major) then
     replication, and carry the cell's parameter values, the replication
     index and seed, and the system KPIs.
     """
     labels, tasks, networks = [], [], {}
     for cell, cfg in plan.cells:
-        dec = build_decision_set(cfg.decisions, cfg.behaviour)
-        if cfg.graph not in networks:
-            net = cfg.graph.build()
-            networks[cfg.graph] = net, build_skim(net)
+        with _in_cell(cell):
+            dec = build_decision_set(cfg.decisions, cfg.behaviour)
+            if cfg.graph not in networks:
+                net = cfg.graph.build()
+                networks[cfg.graph] = net, build_skim(net)
+            check_weights(cfg.demand_weights, networks[cfg.graph][0])
         for k in range(plan.replications):
             labels.append({**cell, "replication": k})
             tasks.append((cfg, plan.base_seed + k, dec))

@@ -9,6 +9,7 @@ the CSV form of the log: ``write_events_csv`` formats each record's detail
 fields into the ``meta`` column and ``read_events_csv`` parses them back.
 """
 
+import math
 from collections import Counter, defaultdict
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -74,17 +75,28 @@ _META_KEYS = {
     "MATCH": _MATCH_KEYS,
     "BATCH_MATCH": _MATCH_KEYS,
 }
-# the same as ("key=", index into an EventRecord) pairs, for write_events_csv
-_META_FIELDS = {
-    event: tuple((f"{key}=", EventRecord._fields.index(key)) for key in keys)
-    for event, keys in _META_KEYS.items()
-}
+
+
+def _finite(text: str) -> float:
+    """The finite float ``text`` spells; ValueError for NaN or an infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not finite")
+    return value
+
 
 # how read_events_csv parses each meta value
 _META_TYPES = {
     "request_id": int, "platform_id": int, "driver_id": int, "target": int,
-    "reason": str, "eta_s": float, "fare": float, "payout": float,
-    "cut": float, "dist_m": float,
+    "reason": str, "eta_s": _finite, "fare": _finite, "payout": _finite,
+    "cut": _finite, "dist_m": _finite,
+}
+# the same as ("key=", index into an EventRecord, formatter) triples, for
+# write_events_csv: the one string field as it is, numbers by fmt_num
+_META_FIELDS = {
+    event: tuple((f"{key}=", EventRecord._fields.index(key),
+                  str if _META_TYPES[key] is str else fmt_num) for key in keys)
+    for event, keys in _META_KEYS.items()
 }
 
 
@@ -100,7 +112,7 @@ def _parse_meta(text: str) -> dict:
 
 
 # how read_events_csv parses each column
-_EVENTS_TYPES = (int, float, str, int, str, int, _parse_meta)
+_EVENTS_TYPES = (int, _finite, str, int, str, int, _parse_meta)
 
 
 # ------------------------------------------------------------------ replay
@@ -417,13 +429,6 @@ def open_events_csv(path):
     return fh
 
 
-def _text(x) -> str:
-    # the text fmt_num gives, calling it only for integral floats
-    if type(x) is float:
-        return repr(x) if not x.is_integer() else fmt_num(x)
-    return str(x)
-
-
 def write_events_csv(fh, log: Sequence[EventRecord]) -> None:
     """Append one row per record to ``fh``, from ``open_events_csv``.
 
@@ -433,11 +438,11 @@ def write_events_csv(fh, log: Sequence[EventRecord]) -> None:
     write = fh.write
     for rec in log:
         meta = ";".join([
-            key + _text(value)
-            for key, i in _META_FIELDS.get(rec.event, ())
+            key + text(value)
+            for key, i, text in _META_FIELDS.get(rec.event, ())
             if (value := rec[i]) is not None
         ])
-        write(f"{rec.day},{_text(rec.t)},{rec.agent_kind},{rec.agent_id},"
+        write(f"{rec.day},{fmt_num(rec.t)},{rec.agent_kind},{rec.agent_id},"
               f"{rec.event},{rec.node},{meta}\r\n")
 
 

@@ -147,25 +147,43 @@ AT_LEAST_0 = Range(0, math.inf, "a finite number >= 0")
 UNIT = Range(0, 1, "a number in [0, 1]")
 POSITIVE = Range(math.ulp(0.0), math.inf, "a finite number > 0")
 
-_REQUIRED = object()
+
+def _path(at: str, key) -> str:
+    """The JSON path of ``key`` inside the object or list at path ``at``
+    (the top level when empty)."""
+    return key if not at else f"{at}[{key}]" if isinstance(key, int) else f"{at}.{key}"
 
 
-def number(d, key, rng: Range = NUMBER, kind=None, default=_REQUIRED, *, at: str = ""):
+def json_object(v, at: str, required=(), optional=()) -> dict:
+    """``v`` checked to be a JSON object that holds every key of
+    ``required`` and no key outside ``required`` and ``optional`` (any key
+    when ``optional`` is None). Errors name the JSON path: the object's
+    path ``at`` (``$`` for the top level) or, for a key, its path inside."""
+    if not isinstance(v, dict):
+        raise ConfigError(at or "$", "expected an object")
+    if optional is not None:
+        for key in v:
+            if key not in required and key not in optional:
+                raise ConfigError(_path(at, key), "unknown key")
+    for key in required:
+        if key not in v:
+            raise ConfigError(_path(at, key), "required key missing")
+    return v
+
+
+def number(d, key, rng: Range = NUMBER, kind=None, default=None, *, at: str = ""):
     """``d[key]`` checked to be a JSON number in ``rng``.
 
     ``kind`` int accepts integers only; round accepts any whole number and
     returns it as an int; float returns a float, so an integer too large for
     one is out of range; None returns the number as written. A missing key
-    returns ``default``, or is an error when there is none. Errors name the
-    JSON path: ``key`` inside the object or list at path ``at``. NaN,
-    infinities and bools are never numbers.
+    returns ``default`` (``json_object`` checks the required keys). Errors
+    name the JSON path: ``key`` inside the object or list at path ``at``.
+    NaN, infinities and bools are never numbers.
     """
-    path = key if not at else f"{at}[{key}]" if isinstance(key, int) else f"{at}.{key}"
     try:
         v = d[key]
     except KeyError:
-        if default is _REQUIRED:
-            raise ConfigError(path, "required key missing") from None
         return default
     try:
         if (isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -175,26 +193,22 @@ def number(d, key, rng: Range = NUMBER, kind=None, default=_REQUIRED, *, at: str
             return v if kind in (None, int) else kind(v)
     except OverflowError:       # float() of an integer past the largest float
         pass
-    raise ConfigError(path, f"must be {rng.text}")
+    raise ConfigError(_path(at, key), f"must be {rng.text}")
 
 
 def parse_config(raw: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     """Validate a raw scenario dict. Errors name the offending JSON path."""
-    if not isinstance(raw, dict):
-        raise ConfigError("$", "config must be a JSON object")
-    for key in raw:
-        if key not in ScenarioConfig.__dataclass_fields__:     # one field per key
-            raise ConfigError(key, "unknown config key")
-
+    json_object(raw, "", ("horizon_s", "n_travellers", "n_drivers", "seed", "platforms",
+                          "graph"), ScenarioConfig.__dataclass_fields__)   # one field per key
     horizon = number(raw, "horizon_s", POSITIVE, float)
     n_travellers = number(raw, "n_travellers", COUNT, int)
     n_drivers = number(raw, "n_drivers", COUNT, int)
     seed = number(raw, "seed", SEED, int)
 
-    platforms = _parse_platforms(raw, n_drivers, horizon)
-    graph = _parse_graph(raw, Path(base_dir))
-    behaviour = _parse_behaviour(raw)
-    decisions = _parse_decisions(raw)
+    platforms = _parse_platforms(raw["platforms"], n_drivers, horizon)
+    graph = _parse_graph(raw["graph"], Path(base_dir))
+    behaviour = _parse_behaviour(raw.get("behaviour", {}))
+    decisions = _parse_decisions(raw.get("decisions"))
 
     weights = raw.get("demand_weights")
     if weights is not None:
@@ -224,20 +238,15 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     )
 
 
-def _parse_platforms(raw: dict, n_drivers: int, horizon: float) -> tuple[PlatformSpec, ...]:
-    plats = raw.get("platforms")
+def _parse_platforms(plats, n_drivers: int, horizon: float) -> tuple[PlatformSpec, ...]:
     if not isinstance(plats, list) or not plats:
         raise ConfigError("platforms", "at least one platform is required")
     out = []
     seen_ids: set[int] = set()
     for i, p in enumerate(plats):
         at = f"platforms[{i}]"
-        if not isinstance(p, dict):
-            raise ConfigError(at, "expected an object")
-        for key in p:
-            if key not in {"platform_id", "base_fare", "fare_per_km",
-                           "commission_rate", "matching", "fleet"}:
-                raise ConfigError(f"{at}.{key}", "unknown platform key")
+        json_object(p, at, ("platform_id", "base_fare", "fare_per_km", "commission_rate",
+                            "matching"), ("fleet",))
         pid = number(p, "platform_id", INTEGER, int, at=at)
         if pid in seen_ids:
             raise ConfigError(f"{at}.platform_id", f"duplicate platform_id {pid}")
@@ -245,11 +254,11 @@ def _parse_platforms(raw: dict, n_drivers: int, horizon: float) -> tuple[Platfor
         base = number(p, "base_fare", AT_LEAST_0, float, at=at)
         per_km = number(p, "fare_per_km", AT_LEAST_0, float, at=at)
         cut = number(p, "commission_rate", UNIT, float, at=at)
-        mode, window = _parse_matching(p.get("matching"), f"{at}.matching", horizon)
+        mode, window = _parse_matching(p["matching"], f"{at}.matching", horizon)
         out.append(PlatformSpec(
             platform_id=pid, base_fare=base, fare_per_km=per_km, commission_rate=cut,
             matching=mode, batch_window_s=window,
-            fleet=number(p, "fleet", COUNT, int, None, at=at),
+            fleet=number(p, "fleet", COUNT, int, at=at),
         ))
     fleets = [p.fleet for p in out if p.fleet is not None]
     if fleets:
@@ -268,28 +277,23 @@ def _parse_platforms(raw: dict, n_drivers: int, horizon: float) -> tuple[Platfor
 
 
 def _parse_matching(v, at: str, horizon: float) -> tuple[str, float | None]:
-    if v is None:
-        raise ConfigError(at, "required key missing")
+    """``"instant"``, or else ``{"batched": {"window_s": W}}``."""
     if v == "instant":
         return "instant", None
-    if isinstance(v, dict) and set(v) == {"batched"}:
-        inner = v["batched"]
-        if not isinstance(inner, dict):
-            raise ConfigError(f"{at}.batched", "expected an object with window_s")
-        window = number(inner, "window_s", POSITIVE, float, at=f"{at}.batched")
-        # below this, k * window_s stops resolving multiples of the window
-        # within the horizon and next_batch_boundary cannot step past now
-        if window < horizon / 2 ** 40:
-            raise ConfigError(f"{at}.batched.window_s", "must be >= horizon_s / 2**40")
-        return "batched", window
-    raise ConfigError(at, 'must be "instant" or {"batched": {"window_s": W}}')
+    batched = json_object(v, at, ("batched",))["batched"]
+    json_object(batched, f"{at}.batched", ("window_s",))
+    window = number(batched, "window_s", POSITIVE, float, at=f"{at}.batched")
+    # below this, k * window_s stops resolving multiples of the window
+    # within the horizon and next_batch_boundary cannot step past now
+    if window < horizon / 2 ** 40:
+        raise ConfigError(f"{at}.batched.window_s", "must be >= horizon_s / 2**40")
+    return "batched", window
 
 
 def grid_spec(grid, at: str) -> GraphSpec:
     """The grid city ``grid`` describes (``rows``, ``cols``, ``spacing_m``,
     ``speed_mps``), each value checked; an error names the path ``at``."""
-    if not isinstance(grid, dict):
-        raise ConfigError(at, "expected an object")
+    json_object(grid, at, ("rows", "cols", "spacing_m", "speed_mps"))
     rows = number(grid, "rows", INTEGER, int, at=at)
     cols = number(grid, "cols", INTEGER, int, at=at)
     spacing = number(grid, "spacing_m", POSITIVE, float, at=at)
@@ -299,22 +303,20 @@ def grid_spec(grid, at: str) -> GraphSpec:
     return GraphSpec(kind="grid", rows=rows, cols=cols, spacing_m=spacing, speed_mps=speed)
 
 
-def _parse_graph(raw: dict, base_dir: Path) -> GraphSpec:
-    g = raw.get("graph")
-    if not isinstance(g, dict):
-        raise ConfigError("graph", "required key missing or not an object")
-    if set(g) == {"grid"}:
-        return grid_spec(g["grid"], "graph.grid")
-    if set(g) == {"nodes", "edges"}:
-        nodes, edges = g["nodes"], g["edges"]
-        if not isinstance(nodes, str) or not isinstance(edges, str):
-            raise ConfigError("graph", "nodes and edges must be file paths")
-        return GraphSpec(
-            kind="files",
-            nodes_path=str(base_dir / nodes),
-            edges_path=str(base_dir / edges),
-        )
-    raise ConfigError("graph", 'must be {"grid": {...}} or {"nodes": ..., "edges": ...}')
+def _parse_graph(g, base_dir: Path) -> GraphSpec:
+    """``{"grid": {...}}``, or else ``{"nodes": ..., "edges": ...}``."""
+    g = json_object(g, "graph", (), ("grid", "nodes", "edges"))
+    if "grid" in g:
+        return grid_spec(json_object(g, "graph", ("grid",))["grid"], "graph.grid")
+    json_object(g, "graph", ("nodes", "edges"))
+    nodes, edges = g["nodes"], g["edges"]
+    if not isinstance(nodes, str) or not isinstance(edges, str):
+        raise ConfigError("graph", "nodes and edges must be file paths")
+    return GraphSpec(
+        kind="files",
+        nodes_path=str(base_dir / nodes),
+        edges_path=str(base_dir / edges),
+    )
 
 
 # the recognised behaviour keys, each with its range, kind (see ``number``)
@@ -332,24 +334,17 @@ BEHAVIOUR = {
 }
 
 
-def _parse_behaviour(raw: dict) -> dict:
-    b = raw.get("behaviour", {})
-    if not isinstance(b, dict):
-        raise ConfigError("behaviour", "expected an object")
+def _parse_behaviour(b) -> dict:
+    json_object(b, "behaviour", (), None)
     defaults = [k for k, (_, _, default) in BEHAVIOUR.items() if default is not None]
     return {k: number(b, k, *BEHAVIOUR.get(k, (NUMBER,)), at="behaviour")
             for k in [*b, *(k for k in defaults if k not in b)]}
 
 
-def _parse_decisions(raw: dict) -> dict:
-    d = raw.get("decisions")
+def _parse_decisions(d) -> dict:
     if d is None:
         return {}
-    if not isinstance(d, dict):
-        raise ConfigError("decisions", "expected an object mapping hook to module name")
-    for hook, name in d.items():
-        if hook not in DECISION_SLOTS:
-            raise ConfigError(f"decisions.{hook}", "unknown decision hook")
+    for hook, name in json_object(d, "decisions", (), DECISION_SLOTS).items():
         if not isinstance(name, str):
             raise ConfigError(f"decisions.{hook}", "module name must be a string")
     return dict(d)
@@ -365,6 +360,14 @@ def _optional_path(raw: dict, key: str, base_dir) -> str | None:
 
 
 # ------------------------------------------------------- demand and supply
+
+def check_weights(weights: tuple[float, ...] | None, net: RoadNetwork) -> None:
+    """Raise a ``ConfigError`` unless ``weights``, a config's
+    ``demand_weights``, is None or holds one weight per node of ``net``."""
+    if weights is not None and len(weights) != net.n:
+        raise ConfigError("demand_weights",
+                          f"expected {net.n} weights (one per node), got {len(weights)}")
+
 
 def generate_demand(
     net: RoadNetwork,
@@ -385,14 +388,10 @@ def generate_demand(
     if n and n_nodes < 2:
         # the destination redraw below would never end
         raise ConfigError("graph", f"has {n_nodes} node(s); a trip needs two distinct nodes")
+    check_weights(weights, net)
     rng = substream(seed, "demand")
     probs = None
     if weights is not None:
-        if len(weights) != n_nodes:
-            raise ConfigError(
-                "demand_weights",
-                f"expected {n_nodes} weights (one per node), got {len(weights)}",
-            )
         total = float(sum(weights))
         probs = [w / total for w in weights]
     out = []
@@ -541,11 +540,7 @@ def materialize(
     """
     if net is None:
         net = config.graph.build()
-    if config.demand_weights is not None and len(config.demand_weights) != net.n:
-        raise ConfigError(
-            "demand_weights",
-            f"expected {net.n} weights (one per node), got {len(config.demand_weights)}",
-        )
+    check_weights(config.demand_weights, net)
     if skim is None:
         skim = build_skim(net)
 

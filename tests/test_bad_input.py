@@ -18,6 +18,10 @@ one ``ridesim:`` line.
 In both, ``--out`` already holds an earlier run's ``manifest.json`` and
 one other file, and an exit 1 must leave it as it was: the same names and
 bytes.
+
+Two deterministic tests follow: an unknown key added to each object but
+``behaviour``, and a misspelled grid override, each exit 1 with one line
+that names the key's JSON path (and the grid cell, inside a plan's base).
 """
 
 import contextlib
@@ -26,6 +30,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -147,6 +152,50 @@ def test_bad_input_exits_cleanly(case):
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ridesim: "), err.getvalue()
+
+
+def _json_path(path):
+    """The JSON path of a key and index path, as ridesim's errors spell it."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _one_error(command, doc, tmp_path, capsys):
+    """The one ``ridesim:`` line of ``command`` on ``doc``, which must exit 1."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    flag = "--config" if command == "run" else "--plan"
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ridesim: ")
+    return line
+
+
+# every object of CONFIG and PLAN but ``behaviour``, which passes any key through
+UNKNOWN_KEY_CASES = [(command, container)
+                     for command, doc in (("run", CONFIG), ("experiment", PLAN))
+                     for container in _containers(doc) if container[-1:] != ("behaviour",)]
+
+
+@pytest.mark.parametrize("command, container", UNKNOWN_KEY_CASES,
+                         ids=[f"{c}:{_json_path(p) or '$'}" for c, p in UNKNOWN_KEY_CASES])
+def test_unknown_key_in_any_object_exits_1(command, container, tmp_path, capsys):
+    doc = json.loads(json.dumps(CONFIG if command == "run" else PLAN))
+    _at(doc, container)["zz_unknown"] = 1
+    line = _one_error(command, doc, tmp_path, capsys)
+    in_base = container[:1] == ("base",)      # a key of the base config, named per cell
+    where = _json_path((*container[in_base:], "zz_unknown"))
+    assert line.endswith(f": {where}") or (in_base and f": {where} in grid cell {{" in line)
+
+
+@pytest.mark.parametrize("path, value, line", [
+    ("graph.grid.speed", 5, 'unknown key: graph.grid.speed in grid cell {"graph.grid.speed": 5}'),
+    ("platforms[1].matching.batched.windows_s", 60,
+     "unknown key: platforms[1].matching.batched.windows_s in grid cell "
+     '{"platforms[1].matching.batched.windows_s": 60}'),
+], ids=["graph.grid", "matching.batched"])
+def test_misspelled_grid_override_exits_1_naming_the_cell(path, value, line, tmp_path, capsys):
+    plan = dict(PLAN, grid={path: [value, 2 * value]})
+    assert _one_error("experiment", plan, tmp_path, capsys) == f"ridesim: {line}"
 
 
 # the valid commands, with their required flags and integer flags

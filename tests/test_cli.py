@@ -116,18 +116,18 @@ def _no_node_config(tmp_path):
 DRIVERS_CSV_HEADER = "driver_id,home_node,shift_start_s,shift_end_s,platform_ids\n"
 
 BAD_VALUES = {
-    "config_not_object": (lambda tmp: [], "config must be a JSON object: $"),
+    "config_not_object": (lambda tmp: [], "expected an object: $"),
     "platform_not_object": (lambda tmp: small_config(platforms=[7]),
                             "expected an object: platforms[0]"),
     "batched_not_object": (lambda tmp: _with("platforms.matching", {"batched": 60}),
-                           "expected an object with window_s: platforms[0].matching.batched"),
+                           "expected an object: platforms[0].matching.batched"),
     "grid_not_object": (lambda tmp: small_config(graph={"grid": [3, 3]}),
                         "expected an object: graph.grid"),
     "graph_paths_not_strings": (lambda tmp: small_config(graph={"nodes": 1, "edges": "e.csv"}),
                                 "nodes and edges must be file paths: graph"),
     "graph_without_nodes": (_no_node_config, "city: graph has no nodes"),
     "decisions_not_object": (lambda tmp: small_config(decisions=["default"]),
-                             "expected an object mapping hook to module name: decisions"),
+                             "expected an object: decisions"),
     "decision_name_not_string": (lambda tmp: small_config(decisions={"f_match": 1}),
                                  "module name must be a string: decisions.f_match"),
     "requests_csv_not_string": (lambda tmp: small_config(requests_csv=1),

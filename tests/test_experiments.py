@@ -122,7 +122,7 @@ def test_parse_plan_defaults():
     (lambda r: r.update(surprise=1), "surprise"),
     pytest.param(lambda r: r.update(base="broken.json"), "invalid JSON.*: base$",
                  id="base_invalid_json"),
-    (lambda r: r.update(base=5), "must be a config object or file path: base$"),
+    (lambda r: r.update(base=5), "expected an object: base$"),
     pytest.param(lambda r: r.update(grid={"n_drivers": [4, 2],
                                           "platforms[0].fare_per_km": [1.0, -2]}),
                  re.escape('must be a finite number >= 0: platforms[0].fare_per_km '
@@ -138,7 +138,7 @@ def test_parse_plan_rejects(mutate, needle, tmp_path):
 
 
 def test_parse_plan_rejects_a_non_object():
-    with pytest.raises(ConfigError, match=r"^plan must be a JSON object: \$$"):
+    with pytest.raises(ConfigError, match=r"^expected an object: \$$"):
         parse_plan([plan_raw()])
 
 
@@ -260,7 +260,25 @@ def test_bad_decisions_in_last_cell_fail_before_any_run(
                  "--threads", str(threads)]) == 1
     assert calls == []
     err = capsys.readouterr().err
-    assert f"decisions.{slot}" in err and needle in err
+    cell = json.dumps({"n_drivers": 2, f"decisions.{slot}": bad})
+    assert f"decisions.{slot} in grid cell {cell}" in err and needle in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_short_demand_weights_in_a_cell_fail_before_any_run(
+        monkeypatch, tmp_path, capsys, threads):
+    calls = []
+    monkeypatch.setattr(experiments, "run_day", lambda *args, **kw: calls.append(args))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_raw(grid={"demand_weights": [[1] * 9, [1, 2]]})))
+    out = tmp_path / "out"
+    assert main(["experiment", "--plan", str(plan), "--out", str(out),
+                 "--threads", str(threads)]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "ridesim: expected 9 weights (one per node), got 2: demand_weights "
+        'in grid cell {"demand_weights": [1, 2]}\n')
     assert not out.exists()
 
 

@@ -484,6 +484,37 @@ def test_read_events_csv_rejects_meta_not_of_its_event(event, meta, tmp_path):
             else "malformed row") in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_read_events_csv_rejects_non_finite_times(text, tmp_path):
+    # every row of traveller 0 in an e1 day; NaN would pass the time order
+    logs = []
+    day_to_day(parse_config(json.loads(presets.read_text("e1"))), 1, on_day=logs.append)
+    path = tmp_path / "events.csv"
+    write_events(path, logs[0])
+    lines = path.read_text().splitlines()
+    rows = [i for i, line in enumerate(lines) if line.split(",")[2:4] == ["TRAVELLER", "0"]]
+    for i in rows:
+        day, _, rest = lines[i].split(",", 2)
+        lines[i] = f"{day},{text},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogValidationError, match=f"events.csv: row {rows[0] + 1}: malformed"):
+        read_events_csv(path)
+
+
+@pytest.mark.parametrize("key", ["eta_s", "fare", "payout", "cut", "dist_m"])
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+def test_read_events_csv_rejects_non_finite_meta(key, text, tmp_path):
+    path = tmp_path / "events.csv"
+    write_events(path, meta_golden_log())
+    lines = path.read_text().splitlines()
+    row = 2 + next(i for i, keys in enumerate(META_TEXT.values()) if f"{key}=" in keys)
+    value = fmt_num(META_DETAIL[key])
+    lines[row - 1] = lines[row - 1].replace(f"{key}={value}", f"{key}={text}")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogValidationError, match=f"events.csv: row {row}: malformed"):
+        read_events_csv(path)
+
+
 @pytest.mark.parametrize("raw", [json.loads(presets.read_text("e1")), rich_raw()],
                          ids=["e1", "rich"])
 def test_engine_log_reads_back_equal(raw, tmp_path):
