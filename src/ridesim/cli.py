@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="plan JSON path, or a bundled preset name (e2, e3)")
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: the plan's value)")
+                     help="worker count, reserved for a process pool; the runs go "
+                          "in order on one thread today (default: the plan's value)")
     exp.set_defaults(fn=cmd_experiment)
 
     gen = sub.add_parser("generate", help="write graph/demand/supply input files")

@@ -5,14 +5,17 @@ replication count; ``run_grid`` executes every cell x replication and returns
 flat result rows ready for CSV. ``day_to_day`` iterates a scenario over
 days with drivers learning their income and re-deciding participation; a
 one-day run is that loop with one day.
+
+Every run of a grid happens in order on the calling thread. The runs are
+pure Python, so worker threads would only contend for the interpreter lock;
+a plan's ``threads`` count is kept, checked and ignored, reserved for a
+pool of worker processes.
 """
 
 import copy
 import itertools
 import json
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -66,7 +69,7 @@ class Plan:
     grid: dict
     replications: int
     base_seed: int
-    threads: int = 1
+    threads: int = 1     # worker count reserved for a process pool; no effect
 
 
 def parse_plan(raw: dict, base_dir=".") -> Plan:
@@ -128,48 +131,42 @@ def _day(config, inputs, decisions, day, state):
                                                 inputs.drivers, replay)
 
 
-def _run(tasks, threads, networks) -> list[dict]:
+def _run(tasks, networks) -> list[dict]:
     """One single-day row (seed, then system KPIs) per ``(config, seed,
-    decisions)`` task, in task order whatever the thread count. ``networks``
-    maps each task's graph spec to its (net, skim); workers only read it.
+    decisions)`` task, in task order. ``networks`` maps each task's graph
+    spec to its (net, skim).
 
     Each distinct generated demand is built once, by the first task that
-    needs it, and reused by every later task until the grid ends. Demand is
-    a pure function of its key, so which worker builds it changes nothing.
+    needs it, and reused by every later task until the grid ends.
     """
-    demands, lock = {}, threading.Lock()
-
-    def demand(cfg, net):
-        if cfg.requests_csv is not None:
-            return None
-        key = (cfg.graph, cfg.n_travellers, cfg.horizon_s, cfg.seed, cfg.demand_weights)
-        with lock:
-            if key not in demands:
-                demands[key] = tuple(scenario.generate_demand(net, *key[1:]))
-            return demands[key]
-
-    def one(task) -> dict:
-        config, seed, dec = task
+    demands = {}
+    rows = []
+    for config, seed, dec in tasks:
         cfg = replace(config, seed=seed)
         net, skim = networks[cfg.graph]
-        inputs = materialize(cfg, net=net, skim=skim, requests=demand(cfg, net))
-        return {"seed": seed, **_day(cfg, inputs, dec, 0, DayState())[3]}
-
-    if threads <= 1:
-        return [one(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, tasks))
+        requests = None
+        if cfg.requests_csv is None:
+            key = (cfg.graph, cfg.n_travellers, cfg.horizon_s, cfg.seed, cfg.demand_weights)
+            if key not in demands:
+                demands[key] = tuple(scenario.generate_demand(net, *key[1:]))
+            requests = demands[key]
+        inputs = materialize(cfg, net=net, skim=skim, requests=requests)
+        rows.append({"seed": seed, **_day(cfg, inputs, dec, 0, DayState())[3]})
+    return rows
 
 
 def run_grid(plan: Plan, threads: int | None = None) -> list[dict]:
-    """Execute every grid cell x replication of a plan.
+    """Execute every grid cell x replication of a plan, in order on the
+    calling thread.
 
     Each cell's decision set, and each distinct graph's network and skim,
-    are built once, in the calling thread, before any worker starts, and
-    each cell's ``demand_weights`` are checked against its graph; so a bad
-    module, graph or weight count fails before any run, naming the cell.
-    The pool then runs one task per cell and replication, and builds each
-    distinct demand once (see ``_run``).
+    are built once before any run, and each cell's ``demand_weights`` are
+    checked against its graph; so a bad module, graph or weight count fails
+    before any run, naming the cell. Then one run per cell and replication
+    follows, and each distinct demand is built once (see ``_run``).
+    ``threads``, or the plan's ``threads`` when None, is the worker count
+    reserved for a process pool; it has no effect today, and the rows are
+    the same for any count.
     Rows are ordered by cell (grid keys in plan order, row-major) then
     replication, and carry the cell's parameter values, the replication
     index and seed, and the system KPIs.
@@ -185,7 +182,7 @@ def run_grid(plan: Plan, threads: int | None = None) -> list[dict]:
         for k in range(plan.replications):
             labels.append({**cell, "replication": k})
             tasks.append((cfg, plan.base_seed + k, dec))
-    rows = _run(tasks, plan.threads if threads is None else threads, networks)
+    rows = _run(tasks, networks)
     return [{**label, **row} for label, row in zip(labels, rows)]
 
 

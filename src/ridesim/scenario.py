@@ -208,10 +208,11 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     platforms = _parse_platforms(raw["platforms"], n_drivers, horizon)
     graph = _parse_graph(raw["graph"], Path(base_dir))
     behaviour = _parse_behaviour(raw.get("behaviour", {}))
-    decisions = _parse_decisions(raw.get("decisions"))
+    decisions = _parse_decisions(raw.get("decisions", {}))
 
-    weights = raw.get("demand_weights")
-    if weights is not None:
+    weights = None
+    if "demand_weights" in raw:
+        weights = raw["demand_weights"]
         if not isinstance(weights, list) or not weights:
             raise ConfigError("demand_weights", "must be a non-empty list of numbers")
         finite = Range(0, sys.float_info.max, AT_LEAST_0.text)
@@ -342,8 +343,6 @@ def _parse_behaviour(b) -> dict:
 
 
 def _parse_decisions(d) -> dict:
-    if d is None:
-        return {}
     for hook, name in json_object(d, "decisions", (), DECISION_SLOTS).items():
         if not isinstance(name, str):
             raise ConfigError(f"decisions.{hook}", "module name must be a string")
@@ -351,9 +350,9 @@ def _parse_decisions(d) -> dict:
 
 
 def _optional_path(raw: dict, key: str, base_dir) -> str | None:
-    v = raw.get(key)
-    if v is None:
+    if key not in raw:
         return None
+    v = raw[key]
     if not isinstance(v, str):
         raise ConfigError(key, "expected a file path string")
     return str(Path(base_dir) / v)

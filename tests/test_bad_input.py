@@ -19,14 +19,16 @@ In both, ``--out`` already holds an earlier run's ``manifest.json`` and
 one other file, and an exit 1 must leave it as it was: the same names and
 bytes.
 
-Two deterministic tests follow: an unknown key added to each object but
-``behaviour``, and a misspelled grid override, each exit 1 with one line
-that names the key's JSON path (and the grid cell, inside a plan's base).
+Three deterministic tests follow: an unknown key added to each object but
+``behaviour``, an optional key set to JSON null, and a misspelled grid
+override, each exit 1 with one line that names the key's JSON path (and
+the grid cell, inside a plan's base).
 """
 
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -185,6 +187,25 @@ def test_unknown_key_in_any_object_exits_1(command, container, tmp_path, capsys)
     in_base = container[:1] == ("base",)      # a key of the base config, named per cell
     where = _json_path((*container[in_base:], "zz_unknown"))
     assert line.endswith(f": {where}") or (in_base and f": {where} in grid cell {{" in line)
+
+
+# JSON null is never a value: an optional key is absent or of its type
+NULL_CASES = [
+    ("decisions", "expected an object: decisions"),
+    ("demand_weights", "must be a non-empty list of numbers: demand_weights"),
+    ("requests_csv", "expected a file path string: requests_csv"),
+    ("drivers_csv", "expected a file path string: drivers_csv"),
+    ("behaviour", "expected an object: behaviour"),
+    ("platforms[0].fleet", "must be an integer >= 0: platforms[0].fleet"),
+]
+
+
+@pytest.mark.parametrize("path, line", NULL_CASES, ids=[p for p, _ in NULL_CASES])
+def test_null_optional_key_exits_1(path, line, tmp_path, capsys):
+    doc = json.loads(json.dumps(CONFIG))
+    *parent, key = [int(k) if k.isdigit() else k for k in re.findall(r"[^.[\]]+", path)]
+    _at(doc, parent)[key] = None
+    assert _one_error("run", doc, tmp_path, capsys) == f"ridesim: {line}"
 
 
 @pytest.mark.parametrize("path, value, line", [

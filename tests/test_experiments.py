@@ -3,7 +3,7 @@
 import copy
 import json
 import re
-import time
+import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -205,6 +205,23 @@ def test_run_grid_thread_invariance():
     assert run_grid(plan, threads=1) == run_grid(plan, threads=4)
 
 
+def test_run_grid_runs_every_day_on_the_calling_thread(monkeypatch):
+    threads, active = [], []
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        active.append(threading.active_count())
+        return run_day(*args, **kwargs)
+
+    run_day = experiments.run_day
+    monkeypatch.setattr(experiments, "run_day", recorded)
+    before = threading.active_count()
+    rows = run_grid(parse_plan(plan_raw(threads=4)))
+    assert len(threads) == len(rows) == 8
+    assert set(threads) == {threading.get_ident()}
+    assert max(active) == threading.active_count() == before
+
+
 @pytest.mark.parametrize("grid, builds", [
     ({"n_drivers": [2, 3, 4, 5]}, 1),
     ({"graph.grid.rows": [3, 4], "n_drivers": [2, 3]}, 2),
@@ -212,13 +229,12 @@ def test_run_grid_thread_invariance():
 def test_run_grid_builds_each_skim_once(monkeypatch, grid, builds):
     calls = []
 
-    def slow_build(net):
+    def counted(net):
         calls.append(net.n)
-        time.sleep(0.05)        # widen the window a racing worker would hit
         return build_skim(net)
 
-    monkeypatch.setattr(experiments, "build_skim", slow_build)
-    monkeypatch.setattr(scenario, "build_skim", slow_build)
+    monkeypatch.setattr(experiments, "build_skim", counted)
+    monkeypatch.setattr(scenario, "build_skim", counted)
     plan = parse_plan(plan_raw(grid=grid, replications=1))
     rows = run_grid(plan, threads=2)
     assert len(calls) == builds
@@ -295,7 +311,7 @@ def test_run_with_bad_decisions_fails_before_materialize(monkeypatch, tmp_path, 
 
 # ------------------------------------------------------- shared demand
 
-def run_every_demand(tasks, threads, networks):
+def run_every_demand(tasks, networks):
     """``experiments._run`` as it was before demand was shared: each task
     builds its own demand in ``materialize``. The oracle for shared demand."""
     def one(task):
@@ -338,7 +354,6 @@ def test_each_demand_built_once_per_key(monkeypatch):
 
     def counted(net, n, horizon, seed, weights=None):
         keys[n, horizon, seed, weights] += 1
-        time.sleep(0.02)        # widen the window a racing worker would hit
         return generate(net, n, horizon, seed, weights)
 
     monkeypatch.setattr(scenario, "generate_demand", counted)
