@@ -152,10 +152,9 @@ def cmd_run(args, out: Output):
 
 def cmd_experiment(args, out: Output):
     plan, text = _load(args.plan, "plan", parse_plan)
-    if args.threads is not None:
+    if args.threads is not None:        # checked, then unused
         number({"--threads": args.threads}, "--threads", AT_LEAST_1, int)
-
-    rows = run_grid(plan, threads=args.threads)
+    rows = run_grid(plan)
     kpi.write_system_csv(out.file("experiment_results.csv"), rows)
     return (plan.base_seed, _sha256(text.encode("utf-8")),
             f"experiment complete: {len(rows)} rows, outputs in {out.dir}")
@@ -231,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="plan JSON path, or a bundled preset name (e2, e3)")
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--threads", type=int, default=None,
-                     help="worker count, reserved for a process pool; the runs go "
-                          "in order on one thread today (default: the plan's value)")
+                     help="accepted and checked (>= 1); has no effect")
     exp.set_defaults(fn=cmd_experiment)
 
     gen = sub.add_parser("generate", help="write graph/demand/supply input files")

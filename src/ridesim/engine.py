@@ -186,10 +186,12 @@ class _Sim:
         self.open_view = MappingProxyType(self.open_counts)
         self.excluded = set()          # (request_id, driver_id), cleared per timestamp
         self.resolve_pending = None    # timestamp of a scheduled instant pass
-        # states of the platforms an instant pass matches, in id order
+        # states of the platforms an instant pass matches, and of those
+        # that match at batch boundaries, each in id order
         self.instant = [s for s in self.platforms.values()
                         if s.spec.matching == "instant"]
-        self.last_boundary = {}        # platform id -> timestamp last fired
+        self.batched = [s for s in self.platforms.values()
+                        if s.spec.matching == "batched"]
 
     # ------------------------------------------------------------ plumbing
 
@@ -387,23 +389,23 @@ class _Sim:
         are on the event queue for the current state of the request queue
         and the idle maps. An instant pass is pushed only when a pair can
         form; every change that can make one calls this again at once."""
+        if not self.waiting:
+            return
         if self.now <= self.horizon and self.resolve_pending != self.now \
-                and self.waiting and any(s.idle for s in self.instant):
+                and any(s.idle for s in self.instant):
             self.resolve_pending = self.now
             self.push(self.now, _PH_MATCH, PLATFORM, 0, self.on_instant_pass)
-        for pid, state in self.platforms.items():
-            if state.spec.matching != "batched" or not self.waiting:
-                continue
+        for state in self.batched:
             if state.next_batch_at is not None:
                 continue
             boundary = plat.next_batch_boundary(state.spec.batch_window_s, self.now)
-            if boundary == self.last_boundary.get(pid):
+            if boundary == state.last_batch_at:
                 # this window already ran; late arrivals wait for the next
                 boundary += state.spec.batch_window_s
             if boundary > self.horizon:
                 continue
             state.next_batch_at = boundary
-            self.push(boundary, _PH_MATCH, PLATFORM, pid,
+            self.push(boundary, _PH_MATCH, PLATFORM, state.spec.platform_id,
                       lambda s=state: self.on_batch_boundary(s))
 
     def on_instant_pass(self):
@@ -415,7 +417,7 @@ class _Sim:
 
     def on_batch_boundary(self, state):
         state.next_batch_at = None
-        self.last_boundary[state.spec.platform_id] = self.now
+        state.last_batch_at = self.now
         self._conclude_pass(self._enact(state, self._run_match(state)))
         if self.waiting:
             self.schedule_matching()

@@ -5,11 +5,7 @@ replication count; ``run_grid`` executes every cell x replication and returns
 flat result rows ready for CSV. ``day_to_day`` iterates a scenario over
 days with drivers learning their income and re-deciding participation; a
 one-day run is that loop with one day.
-
-Every run of a grid happens in order on the calling thread. The runs are
-pure Python, so worker threads would only contend for the interpreter lock;
-a plan's ``threads`` count is kept, checked and ignored, reserved for a
-pool of worker processes.
+The runs of a grid go in order on the calling thread.
 """
 
 import copy
@@ -69,7 +65,6 @@ class Plan:
     grid: dict
     replications: int
     base_seed: int
-    threads: int = 1     # worker count reserved for a process pool; no effect
 
 
 def parse_plan(raw: dict, base_dir=".") -> Plan:
@@ -95,7 +90,7 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
     # the last replication's seed, base_seed + reps - 1, must be a seed too
     seed = number(raw, "base_seed", Range(
         0, 2 ** 64 - reps, f"an integer in [0, 2**64 - {reps}] for {reps} replications"), int)
-    threads = number(raw, "threads", AT_LEAST_1, int, 1)
+    number(raw, "threads", AT_LEAST_1, int)     # checked, then unused
     cells = []
     for combo in itertools.product(*grid.values()):
         cell = dict(zip(grid, combo))
@@ -104,8 +99,7 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
             for path, value in cell.items():
                 apply_override(cell_raw, path, value)
             cells.append((cell, parse_config(cell_raw, base_dir=base_dir)))
-    return Plan(cells=tuple(cells), grid=dict(grid), replications=reps,
-                base_seed=seed, threads=threads)
+    return Plan(cells=tuple(cells), grid=dict(grid), replications=reps, base_seed=seed)
 
 
 @contextmanager
@@ -131,59 +125,44 @@ def _day(config, inputs, decisions, day, state):
                                                 inputs.drivers, replay)
 
 
-def _run(tasks, networks) -> list[dict]:
-    """One single-day row (seed, then system KPIs) per ``(config, seed,
-    decisions)`` task, in task order. ``networks`` maps each task's graph
-    spec to its (net, skim).
-
-    Each distinct generated demand is built once, by the first task that
-    needs it, and reused by every later task until the grid ends.
-    """
-    demands = {}
-    rows = []
-    for config, seed, dec in tasks:
-        cfg = replace(config, seed=seed)
-        net, skim = networks[cfg.graph]
-        requests = None
-        if cfg.requests_csv is None:
-            key = (cfg.graph, cfg.n_travellers, cfg.horizon_s, cfg.seed, cfg.demand_weights)
-            if key not in demands:
-                demands[key] = tuple(scenario.generate_demand(net, *key[1:]))
-            requests = demands[key]
-        inputs = materialize(cfg, net=net, skim=skim, requests=requests)
-        rows.append({"seed": seed, **_day(cfg, inputs, dec, 0, DayState())[3]})
-    return rows
-
-
-def run_grid(plan: Plan, threads: int | None = None) -> list[dict]:
-    """Execute every grid cell x replication of a plan, in order on the
-    calling thread.
+def run_grid(plan: Plan) -> list[dict]:
+    """Execute every grid cell x replication of a plan, in order.
 
     Each cell's decision set, and each distinct graph's network and skim,
     are built once before any run, and each cell's ``demand_weights`` are
     checked against its graph; so a bad module, graph or weight count fails
     before any run, naming the cell. Then one run per cell and replication
-    follows, and each distinct demand is built once (see ``_run``).
-    ``threads``, or the plan's ``threads`` when None, is the worker count
-    reserved for a process pool; it has no effect today, and the rows are
-    the same for any count.
+    follows; each distinct generated demand is built once, by the first run
+    that needs it, and an input error in a run names its cell too.
     Rows are ordered by cell (grid keys in plan order, row-major) then
     replication, and carry the cell's parameter values, the replication
     index and seed, and the system KPIs.
     """
-    labels, tasks, networks = [], [], {}
+    decisions, networks = [], {}
     for cell, cfg in plan.cells:
         with _in_cell(cell):
-            dec = build_decision_set(cfg.decisions, cfg.behaviour)
+            decisions.append(build_decision_set(cfg.decisions, cfg.behaviour))
             if cfg.graph not in networks:
                 net = cfg.graph.build()
                 networks[cfg.graph] = net, build_skim(net)
             check_weights(cfg.demand_weights, networks[cfg.graph][0])
+    demands, rows = {}, []
+    for (cell, config), dec in zip(plan.cells, decisions):
+        net, skim = networks[config.graph]
         for k in range(plan.replications):
-            labels.append({**cell, "replication": k})
-            tasks.append((cfg, plan.base_seed + k, dec))
-    rows = _run(tasks, networks)
-    return [{**label, **row} for label, row in zip(labels, rows)]
+            cfg = replace(config, seed=plan.base_seed + k)
+            requests = None
+            if cfg.requests_csv is None:
+                key = (cfg.graph, cfg.n_travellers, cfg.horizon_s, cfg.seed,
+                       cfg.demand_weights)
+                if key not in demands:
+                    demands[key] = tuple(scenario.generate_demand(net, *key[1:]))
+                requests = demands[key]
+            with _in_cell(cell):
+                inputs = materialize(cfg, net=net, skim=skim, requests=requests)
+            rows.append({**cell, "replication": k, "seed": cfg.seed,
+                         **_day(cfg, inputs, dec, 0, DayState())[3]})
+    return rows
 
 
 # ------------------------------------------------------------ day-to-day

@@ -44,7 +44,8 @@ class PlatformState:
 
     spec: PlatformSpec
     idle: dict = field(default_factory=dict)
-    next_batch_at: float | None = None
+    next_batch_at: float | None = None     # the pending batch boundary
+    last_batch_at: float | None = None     # the boundary that last fired
 
 
 def match_instant(

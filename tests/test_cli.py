@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ridesim
-from ridesim import kpi, presets
+from ridesim import kpi, presets, scenario
 from ridesim.cli import main
 from ridesim.decisions import default_match, register
 
@@ -657,6 +657,23 @@ def test_experiment_bad_grid_path_exits_1(tmp_path, capsys):
     code = main(["experiment", "--plan", str(p), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "platforms[5].fare_per_km" in capsys.readouterr().err
+
+
+def test_experiment_input_file_error_names_its_cell(tmp_path, capsys):
+    # requests.csv fits the first cell's horizon but not the second's
+    base = small_config(horizon_s=7200, n_travellers=10, requests_csv="requests.csv")
+    net = scenario.parse_config(base).graph.build()
+    requests = scenario.generate_demand(net, 10, 7200, 5)
+    csv = tmp_path / "requests.csv"
+    scenario.save_requests_csv(requests, csv)
+    row, late = next((n, r) for n, r in enumerate(requests, 2) if r.t_request >= 1800)
+    p = plan_file(tmp_path, base=base, grid={"horizon_s": [7200, 1800]})
+    out = tmp_path / "out"
+    assert main(["experiment", "--plan", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"ridesim: t_request_s {late.t_request} outside [0, 1800.0): {csv}:row {row} "
+        'in grid cell {"horizon_s": 1800}\n')
+    assert not out.exists()
 
 
 def test_experiment_grid_over_seed_exits_1(tmp_path, capsys):

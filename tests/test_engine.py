@@ -944,7 +944,7 @@ def schedule_matching_every_time(self):
         if state.next_batch_at is not None:
             continue
         boundary = engine.plat.next_batch_boundary(state.spec.batch_window_s, self.now)
-        if boundary == self.last_boundary.get(pid):
+        if boundary == state.last_batch_at:
             boundary += state.spec.batch_window_s
         if boundary > self.horizon:
             continue

@@ -12,7 +12,7 @@ import pytest
 
 from ridesim import experiments, kpi, presets, scenario
 from ridesim.cli import main
-from ridesim.decisions import default_driver_out, register
+from ridesim.decisions import build_decision_set, default_driver_out, register
 from ridesim.engine import DayState
 from ridesim.errors import ConfigError
 from ridesim.experiments import (
@@ -103,8 +103,11 @@ def test_parse_plan_defaults():
     plan = parse_plan(plan_raw())
     assert plan.replications == 2
     assert plan.base_seed == 100
-    assert plan.threads == 1
     assert list(plan.grid) == ["n_drivers", "platforms[0].fare_per_km"]
+
+
+def test_parse_plan_threads_key_changes_nothing():
+    assert parse_plan(plan_raw(threads=4)) == parse_plan(plan_raw())
 
 
 @pytest.mark.parametrize("mutate,needle", [
@@ -119,6 +122,8 @@ def test_parse_plan_defaults():
     pytest.param(lambda r: r.update(base_seed=2 ** 64 - 1), "base_seed",
                  id="last_replication_seed_too_large"),     # 2 replications
     (lambda r: r.update(threads=0), "threads"),
+    (lambda r: r.update(threads=True), "threads"),
+    (lambda r: r.update(threads=2.5), "threads"),
     (lambda r: r.update(surprise=1), "surprise"),
     pytest.param(lambda r: r.update(base="broken.json"), "invalid JSON.*: base$",
                  id="base_invalid_json"),
@@ -162,21 +167,16 @@ def test_parse_plan_with_base_file(tmp_path):
 
 # ----------------------------------------------------------- replications
 
-def replications(n, base_seed, threads=None):
+def replications(n, base_seed):
     """``run_grid`` over a one-value grid: n replications of one config."""
     return run_grid(parse_plan(plan_raw(grid={"n_drivers": [3]},
-                                        replications=n, base_seed=base_seed)),
-                    threads=threads)
+                                        replications=n, base_seed=base_seed)))
 
 
 def test_replicate_seeds_and_order():
     rows = replications(3, 50)
     assert [(r["replication"], r["seed"]) for r in rows] == [(0, 50), (1, 51), (2, 52)]
     assert rows == replications(3, 50)
-
-
-def test_replicate_thread_invariance():
-    assert replications(4, 9, threads=1) == replications(4, 9, threads=3)
 
 
 def test_replications_differ_but_share_structure():
@@ -198,11 +198,6 @@ def test_run_grid_shape_and_order():
         (4, 1.0, 0), (4, 1.0, 1), (4, 2.0, 0), (4, 2.0, 1),
     ]
     assert all(r["seed"] == 100 + r["replication"] for r in rows)
-
-
-def test_run_grid_thread_invariance():
-    plan = parse_plan(plan_raw())
-    assert run_grid(plan, threads=1) == run_grid(plan, threads=4)
 
 
 def test_run_grid_runs_every_day_on_the_calling_thread(monkeypatch):
@@ -236,11 +231,11 @@ def test_run_grid_builds_each_skim_once(monkeypatch, grid, builds):
     monkeypatch.setattr(experiments, "build_skim", counted)
     monkeypatch.setattr(scenario, "build_skim", counted)
     plan = parse_plan(plan_raw(grid=grid, replications=1))
-    rows = run_grid(plan, threads=2)
+    rows = run_grid(plan)
     assert len(calls) == builds
     assert len(set(calls)) == builds
     monkeypatch.undo()
-    assert rows == run_grid(plan, threads=1)
+    assert rows == run_grid(plan)
 
 
 def test_run_grid_matches_manual_replicate():
@@ -311,16 +306,19 @@ def test_run_with_bad_decisions_fails_before_materialize(monkeypatch, tmp_path, 
 
 # ------------------------------------------------------- shared demand
 
-def run_every_demand(tasks, networks):
-    """``experiments._run`` as it was before demand was shared: each task
-    builds its own demand in ``materialize``. The oracle for shared demand."""
-    def one(task):
-        config, seed, dec = task
-        cfg = replace(config, seed=seed)
-        net, skim = networks[cfg.graph]
-        inputs = experiments.materialize(cfg, net=net, skim=skim)
-        return {"seed": seed, **experiments._day(cfg, inputs, dec, 0, DayState())[3]}
-    return [one(t) for t in tasks]
+def run_every_demand(plan):
+    """``run_grid`` as it was before demand was shared: each run builds its
+    own network, skim, decision set and demand in ``materialize``. The oracle
+    for shared demand."""
+    rows = []
+    for cell, config in plan.cells:
+        dec = build_decision_set(config.decisions, config.behaviour)
+        for k in range(plan.replications):
+            cfg = replace(config, seed=plan.base_seed + k)
+            inputs = scenario.materialize(cfg)
+            rows.append({**cell, "replication": k, "seed": cfg.seed,
+                         **experiments._day(cfg, inputs, dec, 0, DayState())[3]})
+    return rows
 
 
 def preset_plan(name, grid=None, replications=2, base_seed=None):
@@ -338,10 +336,8 @@ def preset_plan(name, grid=None, replications=2, base_seed=None):
     preset_plan("e3", grid={"n_drivers": [25, 40],
                             "platforms[1].fare_per_km": [0.6, 1.4]}),
 ], ids=["e2", "e3"])
-def test_shared_demand_rows_match_per_task_demand(monkeypatch, plan):
-    shared = run_grid(plan, threads=2)
-    monkeypatch.setattr(experiments, "_run", run_every_demand)
-    assert shared == run_grid(plan)
+def test_shared_demand_rows_match_per_run_demand(plan):
+    assert run_grid(plan) == run_every_demand(plan)
 
 
 def test_each_demand_built_once_per_key(monkeypatch):
@@ -359,7 +355,7 @@ def test_each_demand_built_once_per_key(monkeypatch):
     monkeypatch.setattr(scenario, "generate_demand", counted)
     # the days themselves do not change which demands are built
     monkeypatch.setattr(experiments, "_day", lambda *args: (None, None, None, {}))
-    assert len(run_grid(plan, threads=2)) == 36
+    assert len(run_grid(plan)) == 36
     assert len(keys) == 4 and set(keys.values()) == {1}
 
 
@@ -377,10 +373,9 @@ def test_requests_csv_read_by_every_task(monkeypatch, tmp_path):
     monkeypatch.setattr(scenario, "load_requests_csv", counted)
     plan = parse_plan(plan_raw(base=base_raw(requests_csv="requests.csv")),
                       base_dir=tmp_path)
-    rows = run_grid(plan, threads=2)
+    rows = run_grid(plan)
     assert len(reads) == len(rows) == 8
-    monkeypatch.setattr(experiments, "_run", run_every_demand)
-    assert rows == run_grid(plan)
+    assert rows == run_every_demand(plan)
 
 
 def test_results_csv_written(tmp_path):
