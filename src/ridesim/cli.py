@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 invalid input or config, 2 runtime failure.
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -52,6 +53,24 @@ def _now() -> str:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+_CHUNK = 1 << 20        # bytes write_manifest reads of a file at a time
+
+
+def _file_digest(path: Path) -> tuple[int, str]:
+    """The size and SHA-256 of the file at ``path``, read one chunk at a time
+    so that hashing a long run's ``events.csv`` needs no more memory than a
+    short run's. A file smaller than a chunk gets a buffer of its size."""
+    digest = hashlib.sha256()
+    size = 0
+    with open(path, "rb") as fh:
+        buf = bytearray(min(_CHUNK, os.fstat(fh.fileno()).st_size))
+        view = memoryview(buf)
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
+            size += n
+    return size, digest.hexdigest()
 
 
 def _load(path_str: str, what: str, parse):
@@ -99,8 +118,8 @@ class Output:
     def write_manifest(self, seed, config_sha: str) -> None:
         entries = []
         for name in sorted(self.names):
-            data = (self.dir / name).read_bytes()
-            entries.append({"name": name, "size": len(data), "sha256": _sha256(data)})
+            size, sha = _file_digest(self.dir / name)
+            entries.append({"name": name, "size": size, "sha256": sha})
         manifest = {
             "tool": "ridesim",
             "version": __version__,

@@ -22,6 +22,7 @@ the order is the same.
 
 import bisect
 import heapq
+import math
 import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -474,6 +475,9 @@ class _Sim:
             rid, did = request.request_id, driver.spec.driver_id
             offer = plat.make_offer(state.spec, request, did, driver.position,
                                     self.skim)
+            if not offer.fare < math.inf:
+                self.fail(f"platform {pid}'s fare for request {rid} overflows to "
+                          f"{offer.fare} (driver {did})")
             self.record(DRIVER, did, "RECEIVES_REQUEST", driver.position,
                         rid, pid, None, offer.pickup_eta)
             ctx = DriverDeclineCtx(
@@ -585,8 +589,11 @@ class _Sim:
             wait = next(routine)
         except StopIteration:
             return
-        self.push(self.now + wait, _PH_STATE, DRIVER, d_id,
-                  lambda: self._resume(routine, d_id))
+        t = self.now + wait
+        if not t < math.inf:      # a huge dwell, or a ride's waits summed past the floats
+            self.fail(f"driver {d_id}'s ride waits {fmt_num(wait)} s, "
+                      f"which overflows the clock to {fmt_num(t)}")
+        self.push(t, _PH_STATE, DRIVER, d_id, lambda: self._resume(routine, d_id))
 
     def _drive(self, driver, to_node):
         """One leg: waits its skim travel time, moves the driver and returns

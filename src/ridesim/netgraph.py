@@ -7,7 +7,7 @@ and the distance of that same minimizing path, so fares (per km) and ETAs
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +42,12 @@ class Edge:
 
 @dataclass(frozen=True)
 class RoadNetwork:
-    """Validated directed road graph. Immutable; safe to share across runs."""
+    """Validated directed road graph. Immutable; safe to share across runs.
+    ``edges_source`` names where the edges came from, for error messages."""
 
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
+    edges_source: str = field(default="", compare=False)
 
     @property
     def n(self) -> int:
@@ -64,8 +66,8 @@ class SkimMatrix:
 
     ``travel_time[u, v]`` is the minimal time in seconds; ``distance[u, v]``
     the length in meters of the same minimizing path (ties broken by minimal
-    distance). Diagonals are exactly zero; strong connectivity guarantees all
-    entries finite.
+    distance). Diagonals are exactly zero; ``build_skim`` checks that all
+    entries are finite.
     """
 
     travel_time: np.ndarray
@@ -76,7 +78,10 @@ class SkimMatrix:
         self.distance.setflags(write=False)
 
 
-def _validate(nodes: list[Node], edges: list[Edge], source: str) -> RoadNetwork:
+def _validate(nodes: list[Node], edges: list[Edge], source: str,
+              edges_source: str) -> RoadNetwork:
+    """The network of ``nodes`` and ``edges``, checked; an error names the
+    graph by ``source`` or, for one edge, the edges by ``edges_source``."""
     n = len(nodes)
     if n == 0:
         raise GraphValidationError(f"{source}: graph has no nodes")
@@ -96,19 +101,24 @@ def _validate(nodes: list[Node], edges: list[Edge], source: str) -> RoadNetwork:
     for i, e in enumerate(edges):
         if not (0 <= e.src < n) or not (0 <= e.dst < n):
             raise GraphValidationError(
-                f"{source}: edge {i} ({e.src}->{e.dst}) references a missing node"
+                f"{edges_source}: edge {i} ({e.src}->{e.dst}) references a missing node"
             )
         if not 0 < e.length_m < math.inf:
             raise GraphValidationError(
-                f"{source}: edge {i} ({e.src}->{e.dst}) has non-positive or "
+                f"{edges_source}: edge {i} ({e.src}->{e.dst}) has non-positive or "
                 f"non-finite length {e.length_m}"
             )
         if not 0 < e.speed_mps < math.inf:
             raise GraphValidationError(
-                f"{source}: edge {i} ({e.src}->{e.dst}) has non-positive or "
+                f"{edges_source}: edge {i} ({e.src}->{e.dst}) has non-positive or "
                 f"non-finite speed {e.speed_mps}"
             )
-    net = RoadNetwork(nodes=tuple(nodes), edges=tuple(edges))
+        if not e.travel_time_s < math.inf:
+            raise GraphValidationError(
+                f"{edges_source}: edge {i} ({e.src}->{e.dst}) has non-finite travel "
+                f"time: length {e.length_m} m at speed {e.speed_mps} m/s"
+            )
+    net = RoadNetwork(nodes=tuple(nodes), edges=tuple(edges), edges_source=edges_source)
     _check_strong_connectivity(net, source)
     return net
 
@@ -152,7 +162,8 @@ def grid_city(rows: int, cols: int, spacing: float, speed: float) -> RoadNetwork
                 v = u + cols
                 edges.append(Edge(u, v, spacing, speed))
                 edges.append(Edge(v, u, spacing, speed))
-    return _validate(nodes, edges, f"grid_city({rows}x{cols})")
+    source = f"grid_city({rows}x{cols})"
+    return _validate(nodes, edges, source, source)
 
 
 def load_graph(nodes_path: str | Path, edges_path: str | Path) -> RoadNetwork:
@@ -163,7 +174,7 @@ def load_graph(nodes_path: str | Path, edges_path: str | Path) -> RoadNetwork:
              read_csv(nodes_p, NODES_HEADER, (int, float, float), _parse_error(nodes_p))]
     edges = [Edge(*row) for _, row in
              read_csv(edges_p, EDGES_HEADER, (int, int, float, float), _parse_error(edges_p))]
-    return _validate(nodes, edges, str(nodes_p.parent))
+    return _validate(nodes, edges, str(nodes_p.parent), str(edges_p))
 
 
 def _parse_error(path: Path):
@@ -186,6 +197,8 @@ def build_skim(net: RoadNetwork) -> SkimMatrix:
     One Dijkstra search over all sources gives the travel times. Per source,
     a second search over the edges that lie on a fastest path (``t[s, u] +
     et == t[s, v]``), weighted by length, gives the shortest of those paths.
+    A sum of finite edge times or lengths can overflow: a path whose time or
+    length is not finite is a ``GraphValidationError``.
     """
     n = net.n
     src = np.array([e.src for e in net.edges], dtype=np.int64)
@@ -208,4 +221,10 @@ def build_skim(net: RoadNetwork) -> SkimMatrix:
         row = tt[s]
         graph.data[:] = np.where(row[src] + et == row[dst], el, np.inf)
         dist[s] = dijkstra(graph, indices=s)
+    if not (tt.max() < np.inf and dist.max() < np.inf):     # NaN fails too
+        u, v = np.argwhere(~(np.isfinite(tt) & np.isfinite(dist)))[0]
+        raise GraphValidationError(
+            f"{net.edges_source}: the fastest path from node {u} to node {v} takes "
+            f"{float(tt[u, v])} s over {float(dist[u, v])} m, not both finite"
+        )
     return SkimMatrix(travel_time=tt, distance=dist)

@@ -1,21 +1,26 @@
-"""The KPI layer as it was before ``kpi.validate_log`` returned a replay.
+"""The KPI layer as it was before ``kpi.validate_log`` returned a replay,
+and the row-at-a-time ``events.csv`` writer.
 
-Each function below walks or groups the whole log on its own: the
+Each KPI function below walks or groups the whole log on its own: the
 validator keeps only the last event of each agent, the traveller and
 driver builders group the log by agent again, and the system builder adds
 up the per-platform ride sums in a walk of its own. They are kept as
 oracles for the one-walk path: ``replay_differences`` runs both on a log
 and names every row or field where they disagree, floats compared by
-``repr`` so that a change of summation order shows.
+``repr`` so that a change of summation order shows. ``write_events_csv``
+formats every number of every row with its own ``fmt_num`` call; any
+faster ``kpi.write_events_csv`` must write the same bytes.
 """
 
 from collections import Counter
 
 from ridesim import kpi
+from ridesim.engine import EventRecord
 from ridesim.errors import LogValidationError
-from ridesim.kpi import (_DRIVER_FSM, _DRIVER_TERMINAL, _PLATFORM_EVENTS,
-                         _TRAVELLER_FSM, DriverKpi, TravellerKpi, _mean, _where,
-                         percentile)
+from ridesim.kpi import (_DRIVER_FSM, _DRIVER_TERMINAL, _META_KEYS, _META_TYPES,
+                         _PLATFORM_EVENTS, _TRAVELLER_FSM, DriverKpi, TravellerKpi,
+                         _mean, _where, percentile)
+from ridesim.util import fmt_num
 
 _TRAVELLER_TERMINAL = {"ARRIVES", "OPTS_OUT", "UNSERVED", "REJECTS_OFFER"}
 
@@ -226,3 +231,26 @@ def replay_differences(log, day, platforms, drivers) -> list[str]:
         if _exact(got_s.get(key)) != _exact(want_s[key]):
             bad.append(f"system {key}: {got_s.get(key)!r}, oracle {want_s[key]!r}")
     return bad
+
+
+# ("key=", index into an EventRecord, formatter) for each meta field: the
+# one string field as it is, numbers by fmt_num
+_META_FIELDS = {
+    event: tuple((f"{key}=", EventRecord._fields.index(key),
+                  str if _META_TYPES[key] is str else fmt_num) for key in keys)
+    for event, keys in _META_KEYS.items()
+}
+
+
+def write_events_csv(fh, log) -> None:
+    """Append one row per record to ``fh``, from ``kpi.open_events_csv``,
+    each number formatted by its own ``fmt_num`` call."""
+    write = fh.write
+    for rec in log:
+        meta = ";".join([
+            key + text(value)
+            for key, i, text in _META_FIELDS.get(rec.event, ())
+            if (value := rec[i]) is not None
+        ])
+        write(f"{rec.day},{fmt_num(rec.t)},{rec.agent_kind},{rec.agent_id},"
+              f"{rec.event},{rec.node},{meta}\r\n")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import ridesim
 from ridesim import kpi, presets, scenario
-from ridesim.cli import main
+from ridesim.cli import Output, main
 from ridesim.decisions import default_match, register
 
 RUN_FILES = {"events.csv", "kpi_travellers.csv", "kpi_drivers.csv",
@@ -270,6 +271,49 @@ def test_demand_weights_with_overflowing_sum_exit_1(command, tmp_path, capsys):
     assert not out.exists()
 
 
+def _graph_config(tmp_path, edges):
+    """small_config on a 3-node line whose edges.csv holds ``edges``, each
+    ``(from, to, length_m, speed_mps)`` text."""
+    city = tmp_path / "city"
+    city.mkdir()
+    (city / "nodes.csv").write_text("node_id,x,y\n0,0,0\n1,100,0\n2,200,0\n")
+    (city / "edges.csv").write_text("from,to,length_m,speed_mps\n" + "".join(
+        ",".join(edge) + "\n" for edge in edges))
+    return small_config(graph={"nodes": "city/nodes.csv", "edges": "city/edges.csv"})
+
+
+# runs whose numbers would overflow to inf: (argv, exit code, message)
+OVERFLOWS = {
+    "grid-edge-time": (lambda tmp: ["generate", "--grid", "3", "3", "1e308", "1e-10"], 1,
+                       "grid_city(3x3): edge 0 (0->1) has non-finite travel time: "
+                       "length 1e+308 m at speed 1e-10 m/s"),
+    "edge-time": (lambda tmp: _config_argv(tmp, ["run"], **_graph_config(tmp, [
+        ("0", "1", "1e308", "1e-10"), ("1", "0", "100", "10"),
+        ("1", "2", "100", "10"), ("2", "1", "100", "10")])), 1,
+        "edges.csv: edge 0 (0->1) has non-finite travel time"),
+    "path-length": (lambda tmp: _config_argv(tmp, ["run"], **_graph_config(tmp, [
+        ("0", "1", "1e308", "1e300"), ("1", "0", "100", "10"),
+        ("1", "2", "1e308", "1e300"), ("2", "1", "100", "10")])), 1,
+        "edges.csv: the fastest path from node 0 to node 2 takes 200000000.0 s over inf m, "
+        "not both finite"),
+    "dwell": (lambda tmp: _config_argv(tmp, ["run"], behaviour={
+        "t_board_s": 1.7e308, "service_variability": 0.5}), 2, "which overflows the clock"),
+    "fare": (lambda tmp: _config_argv(tmp, ["run"], platforms=[{
+        "platform_id": 0, "base_fare": 0.0, "fare_per_km": 1.7e308,
+        "commission_rate": 0.1, "matching": "instant"}]), 2, "'s fare for request"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflowing_numbers_exit_with_one_line(case, tmp_path, capsys):
+    make, code, where = OVERFLOWS[case]
+    out = tmp_path / "out"
+    assert main(make(tmp_path) + ["--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ridesim: ") and where in err[0], err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("grid, where", [
     (["1", "3", "100", "10"], "rows and cols must be >= 2: --grid"),
     (["3", "3", "nan", "10"], "must be a finite number > 0: --grid.spacing_m"),
@@ -494,6 +538,31 @@ def test_manifest_lists_exact_contents(config_file, tmp_path):
         assert entry["sha256"] == hashlib.sha256(data).hexdigest()
     assert manifest["version"]
     assert manifest["seed"] == 5
+
+
+def test_manifest_hashes_files_in_bounded_memory(tmp_path):
+    # a 9 MiB events.csv that ends mid-chunk, and an empty file
+    out = Output(str(tmp_path / "out"))
+    block = bytes(range(256)) * 4096
+    with open(out.file("events.csv"), "wb") as fh:
+        for i in range(9):
+            fh.write(block[i:] + block[:i])
+        fh.write(b"last partial chunk\r\n")
+    out.file("empty.csv").write_bytes(b"")
+    tracemalloc.start()
+    try:
+        out.write_manifest(7, "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    manifest = json.loads((out.dir / "manifest.json").read_text())
+    assert [f["name"] for f in manifest["files"]] == ["empty.csv", "events.csv"]
+    for entry in manifest["files"]:
+        data = (out.dir / entry["name"]).read_bytes()
+        assert entry["size"] == len(data)
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+    assert manifest["files"][1]["size"] > 8_000_000
 
 
 def test_manifest_omits_stale_files(config_file, tmp_path):

@@ -3,8 +3,13 @@
 import csv
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ridesim import presets
 from ridesim.decisions import build_decision_set
@@ -39,6 +44,7 @@ from ridesim.scenario import (
 )
 from ridesim.util import fmt_num
 
+from tests import kpi_oracle
 from tests.test_acceptance import rich_raw
 from tests.test_engine import line_net, make_cfg, run
 
@@ -558,10 +564,18 @@ def csv_writer_events(path, log):
                         rec.event, rec.node, meta(rec)])
 
 
-def assert_same_bytes(tmp_path, log):
-    write_events(tmp_path / "new.csv", log)
-    csv_writer_events(tmp_path / "old.csv", log)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+def assert_same_bytes(tmp_path, *logs):
+    """``write_events_csv``, called once per log of ``logs``, writes the
+    bytes the row-at-a-time oracle writes when called the same way, and
+    the bytes of ``csv_writer_events`` over all the records."""
+    for name, write in (("new", write_events_csv), ("rows", kpi_oracle.write_events_csv)):
+        with open_events_csv(tmp_path / f"{name}.csv") as fh:
+            for log in logs:
+                write(fh, log)
+    csv_writer_events(tmp_path / "old.csv", [rec for log in logs for rec in log])
+    want = (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "rows.csv").read_bytes() == want
+    assert (tmp_path / "new.csv").read_bytes() == want
 
 
 def test_events_writer_matches_csv_writer_on_e4_days(tmp_path):
@@ -569,29 +583,75 @@ def test_events_writer_matches_csv_writer_on_e4_days(tmp_path):
     res = day_to_day(parse_config(json.loads(presets.read_text("e4"))),
                      max_days=6, on_day=logs.append)
     assert len(logs) == len(res.trajectory) == 6
+    # in one call, and appended a day at a time, as ``ridesim run`` writes it
     assert_same_bytes(tmp_path, [rec for log in logs for rec in log])
-    # appended a day at a time, as ``ridesim run`` writes it
-    with open_events_csv(tmp_path / "days.csv") as fh:
-        for log in logs:
-            write_events_csv(fh, log)
-    assert (tmp_path / "days.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert_same_bytes(tmp_path, *logs)
 
 
 def test_events_writer_matches_csv_writer_on_meta_golden(tmp_path):
     assert_same_bytes(tmp_path, meta_golden_log())
 
 
+def _ride(t, v, **detail):
+    """A COMPLETES_RIDE record at ``t`` with every number field ``v``."""
+    return EventRecord(0, t, "DRIVER", 1, "COMPLETES_RIDE", 0, **{
+        "request_id": 2, "platform_id": 0, "dist_m": v, "fare": v, "payout": v,
+        "cut": -v, **detail})
+
+
 def test_events_writer_matches_csv_writer_on_float_edges(tmp_path):
     values = [-0.0, 1e16, 1e-07, 0.1 + 0.2, float("inf"), 2, 0, -3, 0.5, 123456.789]
-    log = [
-        EventRecord(0, t, "DRIVER", 1, "COMPLETES_RIDE", 0, request_id=2,
-                    platform_id=0, dist_m=v, fare=v, payout=v, cut=-v)
-        for t, v in zip([0.0, 0.0, 1e-07, 0.30000000000000004, 30, 30, 60.5,
-                         1e16, -0.0, 7], values)
-    ]
+    log = [_ride(t, v) for t, v in zip([0.0, 0.0, 1e-07, 0.30000000000000004, 30, 30,
+                                        60.5, 1e16, -0.0, 7], values)]
     log.append(EventRecord(1, 45, "PLATFORM", 0, "BATCH_MATCH", 3, request_id=4,
                            driver_id=5, eta_s=12, fare=float("-inf")))
     assert_same_bytes(tmp_path, log)
+
+
+SUBNORMALS = [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310]
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0],        # equal, and written alike
+    [float("nan"), float("nan"), 1.5, float("-nan")],
+    [float("inf"), float("-inf"), float("inf"), 1e308, 1.7976931348623157e308],
+    [1e16, 1e16 + 2, 2.0 ** 53, 2.0 ** 53 + 2, 1e22, 1e300, -1e16],
+    SUBNORMALS + SUBNORMALS,
+], ids=["neg_zero_first", "zero_first", "nan", "inf", "large", "subnormal"])
+def test_events_writer_matches_the_oracles_on_float_cases(values, tmp_path):
+    # each value as a time and in each number field, then again as each
+    log = [_ride(v, v) for v in values] + [_ride(1.0, 0.5, fare=v) for v in values]
+    assert_same_bytes(tmp_path, log)
+
+
+def test_events_writer_matches_the_oracles_on_numpy_and_big_ints(tmp_path):
+    big = 2 ** 53 + 1           # no float holds it: fmt_num writes it exactly
+    log = [
+        _ride(np.float64(2.5), np.float64(0.1), request_id=big, platform_id=2 ** 63),
+        _ride(np.float64(3.0), 0.1, request_id=np.int64(7), platform_id=np.int64(2 ** 40)),
+        _ride(3.0, 0.2, request_id=np.int64(2 ** 53 + 1)),    # fmt_num rounds it
+        _ride(2.5, np.float64(0.1)),
+        EventRecord(0, 4.0, "TRAVELLER", big, "PICKED_UP", 3, driver_id=big,
+                    platform_id=np.int64(1)),
+        EventRecord(0, np.float32(4.5), "DRIVER", 1, "STARTS_REPOSITIONING", 0,
+                    target=np.int32(6)),
+        EventRecord(0, 5, "PLATFORM", 0, "MATCH", -1, request_id=3, driver_id=4,
+                    eta_s=np.int64(12), fare=np.float32(1.1)),
+    ]
+    assert_same_bytes(tmp_path, log)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(),
+                          st.one_of(st.floats(), st.integers(-2 ** 64, 2 ** 64))),
+                max_size=30))
+def test_events_writer_matches_the_oracles_on_random_floats(rows):
+    log = [_ride(t, v, fare=x) if i % 2 else
+           EventRecord(0, t, "PLATFORM", 0, "MATCH", -1, request_id=i, driver_id=1,
+                       eta_s=v, fare=x)
+           for i, (t, v, x) in enumerate(rows)]
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_same_bytes(Path(tmp), log)
 
 
 def test_event_csv_round_trip(tmp_path):

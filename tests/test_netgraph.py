@@ -373,6 +373,14 @@ def test_nonpositive_edge_attributes_rejected(tmp_path, length, speed):
         load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
 
 
+def test_skim_path_that_overflows_rejected():
+    # each edge's time and length are finite; two edges' length is not
+    net = grid_city(3, 3, 1e308, 10.0)
+    with pytest.raises(GraphValidationError, match=r"^grid_city\(3x3\): the fastest "
+                       r"path from node 0 to node 2 takes 2e\+307 s over inf m"):
+        build_skim(net)
+
+
 # ---------------------------------------------------------------- file I/O
 
 def _write_graph(tmp_path, n, edge_pairs):

@@ -54,6 +54,14 @@ def test_c9_random_scenarios_match_the_oracles(tmp_path):
         config, inputs, result = run_config(raw)
         assert not kpi_oracle.replay_differences(
             result.log, result.day, config.platforms, inputs.drivers), raw
+        # the events.csv of the log: the row-at-a-time writer's bytes, and
+        # read back, the same records
+        path, rows = tmp_path / "events.csv", tmp_path / "rows.csv"
+        for name, write in ((path, kpi.write_events_csv), (rows, kpi_oracle.write_events_csv)):
+            with kpi.open_events_csv(name) as fh:
+                write(fh, result.log)
+        assert path.read_bytes() == rows.read_bytes(), raw
+        assert kpi.read_events_csv(path) == result.log, raw
 
 
 def test_e1_matches_the_oracles():
