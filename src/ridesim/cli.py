@@ -162,9 +162,7 @@ def cmd_run(args, out: Output):
     kpi.write_traveller_csv(out.file("kpi_travellers.csv"), res.travellers)
     kpi.write_driver_csv(out.file("kpi_drivers.csv"), res.drivers)
     kpi.write_system_csv(out.file("kpi_system.csv"), res.system_rows)
-    inputs = res.inputs
-    kpi.write_node_csv(out.file("kpi_nodes.csv"), kpi.node_aggregates(
-        res.travellers, res.drivers, inputs.requests, inputs.drivers, inputs.net))
+    kpi.write_node_csv(out.file("kpi_nodes.csv"), res.nodes)
     return (config.seed, _sha256(text.encode("utf-8")),
             f"run complete: {len(res.trajectory)} day(s), outputs in {out.dir}")
 

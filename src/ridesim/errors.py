@@ -30,10 +30,12 @@ class ConfigError(RidesimError):
 
 class SimulationError(RidesimError):
     """A run cannot go on: a decision hook raised or gave an answer outside
-    its contract, or an agent attempted an impossible transition. The
-    message names the simulated time, and for a hook its slot and agent. A
-    hook's failure is a bug in that hook, which may be the user's; anything
-    else is a bug in ridesim. Never normal output."""
+    its contract, an agent attempted an impossible transition, or a number
+    overflowed. The message names the simulated time (for a KPI, the day
+    and the column), and for a hook its slot and agent. A hook's failure is
+    a bug in that hook, which may be the user's; an overflow comes from the
+    config's values; anything else is a bug in ridesim. Never normal
+    output."""
 
 
 class LogValidationError(RidesimError):

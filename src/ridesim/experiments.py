@@ -21,9 +21,9 @@ from ridesim.decisions import build_decision_set
 from ridesim.engine import DayState, run_day
 from ridesim.errors import ConfigError
 from ridesim.netgraph import build_skim
-from ridesim.scenario import (AT_LEAST_1, Range, ScenarioConfig, ScenarioInputs,
-                              check_weights, json_object, materialize, number,
-                              parse_config, read_json)
+from ridesim.scenario import (AT_LEAST_1, Range, ScenarioConfig, check_weights,
+                              json_object, materialize, number, parse_config,
+                              read_json)
 
 # a dotted path of keys, each with optional indexes, after a leading dot:
 # .platforms[1].fare_per_km
@@ -62,7 +62,6 @@ def apply_override(raw: dict, path: str, value) -> None:
 @dataclass(frozen=True)
 class Plan:
     cells: tuple        # (cell values, parsed config) per grid cell, row-major
-    grid: dict
     replications: int
     base_seed: int
 
@@ -99,7 +98,7 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
             for path, value in cell.items():
                 apply_override(cell_raw, path, value)
             cells.append((cell, parse_config(cell_raw, base_dir=base_dir)))
-    return Plan(cells=tuple(cells), grid=dict(grid), replications=reps, base_seed=seed)
+    return Plan(cells=tuple(cells), replications=reps, base_seed=seed)
 
 
 @contextmanager
@@ -115,14 +114,14 @@ def _in_cell(cell: dict):
 # ------------------------------------------------------------------ runner
 
 def _day(config, inputs, decisions, day, state):
-    """Run one day and replay its log; return the log and its traveller,
-    driver and system rows."""
+    """Run one day and replay its log; return the log, the replay and its
+    traveller, driver and system rows."""
     log = run_day(config, inputs, decisions, day=day, day_state=state).log
     replay = kpi.validate_log(log)
     t_rows = kpi.traveller_kpis(replay)
     d_rows = kpi.driver_kpis(replay)
-    return log, t_rows, d_rows, kpi.system_kpis(day, t_rows, d_rows, config.platforms,
-                                                inputs.drivers, replay)
+    return log, replay, t_rows, d_rows, kpi.system_kpis(
+        day, t_rows, d_rows, config.platforms, inputs.drivers, replay)
 
 
 def run_grid(plan: Plan) -> list[dict]:
@@ -161,7 +160,7 @@ def run_grid(plan: Plan) -> list[dict]:
             with _in_cell(cell):
                 inputs = materialize(cfg, net=net, skim=skim, requests=requests)
             rows.append({**cell, "replication": k, "seed": cfg.seed,
-                         **_day(cfg, inputs, dec, 0, DayState())[3]})
+                         **_day(cfg, inputs, dec, 0, DayState())[-1]})
     return rows
 
 
@@ -178,7 +177,7 @@ class DayToDayResult:
     system_rows: tuple       # kpi.system_kpis of each day's replay
     travellers: tuple        # kpi.traveller_kpis of the last day's replay
     drivers: tuple           # kpi.driver_kpis of the last day's replay
-    inputs: ScenarioInputs
+    nodes: tuple             # kpi.node_aggregates of the last day's replay
     converged: bool
     learned_income: dict     # driver_id -> final income belief
 
@@ -200,7 +199,8 @@ def day_to_day(config: ScenarioConfig, max_days: int = 50, on_day=None) -> DayTo
     the configured opt-out hook uses it.
 
     ``on_day(log)``, if given, receives each day's validated event log as
-    that day ends; no log is kept past its day.
+    that day ends; no log is kept past its day, and no replay past the
+    next day's start. The node rows come from the last day's replay.
     """
     dec = build_decision_set(config.decisions, config.behaviour)
     inputs = materialize(config)
@@ -215,12 +215,14 @@ def day_to_day(config: ScenarioConfig, max_days: int = 50, on_day=None) -> DayTo
     trajectory = []
     system_rows = []
     t_rows = d_rows = ()
+    replay = None
     streak = 0
     prev_fleet = None
     for day in range(max_days):
         state = DayState(learned_income=learned if day else {},
                          participated=participated, traveller_outcomes=outcomes)
-        log, t_rows, d_rows, system = _day(config, inputs, dec, day, state)
+        replay = None   # so today runs without yesterday's replay
+        log, replay, t_rows, d_rows, system = _day(config, inputs, dec, day, state)
         if on_day is not None:
             on_day(log)
         del log     # so the next day runs without this one's log
@@ -260,7 +262,8 @@ def day_to_day(config: ScenarioConfig, max_days: int = 50, on_day=None) -> DayTo
     return DayToDayResult(
         trajectory=tuple(trajectory),
         system_rows=tuple(system_rows), travellers=tuple(t_rows),
-        drivers=tuple(d_rows), inputs=inputs,
+        drivers=tuple(d_rows),
+        nodes=() if replay is None else tuple(kpi.node_aggregates(replay, inputs.net.n)),
         converged=streak >= CONVERGENCE_WINDOW,
         learned_income=dict(learned),
     )

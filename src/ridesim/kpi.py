@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from ridesim.engine import EventRecord
-from ridesim.errors import LogValidationError
+from ridesim.errors import LogValidationError, SimulationError
 from ridesim.util import fmt_num, read_csv, write_csv
 
 EVENTS_HEADER = ["day", "t_s", "agent_kind", "agent_id", "event", "node", "meta"]
@@ -233,6 +233,14 @@ def _mean(values: Sequence[float]) -> Optional[float]:
     return sum(values) / len(values) if values else None
 
 
+def _check_finite(day: int, what: str, columns, values) -> None:
+    """Raise ``SimulationError`` at the first float of a KPI row that is
+    not finite: a sum of finite logged values that overflowed."""
+    for column, value in zip(columns, values):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SimulationError(f"day {day}: {what} KPI {column} overflows to {value}")
+
+
 # ----------------------------------------------------------- traveller rows
 
 class TravellerKpi(NamedTuple):
@@ -282,16 +290,17 @@ class DriverKpi(NamedTuple):
 
 def driver_kpis(replay: Replay) -> list[DriverKpi]:
     """One row per driver of a one-day replay, in id order (a longer replay
-    gives one row per driver and day, in day order)."""
+    gives one row per driver and day, in day order). A sum that overflows
+    raises ``SimulationError``."""
     rows = []
-    for (_, kind, d_id), story in replay.stories.items():
+    for (day, kind, d_id), story in replay.stories.items():
         if kind != "DRIVER":
             continue
         if story.last.event == "OPTS_OUT":
             rows.append(DriverKpi(d_id, participated=False))
             continue
         shift = story.last.t - story.seen["STARTS_SHIFT"].t
-        rows.append(DriverKpi(
+        row = DriverKpi(
             driver_id=d_id, participated=True, n_rides=story.n_rides,
             revenue=story.revenue,
             idle_s=shift - story.empty_s - story.occupied_s,
@@ -300,7 +309,9 @@ def driver_kpis(replay: Replay) -> list[DriverKpi]:
             mileage_m=story.empty_m + story.occupied_m,
             first_match_wait_s=story.first_match_wait_s,
             shift_s=shift,
-        ))
+        )
+        _check_finite(day, f"driver {d_id}", DriverKpi._fields, row)
+        rows.append(row)
     return rows
 
 
@@ -321,7 +332,8 @@ def system_kpis(
     platform's fleet: the number of ``drivers`` (the run's
     ``DriverSpec``s) registered on it. A replay that holds any other day,
     or a ride on a platform that ``platforms`` lacks, raises
-    ``LogValidationError``.
+    ``LogValidationError``; an indicator that overflows raises
+    ``SimulationError``.
     """
     other_days = sorted({d for d, _, _ in replay.stories} - {day})
     if other_days:
@@ -367,6 +379,7 @@ def system_kpis(
         out[f"n_served_platform_{pid}"] = sums["n_served"]
         out[f"vkm_platform_{pid}"] = sums["vkm"]
         out[f"fleet_platform_{pid}"] = fleet[pid]
+    _check_finite(day, "system", out, out.values())
     return out
 
 
@@ -380,42 +393,35 @@ class NodeKpi(NamedTuple):
     driver_first_match_wait_mean_s: Optional[float]
 
 
-def node_aggregates(
-    traveller_rows: Sequence[TravellerKpi],
-    driver_rows: Sequence[DriverKpi],
-    requests,
-    drivers,
-    net,
-) -> list[NodeKpi]:
-    """Spatial aggregation by request origin and driver home node."""
-    origin = {r.traveller_id: r.origin for r in requests}
-    home = {d.driver_id: d.home_node for d in drivers}
-    req_count = {n: 0 for n in range(net.n)}
-    waits = {n: [] for n in range(net.n)}
-    homes = {n: 0 for n in range(net.n)}
-    first = {n: [] for n in range(net.n)}
-    for row in traveller_rows:
-        node = origin.get(row.traveller_id)
-        if node is None:
-            continue
-        if row.outcome != "OPTED_OUT":
-            req_count[node] += 1
-        if row.wait_s is not None:
-            waits[node].append(row.wait_s)
-    for row in driver_rows:
-        node = home.get(row.driver_id)
-        if node is None:
-            continue
-        homes[node] += 1
-        if row.first_match_wait_s is not None:
-            first[node].append(row.first_match_wait_s)
+def node_aggregates(replay: Replay, n_nodes: int) -> list[NodeKpi]:
+    """Spatial aggregation of a one-day replay over nodes ``0..n_nodes-1``
+    (a longer replay adds up all its days): each traveller at its origin,
+    the node of its ``PLANS`` record, and each driver at its home, the node
+    of its first record. A node outside the range raises
+    ``LogValidationError``."""
+    n_requests, homes = [0] * n_nodes, [0] * n_nodes
+    waits = [[] for _ in range(n_nodes)]
+    first = [[] for _ in range(n_nodes)]
+    for (day, kind, agent_id), story in replay.stories.items():
+        seen, last = story.seen, story.last.event
+        traveller = kind == "TRAVELLER"
+        node = (seen["PLANS"] if traveller else seen.get("STARTS_SHIFT", story.last)).node
+        if not 0 <= node < n_nodes:
+            raise LogValidationError(f"day {day}: {kind.lower()} {agent_id} starts at "
+                                     f"node {node}, outside the {n_nodes} nodes")
+        if traveller:
+            if last != "OPTS_OUT":
+                n_requests[node] += 1
+            if last == "ARRIVES":
+                waits[node].append(seen["PICKED_UP"].t - seen["REQUESTS"].t)
+        else:
+            homes[node] += 1
+            if story.first_match_wait_s is not None:
+                first[node].append(story.first_match_wait_s)
     return [
-        NodeKpi(
-            node=n, n_requests=req_count[n], wait_mean_s=_mean(waits[n]),
-            n_drivers_home=homes[n],
-            driver_first_match_wait_mean_s=_mean(first[n]),
-        )
-        for n in range(net.n)
+        NodeKpi(node=n, n_requests=n_requests[n], wait_mean_s=_mean(waits[n]),
+                n_drivers_home=homes[n], driver_first_match_wait_mean_s=_mean(first[n]))
+        for n in range(n_nodes)
     ]
 
 

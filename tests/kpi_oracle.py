@@ -1,13 +1,16 @@
 """The KPI layer as it was before ``kpi.validate_log`` returned a replay,
-and the row-at-a-time ``events.csv`` writer.
+the node rows as they were when they read the run's inputs, and the
+row-at-a-time ``events.csv`` writer.
 
 Each KPI function below walks or groups the whole log on its own: the
 validator keeps only the last event of each agent, the traveller and
 driver builders group the log by agent again, and the system builder adds
-up the per-platform ride sums in a walk of its own. They are kept as
-oracles for the one-walk path: ``replay_differences`` runs both on a log
-and names every row or field where they disagree, floats compared by
-``repr`` so that a change of summation order shows. ``write_events_csv``
+up the per-platform ride sums in a walk of its own. The node builder
+takes each traveller's origin from its request and each driver's home
+from its spec, where ``kpi.node_aggregates`` reads both from the log.
+They are kept as oracles for the one-walk path: ``replay_differences``
+runs both on a log and names every row or field where they disagree,
+floats compared by ``repr`` so that a change of summation order shows. ``write_events_csv``
 formats every number of every row with its own ``fmt_num`` call; any
 faster ``kpi.write_events_csv`` must write the same bytes.
 """
@@ -18,8 +21,8 @@ from ridesim import kpi
 from ridesim.engine import EventRecord
 from ridesim.errors import LogValidationError
 from ridesim.kpi import (_DRIVER_FSM, _DRIVER_TERMINAL, _META_KEYS, _META_TYPES,
-                         _PLATFORM_EVENTS, _TRAVELLER_FSM, DriverKpi, TravellerKpi,
-                         _mean, _where, percentile)
+                         _PLATFORM_EVENTS, _TRAVELLER_FSM, DriverKpi, NodeKpi,
+                         TravellerKpi, _mean, _where, percentile)
 from ridesim.util import fmt_num
 
 _TRAVELLER_TERMINAL = {"ARRIVES", "OPTS_OUT", "UNSERVED", "REJECTS_OFFER"}
@@ -201,23 +204,60 @@ def system_kpis(day, traveller_rows, driver_rows, platforms, drivers, log) -> di
     return out
 
 
+def node_aggregates(traveller_rows, driver_rows, requests, drivers, net) -> list[NodeKpi]:
+    """Spatial aggregation by request origin and driver home node."""
+    origin = {r.traveller_id: r.origin for r in requests}
+    home = {d.driver_id: d.home_node for d in drivers}
+    req_count = {n: 0 for n in range(net.n)}
+    waits = {n: [] for n in range(net.n)}
+    homes = {n: 0 for n in range(net.n)}
+    first = {n: [] for n in range(net.n)}
+    for row in traveller_rows:
+        node = origin.get(row.traveller_id)
+        if node is None:
+            continue
+        if row.outcome != "OPTED_OUT":
+            req_count[node] += 1
+        if row.wait_s is not None:
+            waits[node].append(row.wait_s)
+    for row in driver_rows:
+        node = home.get(row.driver_id)
+        if node is None:
+            continue
+        homes[node] += 1
+        if row.first_match_wait_s is not None:
+            first[node].append(row.first_match_wait_s)
+    return [
+        NodeKpi(
+            node=n, n_requests=req_count[n], wait_mean_s=_mean(waits[n]),
+            n_drivers_home=homes[n],
+            driver_first_match_wait_mean_s=_mean(first[n]),
+        )
+        for n in range(net.n)
+    ]
+
+
 def _exact(value):
     """``value`` with its type, floats by ``repr``, for exact comparison."""
     return type(value).__name__, repr(value)
 
 
-def replay_differences(log, day, platforms, drivers) -> list[str]:
-    """Where the one-walk path and the oracles disagree on a valid log:
-    traveller and driver rows field by field, then the system dict's keys
-    in order and its values. Empty when they agree exactly."""
+def replay_differences(log, day, platforms, inputs) -> list[str]:
+    """Where the one-walk path and the oracles disagree on a valid log of
+    a run on ``inputs`` (its ``ScenarioInputs``): traveller, driver and
+    node rows field by field, then the system dict's keys in order and its
+    values. Empty when they agree exactly."""
     validate_log(log)
     replay = kpi.validate_log(log)
     got_t, want_t = kpi.traveller_kpis(replay), traveller_kpis(log)
     got_d, want_d = kpi.driver_kpis(replay), driver_kpis(log)
-    got_s = kpi.system_kpis(day, got_t, got_d, platforms, drivers, replay)
-    want_s = system_kpis(day, want_t, want_d, platforms, drivers, log)
+    got_n = kpi.node_aggregates(replay, inputs.net.n)
+    want_n = node_aggregates(want_t, want_d, inputs.requests, inputs.drivers, inputs.net)
+    got_s = kpi.system_kpis(day, got_t, got_d, platforms, inputs.drivers, replay)
+    want_s = system_kpis(day, want_t, want_d, platforms, inputs.drivers, log)
     bad = []
-    for what, got, want in (("traveller", got_t, want_t), ("driver", got_d, want_d)):
+    for what, got, want in (("traveller", got_t, want_t), ("driver", got_d, want_d),
+                            ("node", got_n, want_n)):
         if len(got) != len(want):
             bad.append(f"{len(got)} {what} rows, oracle {len(want)}")
         for g, w in zip(got, want):

@@ -80,6 +80,11 @@ def run_config(raw):
     return config, inputs, result
 
 
+def grid_values(plan, *keys):
+    """Each key's grid values, in plan order, read off the plan's cells."""
+    return [list(dict.fromkeys(cell[key] for cell, _ in plan.cells)) for key in keys]
+
+
 def rho(x, y):
     return spearmanr(x, y)[0]
 
@@ -337,8 +342,7 @@ def test_c5_wait_trends_across_grid(capsys):
     t0 = time.perf_counter()
     plan = parse_plan(json.loads(presets.read_text("e2")))
     rows = run_grid(plan)
-    demands = plan.grid["n_travellers"]
-    fleets = plan.grid["n_drivers"]
+    demands, fleets = grid_values(plan, "n_travellers", "n_drivers")
 
     def cell_mean(demand, fleet, field):
         vals = [r[field] for r in rows
@@ -419,8 +423,7 @@ def test_c8_competition_mechanism(capsys):
     t0 = time.perf_counter()
     plan = parse_plan(json.loads(presets.read_text("e3")))
     rows = run_grid(plan)
-    fleets = plan.grid["n_drivers"]
-    fares = plan.grid["platforms[1].fare_per_km"]
+    fleets, fares = grid_values(plan, "n_drivers", "platforms[1].fare_per_km")
 
     def cell(fare, n_drivers, field):
         vals = [r[field] for r in rows
@@ -694,9 +697,9 @@ def test_c9_randomized_properties(capsys, tmp_path):
             failures.append(f"fleet grew with epsilon=0: {fleet}")
         cases += len(fleet)
 
-        realized = {d.driver_id: [] for d in res.inputs.drivers}
-        hours = {d.driver_id: (d.shift_end - d.shift_start) / 3600.0
-                 for d in res.inputs.drivers}
+        drivers = materialize(config).drivers
+        realized = {d.driver_id: [] for d in drivers}
+        hours = {d.driver_id: (d.shift_end - d.shift_start) / 3600.0 for d in drivers}
         for log in logs:
             for row in kpi.driver_kpis(kpi.validate_log(log)):
                 if row.participated:

@@ -301,6 +301,13 @@ OVERFLOWS = {
     "fare": (lambda tmp: _config_argv(tmp, ["run"], platforms=[{
         "platform_id": 0, "base_fare": 0.0, "fare_per_km": 1.7e308,
         "commission_rate": 0.1, "matching": "instant"}]), 2, "'s fare for request"),
+    # every fare and payout finite, their sums not
+    "kpi-sum": (lambda tmp: _config_argv(
+        tmp, ["run"], horizon_s=14400, n_travellers=3000, n_drivers=200, seed=1,
+        platforms=[{"platform_id": 0, "base_fare": 0.0, "fare_per_km": 8e304,
+                    "commission_rate": 0.1, "matching": "instant"}],
+        graph={"grid": {"rows": 3, "cols": 3, "spacing_m": 500, "speed_mps": 10}}), 2,
+        "day 0: system KPI driver_revenue_mean overflows to inf"),
 }
 
 
@@ -311,7 +318,7 @@ def test_overflowing_numbers_exit_with_one_line(case, tmp_path, capsys):
     assert main(make(tmp_path) + ["--out", str(out)]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ridesim: ") and where in err[0], err
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid, where", [

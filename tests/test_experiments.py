@@ -103,7 +103,10 @@ def test_parse_plan_defaults():
     plan = parse_plan(plan_raw())
     assert plan.replications == 2
     assert plan.base_seed == 100
-    assert list(plan.grid) == ["n_drivers", "platforms[0].fare_per_km"]
+    # grid keys in plan order, cells row-major
+    assert [list(cell.items()) for cell, _ in plan.cells] == [
+        [("n_drivers", n), ("platforms[0].fare_per_km", fare)]
+        for n in (2, 4) for fare in (1.0, 2.0)]
 
 
 def test_parse_plan_threads_key_changes_nothing():
@@ -317,7 +320,7 @@ def run_every_demand(plan):
             cfg = replace(config, seed=plan.base_seed + k)
             inputs = scenario.materialize(cfg)
             rows.append({**cell, "replication": k, "seed": cfg.seed,
-                         **experiments._day(cfg, inputs, dec, 0, DayState())[3]})
+                         **experiments._day(cfg, inputs, dec, 0, DayState())[-1]})
     return rows
 
 
@@ -482,13 +485,14 @@ def test_day_to_day_keeps_last_day_rows():
     replay = kpi.validate_log(logs[-1])
     assert res.travellers == tuple(kpi.traveller_kpis(replay))
     assert res.drivers == tuple(kpi.driver_kpis(replay))
+    assert res.nodes == tuple(kpi.node_aggregates(replay, 9))      # the 3x3 grid
 
 
 def test_day_to_day_zero_days_is_empty():
     res, logs = day_to_day_logs(learning_config(), 0)
     assert res.trajectory == res.system_rows == ()
     assert logs == []
-    assert res.travellers == res.drivers == ()
+    assert res.travellers == res.drivers == res.nodes == ()
     assert not res.converged
 
 
@@ -497,7 +501,7 @@ def test_learning_matches_ema_oracle():
     res, logs = day_to_day_logs(cfg, 6)
     assert len(logs) == 6
     hours = {d.driver_id: (d.shift_end - d.shift_start) / 3600.0
-             for d in res.inputs.drivers}
+             for d in scenario.materialize(cfg).drivers}
     belief = {d: cfg.behaviour["reservation_wage_per_hour"] for d in hours}
     fleets = []
     for log, day in zip(logs, res.trajectory):
@@ -533,7 +537,7 @@ def test_day_to_day_feeds_each_driver_its_own_memory():
     cfg = replace(cfg, decisions={"f_driver_out": "test_spy_driver_out"})
     res, logs = day_to_day_logs(cfg, 4)
     hours = {d.driver_id: (d.shift_end - d.shift_start) / 3600.0
-             for d in res.inputs.drivers}
+             for d in scenario.materialize(cfg).drivers}
     belief = dict.fromkeys(hours, cfg.behaviour["reservation_wage_per_hour"])
     expected, yesterday = {}, dict.fromkeys(hours)
     for day, log in enumerate(logs):

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from ridesim import presets
 from ridesim.decisions import build_decision_set
 from ridesim.engine import EventRecord, run_day
-from ridesim.errors import LogValidationError
+from ridesim.errors import LogValidationError, SimulationError
 from ridesim.experiments import day_to_day
 from ridesim.kpi import (
     _META_KEYS,
     EVENTS_HEADER,
+    NodeKpi,
     driver_kpis,
     node_aggregates,
     open_events_csv,
@@ -40,6 +41,7 @@ from ridesim.scenario import (
     ScenarioInputs,
     generate_demand,
     generate_supply,
+    materialize,
     parse_config,
 )
 from ridesim.util import fmt_num
@@ -370,13 +372,15 @@ def test_stored_multi_day_log_is_scored_one_day_at_a_time(tmp_path):
     assert len(res.system_rows) == 3
     log = read_events_csv(path)
     replay = validate_log(log)
+    inputs = materialize(cfg)
     with pytest.raises(LogValidationError, match=r"^day 0: the log also holds day\(s\) 1, 2;"):
         system_kpis(0, traveller_kpis(replay), driver_kpis(replay), cfg.platforms,
-                    res.inputs.drivers, replay)
+                    inputs.drivers, replay)
     for d, want in enumerate(res.system_rows):
         day = validate_log([rec for rec in log if rec.day == d])
         assert system_kpis(d, traveller_kpis(day), driver_kpis(day), cfg.platforms,
-                           res.inputs.drivers, day) == want
+                           inputs.drivers, day) == want
+    assert tuple(node_aggregates(day, inputs.net.n)) == res.nodes    # the last day's
 
 
 # ---------------------------------------------------------------- node rows
@@ -392,15 +396,37 @@ def test_node_aggregates_by_origin_and_home():
     drivers = [DriverSpec(0, 1, 0.0, 4000.0, (0,))]
     res = run(cfg, net, requests, drivers)
     replay = validate_log(res.log)
-    rows = node_aggregates(
-        traveller_kpis(replay), driver_kpis(replay), requests, drivers, net)
+    rows = node_aggregates(replay, net.n)
+    # the driver counts at its home, the node it starts from, not where it ends
+    assert [rec.node for rec in res.log if rec.agent_kind == "DRIVER"][-1] == 0
     assert [r.node for r in rows] == [0, 1, 2]
     assert rows[1].n_requests == 2
     assert rows[2].n_requests == 1
     assert rows[0].n_requests == 0
-    assert rows[1].n_drivers_home == 1
+    assert [r.n_drivers_home for r in rows] == [0, 1, 0]
     assert rows[0].wait_mean_s is None
     assert rows[1].wait_mean_s is not None
+    assert rows == kpi_oracle.node_aggregates(
+        traveller_kpis(replay), driver_kpis(replay), requests, drivers, net)
+
+
+def test_node_aggregates_count_opt_outs_at_home_and_not_as_requests():
+    log = [EventRecord(0, 0.0, "DRIVER", 3, "OPTS_OUT", 2),
+           EventRecord(0, 5.0, "TRAVELLER", 0, "PLANS", 1),
+           EventRecord(0, 5.0, "TRAVELLER", 0, "OPTS_OUT", 1)]
+    assert node_aggregates(validate_log(log), 3) == [
+        NodeKpi(0, 0, None, 0, None), NodeKpi(1, 0, None, 0, None),
+        NodeKpi(2, 0, None, 1, None)]
+
+
+@pytest.mark.parametrize("node", [-1, 9])
+def test_node_aggregates_reject_a_node_outside_the_graph(node):
+    # a stored log's origin must be one of the graph's nodes
+    log = [EventRecord(0, 0.0, "TRAVELLER", 4, "PLANS", node),
+           EventRecord(0, 0.0, "TRAVELLER", 4, "OPTS_OUT", node)]
+    with pytest.raises(LogValidationError,
+                       match=rf"^day 0: traveller 4 starts at node {node}, outside the 9 nodes$"):
+        node_aggregates(validate_log(log), 9)
 
 
 # ------------------------------------------------------------------ CSV I/O
@@ -663,7 +689,7 @@ def test_event_csv_round_trip(tmp_path):
 
 
 def test_kpis_pure_function_of_stored_log(tmp_path):
-    res, cfg, *_, drivers = busy_result(seed=43, behaviour={"max_wait_s": 200.0})
+    res, cfg, net, _, drivers = busy_result(seed=43, behaviour={"max_wait_s": 200.0})
     path = tmp_path / "events.csv"
     write_events(path, res.log)
     back = read_events_csv(path)
@@ -675,6 +701,22 @@ def test_kpis_pure_function_of_stored_log(tmp_path):
                        cfg.platforms, drivers, stored) == \
         system_kpis(res.day, traveller_kpis(replay), driver_kpis(replay),
                     cfg.platforms, drivers, replay)
+    assert node_aggregates(stored, net.n) == node_aggregates(replay, net.n)
+
+
+@pytest.mark.parametrize("field, where", [
+    ("payout", r"^day 0: driver \d+ KPI revenue overflows to inf$"),
+    ("fare", r"^day 0: system KPI revenue_platform_0 overflows to inf$"),
+])
+def test_kpi_sum_that_overflows_raises(field, where):
+    # every logged value is finite; the sums over two or more rides are not
+    res, cfg, *_, drivers = busy_result()
+    log = [rec._replace(**{field: 1e308}) if rec.event == "COMPLETES_RIDE" else rec
+           for rec in res.log]
+    replay = validate_log(log)
+    with pytest.raises(SimulationError, match=where):
+        system_kpis(0, traveller_kpis(replay), driver_kpis(replay), cfg.platforms,
+                    drivers, replay)
 
 
 def test_null_cells_written_empty(tmp_path):

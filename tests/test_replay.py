@@ -1,10 +1,11 @@
 """The one-walk KPI path against the oracles in ``tests.kpi_oracle``.
 
 ``kpi.validate_log`` walks a log once and the builders read its replay;
-the oracles validate, group and sum the same log in four walks. On every
-log below both must give the same rows, field by field and float by float,
-and the same system dict with its keys in the same order; on broken logs
-both must raise the same ``LogValidationError`` message.
+the oracles validate, group and sum the same log in four walks, and place
+travellers and drivers on nodes from the run's requests and driver specs.
+On every log below both must give the same rows, field by field and float
+by float, and the same system dict with its keys in the same order; on
+broken logs both must raise the same ``LogValidationError`` message.
 """
 
 import json
@@ -15,16 +16,18 @@ import pytest
 from ridesim import kpi, presets
 from ridesim.errors import LogValidationError
 from ridesim.experiments import day_to_day
-from ridesim.scenario import parse_config
+from ridesim.scenario import materialize, parse_config
 
 from tests import kpi_oracle
 from tests.test_acceptance import c4_variants, random_scenario_raw, run_config
 
 
-def _differences(config, drivers, logs):
-    bad = []
+def _differences(config, logs):
+    """The differences on each day's log of a ``day_to_day`` run, whose
+    inputs ``materialize(config)`` builds again."""
+    inputs, bad = materialize(config), []
     for day, log in enumerate(logs):
-        bad += kpi_oracle.replay_differences(log, day, config.platforms, drivers)
+        bad += kpi_oracle.replay_differences(log, day, config.platforms, inputs)
     return bad
 
 
@@ -44,7 +47,7 @@ def test_c4_variants_match_the_oracles():
     for raw in c4_variants():
         config, inputs, result = run_config(raw)
         assert not kpi_oracle.replay_differences(
-            result.log, result.day, config.platforms, inputs.drivers), raw
+            result.log, result.day, config.platforms, inputs), raw
 
 
 def test_c9_random_scenarios_match_the_oracles(tmp_path):
@@ -53,7 +56,7 @@ def test_c9_random_scenarios_match_the_oracles(tmp_path):
         raw = random_scenario_raw(rng, tmp_path)
         config, inputs, result = run_config(raw)
         assert not kpi_oracle.replay_differences(
-            result.log, result.day, config.platforms, inputs.drivers), raw
+            result.log, result.day, config.platforms, inputs), raw
         # the events.csv of the log: the row-at-a-time writer's bytes, and
         # read back, the same records
         path, rows = tmp_path / "events.csv", tmp_path / "rows.csv"
@@ -66,15 +69,25 @@ def test_c9_random_scenarios_match_the_oracles(tmp_path):
 
 def test_e1_matches_the_oracles():
     config = _preset("e1")
-    res, logs = _days(config, 1)
-    assert not _differences(config, res.inputs.drivers, logs)
+    _, logs = _days(config, 1)
+    assert not _differences(config, logs)
 
 
 def test_e4_days_match_the_oracles():
     config = _preset("e4")
-    res, logs = _days(config, 8)
+    _, logs = _days(config, 8)
     assert len(logs) >= 6
-    assert not _differences(config, res.inputs.drivers, logs)
+    assert not _differences(config, logs)
+
+
+def test_opt_out_days_match_the_oracles():
+    # travellers left unserved one day opt out the next: no request, and
+    # no wait, at their origin
+    config = _preset("e1", n_drivers=2, horizon_s=1800,
+                     decisions={"f_trav_out": "opt_out_if_unserved"})
+    _, logs = _days(config, 3)
+    assert any(rec.agent_kind == "TRAVELLER" and rec.event == "OPTS_OUT" for rec in logs[1])
+    assert not _differences(config, logs)
 
 
 def test_batched_two_platform_day_matches_the_oracles():
@@ -87,27 +100,27 @@ def test_batched_two_platform_day_matches_the_oracles():
                   "t_alight_s": 10, "service_variability": 0.2},
         decisions={"f_trav_mode": "max_wait", "f_driver_decline": "decline_far_pickup",
                    "f_driver_repos": "repos_to_demand"})
-    res, logs = _days(config, 1)
+    _, logs = _days(config, 1)
     events = {rec.event for rec in logs[0]}
     assert {"BATCH_MATCH", "MATCH", "STARTS_REPOSITIONING"} <= events
-    assert not _differences(config, res.inputs.drivers, logs)
+    assert not _differences(config, logs)
 
 
 def test_empty_log_matches_the_oracles():
     config = _preset("e1")
-    assert not kpi_oracle.replay_differences([], 0, config.platforms, ())
+    assert not kpi_oracle.replay_differences([], 0, config.platforms, materialize(config))
     replay = kpi.validate_log([])
     assert kpi.traveller_kpis(replay) == kpi.driver_kpis(replay) == []
 
 
 def test_stored_log_matches_the_oracles(tmp_path):
     config = _preset("e1")
-    res, logs = _days(config, 1)
+    _, logs = _days(config, 1)
     path = tmp_path / "events.csv"
     with kpi.open_events_csv(path) as fh:
         kpi.write_events_csv(fh, logs[0])
     back = kpi.read_events_csv(path)
-    assert not _differences(config, res.inputs.drivers, [back])
+    assert not _differences(config, [back])
 
 
 def _mutants(log, rng, n):
