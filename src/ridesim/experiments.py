@@ -16,14 +16,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from ridesim import kpi, scenario
+from ridesim import kpi
 from ridesim.decisions import build_decision_set
 from ridesim.engine import DayState, run_day
 from ridesim.errors import ConfigError
+# build_skim is unused here; the benchmark tracer rebinds it
 from ridesim.netgraph import build_skim
-from ridesim.scenario import (AT_LEAST_1, Range, ScenarioConfig, check_weights,
-                              json_object, materialize, number, parse_config,
-                              read_json)
+from ridesim.scenario import (AT_LEAST_1, Range, ScenarioConfig, json_object, materialize,
+                              number, parse_config, read_json, shared_inputs)
 
 # a dotted path of keys, each with optional indexes, after a leading dot:
 # .platforms[1].fare_per_km
@@ -127,38 +127,28 @@ def _day(config, inputs, decisions, day, state):
 def run_grid(plan: Plan) -> list[dict]:
     """Execute every grid cell x replication of a plan, in order.
 
-    Each cell's decision set, and each distinct graph's network and skim,
-    are built once before any run, and each cell's ``demand_weights`` are
-    checked against its graph; so a bad module, graph or weight count fails
-    before any run, naming the cell. Then one run per cell and replication
-    follows; each distinct generated demand is built once, by the first run
-    that needs it, and an input error in a run names its cell too.
+    Before any run, each cell's decision set is built and its
+    ``shared_inputs`` taken (network, skim and input files, each checked),
+    so a bad module, graph, weight count or input file fails before any
+    run, naming the first cell that meets it. Then each run is
+    ``materialize`` with one memo for the grid, so each network, skim,
+    file and generated demand is built or read once per distinct key and
+    held until the grid ends.
     Rows are ordered by cell (grid keys in plan order, row-major) then
     replication, and carry the cell's parameter values, the replication
     index and seed, and the system KPIs.
     """
-    decisions, networks = [], {}
+    memo, decisions = {}, []
     for cell, cfg in plan.cells:
         with _in_cell(cell):
             decisions.append(build_decision_set(cfg.decisions, cfg.behaviour))
-            if cfg.graph not in networks:
-                net = cfg.graph.build()
-                networks[cfg.graph] = net, build_skim(net)
-            check_weights(cfg.demand_weights, networks[cfg.graph][0])
-    demands, rows = {}, []
+            shared_inputs(cfg, memo)
+    rows = []
     for (cell, config), dec in zip(plan.cells, decisions):
-        net, skim = networks[config.graph]
         for k in range(plan.replications):
             cfg = replace(config, seed=plan.base_seed + k)
-            requests = None
-            if cfg.requests_csv is None:
-                key = (cfg.graph, cfg.n_travellers, cfg.horizon_s, cfg.seed,
-                       cfg.demand_weights)
-                if key not in demands:
-                    demands[key] = tuple(scenario.generate_demand(net, *key[1:]))
-                requests = demands[key]
             with _in_cell(cell):
-                inputs = materialize(cfg, net=net, skim=skim, requests=requests)
+                inputs = materialize(cfg, memo)
             rows.append({**cell, "replication": k, "seed": cfg.seed,
                          **_day(cfg, inputs, dec, 0, DayState())[-1]})
     return rows

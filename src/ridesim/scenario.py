@@ -360,9 +360,13 @@ def _optional_path(raw: dict, key: str, base_dir) -> str | None:
 
 # ------------------------------------------------------- demand and supply
 
-def check_weights(weights: tuple[float, ...] | None, net: RoadNetwork) -> None:
-    """Raise a ``ConfigError`` unless ``weights``, a config's
-    ``demand_weights``, is None or holds one weight per node of ``net``."""
+def check_demand(net: RoadNetwork, n: int, weights: tuple[float, ...] | None) -> None:
+    """Raise a ``ConfigError`` unless ``net`` has two nodes for ``n`` > 0
+    trips and ``weights``, a config's ``demand_weights``, is None or holds
+    one weight per node of ``net``."""
+    if n and net.n < 2:
+        # generate_demand's destination redraw would never end
+        raise ConfigError("graph", f"has {net.n} node(s); a trip needs two distinct nodes")
     if weights is not None and len(weights) != net.n:
         raise ConfigError("demand_weights",
                           f"expected {net.n} weights (one per node), got {len(weights)}")
@@ -383,11 +387,8 @@ def generate_demand(
     (t_request, request_id); ids follow draw order. Pure in (net, n, horizon,
     seed, weights); supply generation never touches this stream.
     """
+    check_demand(net, n, weights)
     n_nodes = net.n
-    if n and n_nodes < 2:
-        # the destination redraw below would never end
-        raise ConfigError("graph", f"has {n_nodes} node(s); a trip needs two distinct nodes")
-    check_weights(weights, net)
     rng = substream(seed, "demand")
     probs = None
     if weights is not None:
@@ -521,57 +522,66 @@ def save_drivers_csv(drivers: list[DriverSpec], path: str | Path) -> None:
 
 # ----------------------------------------------------------- materialization
 
-def materialize(
-    config: ScenarioConfig,
-    *,
-    net: RoadNetwork | None = None,
-    skim: SkimMatrix | None = None,
-    requests: tuple[Request, ...] | None = None,
-) -> ScenarioInputs:
+def _memo(memo: dict, key: tuple, build):
+    """``memo[key]``, stored as ``build()`` first when it is not there."""
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def shared_inputs(config: ScenarioConfig, memo: dict):
+    """The inputs of ``config`` that do not depend on its seed, as
+    ``(net, skim, requests, drivers)``: ``requests`` and ``drivers`` are the
+    rows of ``requests_csv`` and ``drivers_csv``, or None where the config
+    generates them.
+
+    Each is taken from ``memo``, a dict the caller keeps, or built and
+    stored there first, keyed by what it depends on: the network and the
+    skim by ``config.graph``, a requests file by its path, the graph and
+    the horizon, and a drivers file by those and the platform ids. So calls
+    that share a memo build each network and skim, and read each file, once.
+    The network is built, ``check_demand`` run on it, the skim built and
+    the files read, in that order, and each file's row count is checked
+    against ``n_travellers`` or ``n_drivers`` on every call. A failure
+    raises a ``ConfigError``, or a graph file's own error.
+    """
+    graph, horizon = config.graph, config.horizon_s
+    net = _memo(memo, ("net", graph), graph.build)
+    check_demand(net, config.n_travellers, config.demand_weights)
+    skim = _memo(memo, ("skim", graph), lambda: build_skim(net))
+    requests = drivers = None
+    if config.requests_csv is not None:
+        requests = _memo(memo, ("requests", config.requests_csv, graph, horizon),
+                         lambda: tuple(load_requests_csv(config.requests_csv, net, horizon)))
+        if len(requests) != config.n_travellers:
+            raise ConfigError("n_travellers", f"is {config.n_travellers} but "
+                              f"{config.requests_csv} has {len(requests)} requests")
+    if config.drivers_csv is not None:
+        ids = frozenset(p.platform_id for p in config.platforms)
+        drivers = _memo(memo, ("drivers", config.drivers_csv, graph, horizon, ids),
+                        lambda: tuple(load_drivers_csv(config.drivers_csv, net, horizon, ids)))
+        if len(drivers) != config.n_drivers:
+            raise ConfigError("n_drivers", f"is {config.n_drivers} but "
+                              f"{config.drivers_csv} has {len(drivers)} drivers")
+    return net, skim, requests, drivers
+
+
+def materialize(config: ScenarioConfig, memo: dict | None = None) -> ScenarioInputs:
     """Build the network, skim, demand and supply for one scenario.
 
-    ``net`` and ``skim``, when given, must come from ``config.graph``; the
-    experiment runner builds them once per graph and passes them to every
-    run on it, so shortest paths are not recomputed per run. ``requests``,
-    when given, stands in for the demand ``generate_demand`` would build
-    from the config and ``net``; the runner builds each distinct demand once
-    per grid. A config with ``requests_csv`` always reads its file.
+    ``memo``, when given, is a dict the caller keeps across calls, such as
+    the runs of an experiment grid. The parts ``shared_inputs`` builds, and
+    each generated demand, keyed by ``(graph, n_travellers, horizon_s,
+    seed, demand_weights)``, are then built once per key and held in it,
+    so its size grows with the distinct keys. Supply is generated per call.
     """
-    if net is None:
-        net = config.graph.build()
-    check_weights(config.demand_weights, net)
-    if skim is None:
-        skim = build_skim(net)
-
-    if config.requests_csv is not None:
-        requests = load_requests_csv(config.requests_csv, net, config.horizon_s)
-        if len(requests) != config.n_travellers:
-            raise ConfigError(
-                "n_travellers",
-                f"is {config.n_travellers} but {config.requests_csv} "
-                f"has {len(requests)} requests",
-            )
-    elif requests is None:
-        requests = generate_demand(
-            net, config.n_travellers, config.horizon_s, config.seed,
-            config.demand_weights,
-        )
-
-    if config.drivers_csv is not None:
-        drivers = load_drivers_csv(
-            config.drivers_csv, net, config.horizon_s,
-            {p.platform_id for p in config.platforms},
-        )
-        if len(drivers) != config.n_drivers:
-            raise ConfigError(
-                "n_drivers",
-                f"is {config.n_drivers} but {config.drivers_csv} "
-                f"has {len(drivers)} drivers",
-            )
-    else:
-        drivers = generate_supply(net, config.n_drivers, config.horizon_s, config.seed,
-                                  config.platforms)
-
-    return ScenarioInputs(
-        net=net, skim=skim, requests=tuple(requests), drivers=tuple(drivers)
-    )
+    memo = {} if memo is None else memo
+    net, skim, requests, drivers = shared_inputs(config, memo)
+    if requests is None:
+        key = (config.graph, config.n_travellers, config.horizon_s, config.seed,
+               config.demand_weights)
+        requests = _memo(memo, ("demand", *key), lambda: tuple(generate_demand(net, *key[1:])))
+    if drivers is None:
+        drivers = tuple(generate_supply(net, config.n_drivers, config.horizon_s, config.seed,
+                                        config.platforms))
+    return ScenarioInputs(net=net, skim=skim, requests=requests, drivers=drivers)

@@ -6,10 +6,10 @@ import io
 
 def read_input(path, fail) -> str:
     """The text of the UTF-8 input file at ``path`` (a ``Path``), line ends
-    as written. Raises ``fail(why)`` when it is not a regular file or
-    cannot be read or decoded."""
+    as written. Raises ``fail(why)`` when it is missing, is not a regular
+    file (a directory, a pipe) or cannot be read or decoded."""
     if not path.is_file():
-        raise fail("not found")
+        raise fail("is not a regular file" if path.exists() else "not found")
     try:
         return path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:

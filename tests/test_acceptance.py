@@ -53,7 +53,10 @@ from ridesim.experiments import (
     run_grid,
 )
 
-_NETWORKS = {}      # graph spec -> (net, skim), shared across tests
+# materialize's memo, shared across tests, so each graph's network and skim
+# are built once; it holds each input file's rows by path too, so no test
+# may rewrite a file that a run has read
+_MEMO = {}
 
 
 def verdict(capsys, n, ok, text):
@@ -63,17 +66,9 @@ def verdict(capsys, n, ok, text):
     assert ok, line
 
 
-def shared_inputs(config):
-    if config.graph not in _NETWORKS:
-        net = config.graph.build()
-        _NETWORKS[config.graph] = net, build_skim(net)
-    net, skim = _NETWORKS[config.graph]
-    return materialize(config, net=net, skim=skim)
-
-
 def run_config(raw):
     config = parse_config(raw)
-    inputs = shared_inputs(config)
+    inputs = materialize(config, _MEMO)
     decisions = build_decision_set(config.decisions, config.behaviour)
     result = run_day(config, inputs, decisions)
     kpi.validate_log(result.log)

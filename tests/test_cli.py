@@ -936,12 +936,18 @@ def _requests_directory(tmp_path):
     return _run_with(tmp_path, requests_csv="requests.csv")
 
 
+def _config_fifo(tmp_path):
+    os.mkfifo(tmp_path / "c.json")      # never opened: a read would wait for a writer
+    return ["run", "--config", str(tmp_path / "c.json")]
+
+
 # case -> (writes the inputs and returns the command, the file the error names)
 UNREADABLE = {
     "config_utf16": (_utf16_config, "bad.json"),
     "plan_base_utf16": (_utf16_plan_base, "bad.json"),
     "plan_base_directory": (lambda tmp: _plan_with_base(tmp, "."), ""),   # tmp_path itself
     "requests_csv_directory": (_requests_directory, "requests.csv"),
+    "config_fifo": (_config_fifo, "c.json"),
     "requests_csv_byte_ff": (_requests_with_ff, "requests.csv"),
     "nodes_csv_byte_ff": (_nodes_with_ff, "nodes.csv"),
 }
@@ -957,6 +963,16 @@ def test_unreadable_input_file_exits_1(case, tmp_path, capsys):
     assert err.startswith("ridesim: ") and "Traceback" not in err
     assert str(tmp_path / name) in err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("make, why", [
+    (_config_fifo, "config file is not a regular file"),
+    (_requests_directory, "file is not a regular file"),
+    (lambda tmp: ["run", "--config", str(tmp / "c.json")], "config file not found"),
+], ids=["fifo", "directory", "missing"])
+def test_missing_and_irregular_input_files_are_told_apart(make, why, tmp_path, capsys):
+    assert main(make(tmp_path) + ["--out", str(tmp_path / "out")]) == 1
+    assert why in capsys.readouterr().err
 
 
 # ----------------------------------------------------------- entry points

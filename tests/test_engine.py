@@ -994,16 +994,12 @@ def test_skipped_instant_passes_match_slow_path(monkeypatch, instant_passes):
     cases = [(name, preset_base(name)) for name in ("e1", "e2", "e3", "e4")]
     cases += [(f"mixed {w} s", mixed_mode(w)) for w in (1.0, 30.0)]
     cases += [(f"mixed {w} s on grid", mixed_mode(w)) for w in (1.0, 30.0)]
-    networks = {}
+    memo = {}
     passes = {"fast": 0, "slow": 0}
     for label, raw in cases:
         for seed in (1, 2, 3):
             cfg = parse_config(dict(raw, seed=seed))
-            if cfg.graph not in networks:
-                net = cfg.graph.build()
-                networks[cfg.graph] = (net, build_skim(net))
-            net, skim = networks[cfg.graph]
-            inputs = materialize(cfg, net=net, skim=skim)
+            inputs = materialize(cfg, memo)
             if label.endswith("on grid"):
                 inputs = on_the_window_grid(inputs)
             dec = build_decision_set(cfg.decisions, cfg.behaviour)
@@ -1100,15 +1096,11 @@ def test_inline_dwell_steps_match_slow_path(monkeypatch, pushes, tmp_path):
              for k, dwell in enumerate(DWELLS)]
     rng = np.random.default_rng(16)
     cases += [(f"random {i}", random_scenario_raw(rng, tmp_path)) for i in range(50)]
-    networks = {}
+    memo = {}
     total = {"fast": 0, "slow": 0}
     for label, raw in cases:
         cfg = parse_config(raw)
-        if cfg.graph not in networks:
-            net = cfg.graph.build()
-            networks[cfg.graph] = (net, build_skim(net))
-        net, skim = networks[cfg.graph]
-        inputs = materialize(cfg, net=net, skim=skim)
+        inputs = materialize(cfg, memo)
         dec = build_decision_set(cfg.decisions, cfg.behaviour)
         logs, pushed = {}, {}
         for path in ("fast", "slow"):

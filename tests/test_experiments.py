@@ -231,7 +231,6 @@ def test_run_grid_builds_each_skim_once(monkeypatch, grid, builds):
         calls.append(net.n)
         return build_skim(net)
 
-    monkeypatch.setattr(experiments, "build_skim", counted)
     monkeypatch.setattr(scenario, "build_skim", counted)
     plan = parse_plan(plan_raw(grid=grid, replications=1))
     rows = run_grid(plan)
@@ -362,23 +361,90 @@ def test_each_demand_built_once_per_key(monkeypatch):
     assert len(keys) == 4 and set(keys.values()) == {1}
 
 
-def test_requests_csv_read_by_every_task(monkeypatch, tmp_path):
+def counted_reads(monkeypatch, name):
+    """Replace ``scenario.<name>`` with a wrapper that records the
+    arguments of each call, and return that record."""
+    reads, load = [], getattr(scenario, name)
+
+    def counted(*args):
+        reads.append(args)
+        return load(*args)
+
+    monkeypatch.setattr(scenario, name, counted)
+    return reads
+
+
+def test_requests_csv_read_once_per_key(monkeypatch, tmp_path):
     net = parse_config(base_raw()).graph.build()
     scenario.save_requests_csv(scenario.generate_demand(net, 12, 1800, 5),
                                tmp_path / "requests.csv")
-    reads = []
-    load = scenario.load_requests_csv
-
-    def counted(*args):
-        reads.append(args[0])
-        return load(*args)
-
-    monkeypatch.setattr(scenario, "load_requests_csv", counted)
+    reads = counted_reads(monkeypatch, "load_requests_csv")
     plan = parse_plan(plan_raw(base=base_raw(requests_csv="requests.csv")),
                       base_dir=tmp_path)
     rows = run_grid(plan)
-    assert len(reads) == len(rows) == 8
+    assert len(rows) == 8
+    assert [args[0] for args in reads] == [str(tmp_path / "requests.csv")]
     assert rows == run_every_demand(plan)
+
+
+def test_drivers_csv_read_again_only_for_new_platform_ids(monkeypatch, tmp_path):
+    cfg = parse_config(base_raw())
+    scenario.save_drivers_csv(
+        scenario.generate_supply(cfg.graph.build(), 3, 1800, 5, cfg.platforms),
+        tmp_path / "drivers.csv")
+    reads = counted_reads(monkeypatch, "load_drivers_csv")
+    incumbent = base_raw()["platforms"][0]
+    entrant = dict(incumbent, platform_id=1)
+    plan = parse_plan(plan_raw(
+        base=base_raw(drivers_csv="drivers.csv"),
+        grid={"platforms": [[incumbent], [dict(incumbent, fare_per_km=2.0)],
+                            [incumbent, entrant]]}), base_dir=tmp_path)
+    rows = run_grid(plan)
+    assert len(rows) == 6
+    assert [args[3] for args in reads] == [{0}, {0, 1}]     # the cells' platform ids
+    assert rows == run_every_demand(plan)
+
+
+ONE_NODE = {"nodes": "nodes.csv", "edges": "edges.csv"}
+
+
+def last_cell_inputs(tmp_path):
+    """A 12-row requests file, a copy whose first row is malformed, and the
+    files of a one-node graph."""
+    net = parse_config(base_raw()).graph.build()
+    scenario.save_requests_csv(scenario.generate_demand(net, 12, 1800, 5),
+                               tmp_path / "requests.csv")
+    lines = (tmp_path / "requests.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "broken.csv").write_text("".join([lines[0], "0,0,x,2,1\n", *lines[2:]]))
+    (tmp_path / "nodes.csv").write_text("node_id,x,y\n0,0,0\n")
+    (tmp_path / "edges.csv").write_text("from,to,length_m,speed_mps\n")
+
+
+@pytest.mark.parametrize("grid, cell, needle", [
+    ({"requests_csv": ["requests.csv", "broken.csv"]}, {"requests_csv": "broken.csv"},
+     "malformed row ['0', '0', 'x', '2', '1']: {dir}/broken.csv:row 2"),
+    ({"n_travellers": [12, 11]}, {"n_travellers": 11},
+     "is 11 but {dir}/requests.csv has 12 requests: n_travellers"),
+    ({"graph": [base_raw()["graph"], ONE_NODE]}, {"graph": ONE_NODE},
+     "has 1 node(s); a trip needs two distinct nodes: graph"),
+], ids=["malformed-row", "row-count", "one-node-graph"])
+def test_input_error_in_last_cell_fails_before_any_run(
+        monkeypatch, tmp_path, capsys, grid, cell, needle):
+    last_cell_inputs(tmp_path)
+    calls = []
+    monkeypatch.setattr(experiments, "run_day", lambda *args, **kw: calls.append(args))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_raw(base=base_raw(requests_csv="requests.csv"),
+                                        grid=grid)))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}")      # an earlier run's
+    assert main(["experiment", "--plan", str(plan), "--out", str(out)]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == (
+        f"ridesim: {needle.format(dir=tmp_path)} in grid cell {json.dumps(cell)}\n")
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert (out / "manifest.json").read_text() == "{}"
 
 
 def test_results_csv_written(tmp_path):

@@ -9,13 +9,12 @@ hooks ``experiments.run_day`` alone, so an experiment is also run untraced,
 and its record count must equal the traced one.
 """
 
-import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from ridesim import experiments, presets
+from ridesim import presets
 
 REP = Path(__file__).resolve().parent.parent / "perfbench" / "rep.py"
 
@@ -48,6 +47,9 @@ def test_traced_single_cell_experiment(tmp_path):
     assert layers["engine.events"] > 0
     assert layers["netgraph.build_skim.calls"] == 1
     assert layers["experiments.runs"] == 2
+    # each run's demand is generated inside its traced materialize
+    assert layers["scenario.generate_demand.s"] > 0
+    assert layers["scenario.materialize.calls"] == layers["experiments.runs"]
 
 
 def single_cell_plan(tmp_path):
@@ -74,12 +76,3 @@ def test_untraced_experiment_counts_what_the_traced_one_does(tmp_path):
     assert report["events"] == layers["engine.events"]
     assert 0 < report["setup_s"] < report["wall_s"]
 
-
-def test_experiments_calls_generate_demand_through_its_module():
-    # the tracer's scenario.generate_demand span sees only calls made
-    # through the module attribute, which it rebinds
-    source = Path(experiments.__file__).read_text(encoding="utf-8")
-    calls = [node for node in ast.walk(ast.parse(source))
-             if isinstance(node, ast.Call) and "generate_demand" in ast.unparse(node.func)]
-    assert calls
-    assert {ast.unparse(node.func) for node in calls} == {"scenario.generate_demand"}
