@@ -7,30 +7,3 @@ day-to-day learning until convergence).
 """
 
 __version__ = "0.1.0"
-
-from ridesim.netgraph import RoadNetwork, SkimMatrix, build_skim, grid_city, load_graph
-from ridesim.scenario import (
-    DriverSpec,
-    PlatformSpec,
-    Request,
-    ScenarioConfig,
-    generate_demand,
-    generate_supply,
-    load_config,
-)
-
-__all__ = [
-    "RoadNetwork",
-    "SkimMatrix",
-    "build_skim",
-    "grid_city",
-    "load_graph",
-    "ScenarioConfig",
-    "PlatformSpec",
-    "Request",
-    "DriverSpec",
-    "load_config",
-    "generate_demand",
-    "generate_supply",
-    "__version__",
-]

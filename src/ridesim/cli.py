@@ -281,7 +281,3 @@ def main(argv=None) -> int:
         return 2
     print(summary)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -420,8 +420,7 @@ class _Sim:
         state.next_batch_at = None
         state.last_batch_at = self.now
         self._conclude_pass(self._enact(state, self._run_match(state)))
-        if self.waiting:
-            self.schedule_matching()
+        self.schedule_matching()
 
     def _run_match(self, state):
         """The platform's proposed (request_id, driver_id) pairs; f_match is

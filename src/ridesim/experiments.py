@@ -147,10 +147,8 @@ def run_grid(plan: Plan) -> list[dict]:
     for (cell, config), dec in zip(plan.cells, decisions):
         for k in range(plan.replications):
             cfg = replace(config, seed=plan.base_seed + k)
-            with _in_cell(cell):
-                inputs = materialize(cfg, memo)
             rows.append({**cell, "replication": k, "seed": cfg.seed,
-                         **_day(cfg, inputs, dec, 0, DayState())[-1]})
+                         **_day(cfg, materialize(cfg, memo), dec, 0, DayState())[-1]})
     return rows
 
 
@@ -206,8 +204,7 @@ def day_to_day(config: ScenarioConfig, max_days: int = 50, on_day=None) -> DayTo
     system_rows = []
     t_rows = d_rows = ()
     replay = None
-    streak = 0
-    prev_fleet = None
+    converged = False
     for day in range(max_days):
         state = DayState(learned_income=learned if day else {},
                          participated=participated, traveller_outcomes=outcomes)
@@ -240,20 +237,16 @@ def day_to_day(config: ScenarioConfig, max_days: int = 50, on_day=None) -> DayTo
             "n_opted_out": system["n_opted_out"],
         })
 
-        fleet = system["fleet_participating"]
-        if prev_fleet is not None:
-            if abs(fleet - prev_fleet) / max(prev_fleet, 1) < CONVERGENCE_DELTA:
-                streak += 1
-            else:
-                streak = 0
-        prev_fleet = fleet
-        if streak >= CONVERGENCE_WINDOW:
+        fleets = [row["fleet_participating"] for row in system_rows[-CONVERGENCE_WINDOW - 1:]]
+        converged = len(fleets) > CONVERGENCE_WINDOW and all(
+            abs(b - a) / max(a, 1) < CONVERGENCE_DELTA for a, b in zip(fleets, fleets[1:]))
+        if converged:
             break
     return DayToDayResult(
         trajectory=tuple(trajectory),
         system_rows=tuple(system_rows), travellers=tuple(t_rows),
         drivers=tuple(d_rows),
         nodes=() if replay is None else tuple(kpi.node_aggregates(replay, inputs.net.n)),
-        converged=streak >= CONVERGENCE_WINDOW,
+        converged=converged,
         learned_income=dict(learned),
     )

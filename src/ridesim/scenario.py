@@ -497,7 +497,8 @@ def load_drivers_csv(
 
 
 def _platform_ids(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(";") if x != "")
+    # an empty cell names no platform; an empty segment fails int()
+    return tuple(int(x) for x in text.split(";")) if text else ()
 
 
 def _input_error(path: str):

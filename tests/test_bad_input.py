@@ -219,6 +219,13 @@ def test_misspelled_grid_override_exits_1_naming_the_cell(path, value, line, tmp
     assert _one_error("experiment", plan, tmp_path, capsys) == f"ridesim: {line}"
 
 
+@pytest.mark.parametrize("platforms", [[], {}], ids=["list", "object"])
+def test_no_platform_exits_1(platforms, tmp_path, capsys):
+    doc = dict(CONFIG, platforms=platforms)
+    assert _one_error("run", doc, tmp_path, capsys) == \
+        "ridesim: at least one platform is required: platforms"
+
+
 # the valid commands, with their required flags and integer flags
 COMMANDS = {
     "run": (["--config", "CONFIG", "--out", "OUT", "--seed", "3", "--days", "2"],

@@ -984,6 +984,15 @@ def test_console_script_version():
     assert proc.stdout.startswith("ridesim ")
 
 
+def test_import_ridesim_loads_only_the_package():
+    # the package root holds only __version__; every name lives in its module
+    code = ("import sys, ridesim; print(sorted(m for m in sys.modules if "
+            "m.startswith('ridesim.') or m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["bogus"], "bogus"),
     (["run", "--config", "e1"], "--out"),

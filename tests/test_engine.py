@@ -703,7 +703,9 @@ def test_hook_ridesim_error_passes_through():
     ("f_driver_decline", 1, "1", "driver 0"),
     ("f_trav_mode", "yes", "'yes'", "traveller 0"),
     ("f_platform_choice", 5, "5", "traveller 0"),
+    ("f_platform_choice", True, "True", "traveller 0"),
     ("f_driver_repos", "north", "'north'", "driver 0"),
+    ("f_driver_repos", False, "False", "driver 0"),
     ("f_match", 42, "42", "platform 0"),
     ("f_match", [(0,)], "(0,)", "platform 0"),
     ("f_match", [(0, 0), (0, 0)], "(0, 0)", "platform 0"),

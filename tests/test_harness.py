@@ -5,8 +5,8 @@
 others). A change that drops or renames one of them breaks every traced
 benchmark run; this test runs one traced ``run`` and one traced single-cell
 ``experiment`` so such a change fails here first. The untraced repetition
-hooks ``experiments.run_day`` alone, so an experiment is also run untraced,
-and its record count must equal the traced one.
+hooks only ``run_day``, in both ``cli`` and ``experiments``, so an experiment
+is also run untraced, and its record count must equal the traced one.
 """
 
 import json
@@ -37,13 +37,8 @@ def test_traced_run(tmp_path):
 
 
 def test_traced_single_cell_experiment(tmp_path):
-    plan = json.loads(presets.read_text("e3"))
-    plan["grid"] = {"n_drivers": [25]}
-    plan["replications"] = 2
-    path = tmp_path / "plan.json"
-    path.write_text(json.dumps(plan))
-    layers = traced(["experiment", "--plan", str(path), "--out", str(tmp_path / "out"),
-                     "--threads", "2"])
+    layers = traced(["experiment", "--plan", str(single_cell_plan(tmp_path)),
+                     "--out", str(tmp_path / "out"), "--threads", "2"])
     assert layers["engine.events"] > 0
     assert layers["netgraph.build_skim.calls"] == 1
     assert layers["experiments.runs"] == 2

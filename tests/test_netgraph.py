@@ -156,6 +156,12 @@ def test_grid_dimension_error(rows, cols):
         grid_city(rows, cols, 100.0, 10.0)
 
 
+@pytest.mark.parametrize("spacing,speed", [(0.0, 10.0), (100.0, -1.0)])
+def test_grid_length_error(spacing, speed):
+    with pytest.raises(GraphValidationError, match="spacing > 0 and speed > 0"):
+        grid_city(3, 3, spacing, speed)
+
+
 @pytest.mark.parametrize("spacing,speed", [(500.0, 10.0), (350.0, 7.0), (250.0, 8.0)])
 def test_grid_skim_is_manhattan_exact(spacing, speed):
     rows, cols = 4, 5

@@ -407,6 +407,9 @@ def test_next_batch_boundary():
     assert next_batch_boundary(60.0, 60.0) == 60.0
     assert next_batch_boundary(60.0, 60.0001) == 120.0
     assert next_batch_boundary(60.0, 0.0) == 0.0
+    # ceil(now / window) one short (9 * 0.1 < now), then one over (4 for 3 * 0.1)
+    assert next_batch_boundary(0.1, 0.9000000000000001) == 1.0
+    assert next_batch_boundary(0.1, 3 * 0.1) == 3 * 0.1
 
 
 def test_next_batch_boundary_properties():

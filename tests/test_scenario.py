@@ -591,6 +591,9 @@ def test_csv_bad_row_after_blank_line_names_file_and_line(name, extra, tmp_path)
     ("drivers.csv", "1,9,0,3600,1", "home_node is not a valid node"),
     ("drivers.csv", "1,2,0,3600,", "platform_ids must name at least one platform"),
     ("drivers.csv", "1,2,0,3600,1;0;1", "duplicate platform_id 1"),
+    ("drivers.csv", "1,2,0,3600,0;;", "malformed row ['1', '2', '0', '3600', '0;;']"),
+    ("drivers.csv", "1,2,0,3600,;0", "malformed row ['1', '2', '0', '3600', ';0']"),
+    ("drivers.csv", "1,2,0,3600,1;;0", "malformed row ['1', '2', '0', '3600', '1;;0']"),
 ])
 def test_csv_bad_second_row_names_file_and_row(name, bad, message, tmp_path):
     header, rows, error, load = CSV_FORMATS[name]
