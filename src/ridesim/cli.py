@@ -22,12 +22,7 @@ from ridesim import __version__, kpi, presets
 # build_decision_set, run_day and materialize are unused here; the benchmark tracer rebinds them
 from ridesim.decisions import build_decision_set
 from ridesim.engine import run_day
-from ridesim.errors import (
-    ConfigError,
-    GraphParseError,
-    GraphValidationError,
-    RidesimError,
-)
+from ridesim.errors import ConfigError, RidesimError
 from ridesim.experiments import day_to_day, parse_plan, run_grid
 from ridesim.netgraph import save_graph
 from ridesim.scenario import (
@@ -273,7 +268,7 @@ def main(argv=None) -> int:
         out = Output(args.out)
         seed, config_sha, summary = args.fn(args, out)
         out.write_manifest(seed, config_sha)
-    except (ConfigError, GraphParseError, GraphValidationError) as exc:
+    except ConfigError as exc:
         print(f"ridesim: {exc}", file=sys.stderr)
         return 1
     except (RidesimError, OSError) as exc:     # a runtime failure or an I/O error

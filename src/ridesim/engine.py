@@ -60,6 +60,7 @@ _PH_FINAL = 3      # horizon wrap-up
 
 # traveller statuses a day may end in
 _FINAL_STATUSES = {"arrived", "opted_out", "unserved", "rejected_waiting"}
+_QUEUE_ORDER = operator.attrgetter("t_request", "request_id")    # of a Request
 
 # hooks whose answer must be True or False, checked in ``_Sim.hook``
 _YES_NO = frozenset({"f_driver_out", "f_trav_out", "f_driver_decline", "f_trav_mode"})
@@ -180,8 +181,7 @@ class _Sim:
         }
         self.drivers = {d.driver_id: _DriverSim(d) for d in inputs.drivers}
         # the one request queue every platform matches from
-        self.waiting = []              # Requests, (t_request, request_id) order
-        self.waiting_keys = []         # their (t_request, request_id), index for index
+        self.waiting = []              # Requests in _QUEUE_ORDER
         self.waiting_ids = set()       # request ids in ``waiting``
         self.open_counts = {}          # origin node -> requests waiting there
         self.open_view = MappingProxyType(self.open_counts)
@@ -362,10 +362,7 @@ class _Sim:
 
     def _enqueue(self, request):
         """Put a request on the queue that every platform matches from."""
-        key = (request.t_request, request.request_id)
-        i = bisect.bisect_right(self.waiting_keys, key)
-        self.waiting_keys.insert(i, key)
-        self.waiting.insert(i, request)
+        bisect.insort(self.waiting, request, key=_QUEUE_ORDER)
         self.waiting_ids.add(request.request_id)
         self.open_counts[request.origin] = self.open_counts.get(request.origin, 0) + 1
 
@@ -373,9 +370,8 @@ class _Sim:
         """Take a request off the queue; a no-op if it is not waiting."""
         if request.request_id not in self.waiting_ids:
             return
-        i = bisect.bisect_left(self.waiting_keys, (request.t_request, request.request_id))
-        del self.waiting_keys[i]
-        del self.waiting[i]
+        del self.waiting[bisect.bisect_left(self.waiting, _QUEUE_ORDER(request),
+                                            key=_QUEUE_ORDER)]
         self.waiting_ids.remove(request.request_id)
         left = self.open_counts[request.origin] - 1
         if left:

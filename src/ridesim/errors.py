@@ -5,21 +5,15 @@ class RidesimError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class GraphParseError(RidesimError):
-    """A graph CSV file is malformed; the message names file and row."""
-
-
-class GraphValidationError(RidesimError):
-    """A parsed graph violates an invariant (dangling edge, bad attribute,
-    missing strong connectivity); the message names the offending element."""
-
-
 class ConfigError(RidesimError):
-    """A scenario or plan file is invalid.
+    """An input is invalid: a config, plan or flag, or an input file (a
+    graph's nodes or edges, requests, drivers, a stored ``events.csv``).
+    The message reads ``why: where``.
 
-    ``path`` is the JSON path of the offending element (e.g.
-    ``platforms[0].commission_rate``), or the file path for file-level
-    problems.
+    ``path`` says where: the JSON path of the offending element (e.g.
+    ``platforms[0].commission_rate``), the flag, the file for file-level
+    problems, ``<file>:row N`` for one CSV row, or ``grid_city(RxC)`` for a
+    generated grid.
     """
 
     def __init__(self, path: str, message: str = ""):
@@ -39,4 +33,4 @@ class SimulationError(RidesimError):
 
 
 class LogValidationError(RidesimError):
-    """An event log failed replay validation."""
+    """An event log's content failed replay validation."""

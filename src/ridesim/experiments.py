@@ -69,7 +69,7 @@ class Plan:
 def parse_plan(raw: dict, base_dir=".") -> Plan:
     """Validate a plan and parse each of its grid cells, so a bad cell fails
     before any run; an error in a cell names its grid values."""
-    json_object(raw, "", ("base", "grid", "replications", "base_seed"), ("threads",))
+    json_object(raw, "", ("base", "grid", "replications", "base_seed"))
     base, base_dir = raw["base"], Path(base_dir)
     if isinstance(base, str):
         base_path = base_dir / base
@@ -89,7 +89,6 @@ def parse_plan(raw: dict, base_dir=".") -> Plan:
     # the last replication's seed, base_seed + reps - 1, must be a seed too
     seed = number(raw, "base_seed", Range(
         0, 2 ** 64 - reps, f"an integer in [0, 2**64 - {reps}] for {reps} replications"), int)
-    number(raw, "threads", AT_LEAST_1, int)     # checked, then unused
     cells = []
     for combo in itertools.product(*grid.values()):
         cell = dict(zip(grid, combo))

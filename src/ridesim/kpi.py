@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from ridesim.engine import EventRecord
-from ridesim.errors import LogValidationError, SimulationError
-from ridesim.util import fmt_num, read_csv, write_csv
+from ridesim.errors import ConfigError, LogValidationError, SimulationError
+from ridesim.util import fmt_num, integer, number, read_csv, write_csv
 
 EVENTS_HEADER = ["day", "t_s", "agent_kind", "agent_id", "event", "node", "meta"]
 
@@ -77,19 +77,11 @@ _META_KEYS = {
 }
 
 
-def _finite(text: str) -> float:
-    """The finite float ``text`` spells; ValueError for NaN or an infinity."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not finite")
-    return value
-
-
 # how read_events_csv parses each meta value
 _META_TYPES = {
-    "request_id": int, "platform_id": int, "driver_id": int, "target": int,
-    "reason": str, "eta_s": _finite, "fare": _finite, "payout": _finite,
-    "cut": _finite, "dist_m": _finite,
+    "request_id": integer, "platform_id": integer, "driver_id": integer,
+    "target": integer, "reason": str, "eta_s": number, "fare": number,
+    "payout": number, "cut": number, "dist_m": number,
 }
 # the same as ("key=", index into an EventRecord, formatter) triples, for
 # write_events_csv: the one string field as it is, numbers by fmt_num
@@ -112,7 +104,7 @@ def _parse_meta(text: str) -> dict:
 
 
 # how read_events_csv parses each column
-_EVENTS_TYPES = (int, _finite, str, int, str, int, _parse_meta)
+_EVENTS_TYPES = (integer, number, str, integer, str, integer, _parse_meta)
 
 
 # ------------------------------------------------------------------ replay
@@ -455,18 +447,16 @@ def write_events_csv(fh, log: Sequence[EventRecord]) -> None:
 def read_events_csv(path) -> tuple[EventRecord, ...]:
     """The records of an ``events.csv``. A row's ``meta`` must carry exactly
     the keys its event writes, in their order, so writing the records back
-    gives the same rows."""
+    gives the same rows. A file that breaks this format raises a
+    ``ConfigError``, as ``read_csv`` does; ``validate_log`` checks the
+    records."""
     p = Path(path)
-
-    def fail(why, line):
-        return LogValidationError(f"{p}: row {line}: {why}" if line else f"{p}: {why}")
-
     records = []
-    for line, row in read_csv(p, EVENTS_HEADER, _EVENTS_TYPES, fail):
+    for line, row in read_csv(p, EVENTS_HEADER, _EVENTS_TYPES):
         keys = _META_KEYS.get(row[4], ())
         if tuple(row[6]) != keys:
-            raise fail(f"{row[4]} meta must have the keys "
-                       f"{';'.join(keys) or '(none)'}", line)
+            raise ConfigError(f"{p}:row {line}", f"{row[4]} meta must have the keys "
+                              f"{';'.join(keys) or '(none)'}")
         records.append(EventRecord(*row[:6], **row[6]))
     return tuple(records)
 

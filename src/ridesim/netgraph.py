@@ -14,8 +14,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from ridesim.errors import GraphParseError, GraphValidationError
-from ridesim.util import read_csv, write_csv
+from ridesim.errors import ConfigError
+from ridesim.util import integer, number, read_csv, write_csv
 
 NODES_HEADER = ["node_id", "x", "y"]
 EDGES_HEADER = ["from", "to", "length_m", "speed_mps"]
@@ -80,44 +80,35 @@ class SkimMatrix:
 
 def _validate(nodes: list[Node], edges: list[Edge], source: str,
               edges_source: str) -> RoadNetwork:
-    """The network of ``nodes`` and ``edges``, checked; an error names the
-    graph by ``source`` or, for one edge, the edges by ``edges_source``."""
+    """The network of ``nodes`` and ``edges``, checked; a ``ConfigError``
+    names the graph by ``source`` or, for one edge, the edges by
+    ``edges_source``."""
     n = len(nodes)
     if n == 0:
-        raise GraphValidationError(f"{source}: graph has no nodes")
+        raise ConfigError(source, "graph has no nodes")
     ids = [nd.node_id for nd in nodes]
     if sorted(ids) != list(range(n)):
         seen: set[int] = set()
         for nd in nodes:
             if nd.node_id in seen:
-                raise GraphValidationError(f"{source}: duplicate node id {nd.node_id}")
+                raise ConfigError(source, f"duplicate node id {nd.node_id}")
             seen.add(nd.node_id)
         missing = sorted(set(range(n)) - seen)
         bad = missing[0] if missing else max(ids)
-        raise GraphValidationError(
-            f"{source}: node ids must be dense in [0, {n}); problem at id {bad}"
-        )
+        raise ConfigError(source, f"node ids must be dense in [0, {n}); problem at id {bad}")
     nodes = sorted(nodes, key=lambda nd: nd.node_id)
     for i, e in enumerate(edges):
         if not (0 <= e.src < n) or not (0 <= e.dst < n):
-            raise GraphValidationError(
-                f"{edges_source}: edge {i} ({e.src}->{e.dst}) references a missing node"
-            )
-        if not 0 < e.length_m < math.inf:
-            raise GraphValidationError(
-                f"{edges_source}: edge {i} ({e.src}->{e.dst}) has non-positive or "
-                f"non-finite length {e.length_m}"
-            )
-        if not 0 < e.speed_mps < math.inf:
-            raise GraphValidationError(
-                f"{edges_source}: edge {i} ({e.src}->{e.dst}) has non-positive or "
-                f"non-finite speed {e.speed_mps}"
-            )
-        if not e.travel_time_s < math.inf:
-            raise GraphValidationError(
-                f"{edges_source}: edge {i} ({e.src}->{e.dst}) has non-finite travel "
-                f"time: length {e.length_m} m at speed {e.speed_mps} m/s"
-            )
+            why = "references a missing node"
+        elif not 0 < e.length_m < math.inf:
+            why = f"has non-positive or non-finite length {e.length_m}"
+        elif not 0 < e.speed_mps < math.inf:
+            why = f"has non-positive or non-finite speed {e.speed_mps}"
+        elif not e.travel_time_s < math.inf:
+            why = f"has non-finite travel time: length {e.length_m} m at speed {e.speed_mps} m/s"
+        else:
+            continue
+        raise ConfigError(edges_source, f"edge {i} ({e.src}->{e.dst}) {why}")
     net = RoadNetwork(nodes=tuple(nodes), edges=tuple(edges), edges_source=edges_source)
     _check_strong_connectivity(net, source)
     return net
@@ -131,20 +122,19 @@ def _check_strong_connectivity(net: RoadNetwork, source: str) -> None:
         cut_off = np.ones(net.n, dtype=bool)
         cut_off[breadth_first_order(adj, 0, return_predecessors=False)] = False
         if cut_off.any():
-            raise GraphValidationError(
-                f"{source}: graph is not strongly connected; "
-                f"node {np.argmax(cut_off)} is unreachable {label} node 0"
-            )
+            raise ConfigError(source, "graph is not strongly connected; node "
+                              f"{np.argmax(cut_off)} is unreachable {label} node 0")
 
 
 def grid_city(rows: int, cols: int, spacing: float, speed: float) -> RoadNetwork:
     """Manhattan grid of ``rows`` x ``cols`` nodes with bidirectional edges
     between 4-neighbours. Node (r, c) has id ``r * cols + c``; all edges have
     length ``spacing`` meters and the given free-flow speed."""
+    source = f"grid_city({rows}x{cols})"
     if rows < 2 or cols < 2:
-        raise GraphValidationError(f"grid_city needs rows, cols >= 2 (got {rows}x{cols})")
+        raise ConfigError(source, "needs rows, cols >= 2")
     if spacing <= 0 or speed <= 0:
-        raise GraphValidationError("grid_city needs spacing > 0 and speed > 0")
+        raise ConfigError(source, "needs spacing > 0 and speed > 0")
     nodes = [
         Node(node_id=r * cols + c, x=c * spacing, y=r * spacing)
         for r in range(rows)
@@ -162,7 +152,6 @@ def grid_city(rows: int, cols: int, spacing: float, speed: float) -> RoadNetwork
                 v = u + cols
                 edges.append(Edge(u, v, spacing, speed))
                 edges.append(Edge(v, u, spacing, speed))
-    source = f"grid_city({rows}x{cols})"
     return _validate(nodes, edges, source, source)
 
 
@@ -170,17 +159,10 @@ def load_graph(nodes_path: str | Path, edges_path: str | Path) -> RoadNetwork:
     """Load and validate a network from its nodes and edges CSV files (the
     files ``save_graph`` writes)."""
     nodes_p, edges_p = Path(nodes_path), Path(edges_path)
-    nodes = [Node(*row) for _, row in
-             read_csv(nodes_p, NODES_HEADER, (int, float, float), _parse_error(nodes_p))]
+    nodes = [Node(*row) for _, row in read_csv(nodes_p, NODES_HEADER, (integer, number, number))]
     edges = [Edge(*row) for _, row in
-             read_csv(edges_p, EDGES_HEADER, (int, int, float, float), _parse_error(edges_p))]
+             read_csv(edges_p, EDGES_HEADER, (integer, integer, number, number))]
     return _validate(nodes, edges, str(nodes_p.parent), str(edges_p))
-
-
-def _parse_error(path: Path):
-    """The ``fail`` of ``read_csv`` for a graph file."""
-    return lambda why, line: GraphParseError(
-        f"{path}: row {line}: {why}" if line else f"{path}: {why}")
 
 
 def save_graph(net: RoadNetwork, nodes_path: str | Path, edges_path: str | Path) -> None:
@@ -198,7 +180,7 @@ def build_skim(net: RoadNetwork) -> SkimMatrix:
     a second search over the edges that lie on a fastest path (``t[s, u] +
     et == t[s, v]``), weighted by length, gives the shortest of those paths.
     A sum of finite edge times or lengths can overflow: a path whose time or
-    length is not finite is a ``GraphValidationError``.
+    length is not finite is a ``ConfigError``.
     """
     n = net.n
     src = np.array([e.src for e in net.edges], dtype=np.int64)
@@ -223,8 +205,6 @@ def build_skim(net: RoadNetwork) -> SkimMatrix:
         dist[s] = dijkstra(graph, indices=s)
     if not (tt.max() < np.inf and dist.max() < np.inf):     # NaN fails too
         u, v = np.argwhere(~(np.isfinite(tt) & np.isfinite(dist)))[0]
-        raise GraphValidationError(
-            f"{net.edges_source}: the fastest path from node {u} to node {v} takes "
-            f"{float(tt[u, v])} s over {float(dist[u, v])} m, not both finite"
-        )
+        raise ConfigError(net.edges_source, f"the fastest path from node {u} to node {v} "
+                          f"takes {float(tt[u, v])} s over {float(dist[u, v])} m, not both finite")
     return SkimMatrix(travel_time=tt, distance=dist)

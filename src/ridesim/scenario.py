@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+from ridesim import util
 from ridesim.errors import ConfigError
 from ridesim.netgraph import RoadNetwork, SkimMatrix, build_skim, grid_city, load_graph
 from ridesim.seeds import substream
-from ridesim.util import read_csv, read_input, write_csv
 
 REQUESTS_HEADER = ["request_id", "traveller_id", "origin", "destination", "t_request_s"]
 DRIVERS_HEADER = ["driver_id", "home_node", "shift_start_s", "shift_end_s", "platform_ids"]
@@ -115,8 +115,8 @@ def read_json(path, what: str, at: str | None = None):
     JSON path ``at`` that refers to the file, with the file in the message.
     """
     where, label = (str(path), f"{what} file") if at is None else (at, f"{what} file {path}")
-    text = read_input(Path(path) if isinstance(path, str) else path,
-                      lambda why: ConfigError(where, f"{label} {why}"))
+    text = util.read_input(Path(path) if isinstance(path, str) else path,
+                           lambda why: ConfigError(where, f"{label} {why}"))
     try:
         return json.loads(text), text
     except (ValueError, RecursionError) as exc:   # over-long integers, deep nesting
@@ -444,8 +444,8 @@ def load_requests_csv(path: str, net: RoadNetwork, horizon: float) -> list[Reque
     out = []
     seen: set[int] = set()
     travellers: set[int] = set()
-    types = (int, int, int, int, float)
-    for lineno, row in read_csv(Path(path), REQUESTS_HEADER, types, _input_error(path)):
+    types = (util.integer, util.integer, util.integer, util.integer, util.number)
+    for lineno, row in util.read_csv(Path(path), REQUESTS_HEADER, types):
         at = f"{path}:row {lineno}"
         req = Request(*row)
         if req.request_id in seen:
@@ -471,8 +471,8 @@ def load_drivers_csv(
 ) -> list[DriverSpec]:
     out = []
     seen: set[int] = set()
-    types = (int, int, float, float, _platform_ids)
-    for lineno, row in read_csv(Path(path), DRIVERS_HEADER, types, _input_error(path)):
+    types = (util.integer, util.integer, util.number, util.number, _platform_ids)
+    for lineno, row in util.read_csv(Path(path), DRIVERS_HEADER, types):
         at = f"{path}:row {lineno}"
         spec = DriverSpec(*row)
         if spec.driver_id in seen:
@@ -497,24 +497,19 @@ def load_drivers_csv(
 
 
 def _platform_ids(text: str) -> tuple[int, ...]:
-    # an empty cell names no platform; an empty segment fails int()
-    return tuple(int(x) for x in text.split(";")) if text else ()
-
-
-def _input_error(path: str):
-    """The ``fail`` of ``read_csv`` for a demand or supply file."""
-    return lambda why, line: ConfigError(f"{path}:row {line}" if line else path, why)
+    # an empty cell names no platform; an empty segment is malformed
+    return tuple(util.integer(x) for x in text.split(";")) if text else ()
 
 
 def save_requests_csv(requests: list[Request], path: str | Path) -> None:
-    write_csv(path, REQUESTS_HEADER, (
+    util.write_csv(path, REQUESTS_HEADER, (
         (r.request_id, r.traveller_id, r.origin, r.destination, r.t_request)
         for r in requests
     ), "\n")
 
 
 def save_drivers_csv(drivers: list[DriverSpec], path: str | Path) -> None:
-    write_csv(path, DRIVERS_HEADER, (
+    util.write_csv(path, DRIVERS_HEADER, (
         (d.driver_id, d.home_node, d.shift_start, d.shift_end,
          ";".join(str(p) for p in d.platform_ids))
         for d in drivers
@@ -544,7 +539,7 @@ def shared_inputs(config: ScenarioConfig, memo: dict):
     The network is built, ``check_demand`` run on it, the skim built and
     the files read, in that order, and each file's row count is checked
     against ``n_travellers`` or ``n_drivers`` on every call. A failure
-    raises a ``ConfigError``, or a graph file's own error.
+    raises a ``ConfigError``.
     """
     graph, horizon = config.graph, config.horizon_s
     net = _memo(memo, ("net", graph), graph.build)

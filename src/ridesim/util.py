@@ -2,6 +2,10 @@
 
 import csv
 import io
+import math
+import re
+
+from ridesim.errors import ConfigError
 
 
 def read_input(path, fail) -> str:
@@ -39,35 +43,61 @@ def cell(value) -> str:
     return str(value)
 
 
-def read_csv(path, header, types, fail):
+_INTEGER = re.compile(r"-?[0-9]+")
+_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+def integer(text: str) -> int:
+    """The int ``text`` spells as an optional ``-`` and ASCII digits;
+    ValueError for anything else."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def number(text: str) -> float:
+    """The finite float ``text`` spells as an optional ``-``, ASCII digits,
+    an optional ``.`` and digits, and an optional exponent (``e`` or ``E``,
+    an optional sign, digits); ValueError for anything else. Reads back
+    every finite number ``fmt_num`` writes."""
+    if _NUMBER.fullmatch(text):
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"not a finite number: {text!r}")
+
+
+def read_csv(path, header, types):
     """Yield ``(line, row)`` for each data row of the CSV file at ``path``
     (a ``Path``): ``line`` is the row's physical line number and ``row`` the
     tuple of its fields, each converted by the matching callable of
-    ``types``. The first line must equal ``header``; blank lines are
-    skipped. A problem raises ``fail(why, line)``, with ``line`` None when
-    it concerns the whole file (unreadable, wrong header)."""
-    text = read_input(path, lambda why: fail(f"file {why}", None))
+    ``types`` (a ValueError marks a malformed row). The first line must
+    equal ``header``; blank lines are skipped. A problem raises a
+    ``ConfigError`` whose path is ``<file>`` for the whole file (unreadable,
+    wrong header) and ``<file>:row N`` for a row."""
+    text = read_input(path, lambda why: ConfigError(str(path), f"file {why}"))
     rows = csv.reader(io.StringIO(text, newline=""))
     try:
         got = next(rows, None)
         if got != header:
-            raise fail(f"expected header {','.join(header)}, got "
-                       f"{','.join(got) if got else '<empty file>'}", None)
+            raise ConfigError(str(path), f"expected header {','.join(header)}, got "
+                              f"{','.join(got) if got else '<empty file>'}")
         end = rows.line_num
         for row in rows:
             line, end = end + 1, rows.line_num
             if not row:
                 continue
             if len(row) != len(header):
-                raise fail(f"has {len(row)} fields, expected {len(header)} fields",
-                           line)
+                raise ConfigError(f"{path}:row {line}", f"has {len(row)} fields, "
+                                  f"expected {len(header)} fields")
             try:
                 fields = tuple(conv(value) for conv, value in zip(types, row))
             except ValueError:
-                raise fail(f"malformed row {row!r}", line) from None
+                raise ConfigError(f"{path}:row {line}", f"malformed row {row!r}") from None
             yield line, fields
     except csv.Error as exc:
-        raise fail(f"malformed CSV ({exc})", rows.line_num) from None
+        raise ConfigError(f"{path}:row {rows.line_num}",
+                          f"malformed CSV ({exc})") from None
 
 
 def write_csv(path, header, rows, eol) -> None:

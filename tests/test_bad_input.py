@@ -76,7 +76,6 @@ PLAN = {
     "grid": {"n_drivers": [1, 2], "platforms[1].fare_per_km": [1.0]},
     "replications": 2,
     "base_seed": 4,
-    "threads": 2,
 }
 
 # wrong JSON types, negatives, zeros, non-finite tokens, nesting; the only

@@ -16,6 +16,7 @@ import ridesim
 from ridesim import kpi, presets, scenario
 from ridesim.cli import Output, main
 from ridesim.decisions import default_match, register
+from ridesim.errors import ConfigError, LogValidationError, RidesimError, SimulationError
 
 RUN_FILES = {"events.csv", "kpi_travellers.csv", "kpi_drivers.csv",
              "kpi_system.csv", "kpi_nodes.csv", "manifest.json"}
@@ -102,7 +103,7 @@ def _nan_edge_config(tmp_path):
 def _csv_config(tmp_path, key, text):
     """small_config reading its requests or drivers from a CSV with ``text``."""
     name = key.replace("_csv", ".csv")
-    (tmp_path / name).write_text(text)
+    (tmp_path / name).write_text(text, encoding="utf-8")
     return small_config(**{key: name})
 
 
@@ -126,7 +127,7 @@ BAD_VALUES = {
                         "expected an object: graph.grid"),
     "graph_paths_not_strings": (lambda tmp: small_config(graph={"nodes": 1, "edges": "e.csv"}),
                                 "nodes and edges must be file paths: graph"),
-    "graph_without_nodes": (_no_node_config, "city: graph has no nodes"),
+    "graph_without_nodes": (_no_node_config, "graph has no nodes: "),
     "decisions_not_object": (lambda tmp: small_config(decisions=["default"]),
                              "expected an object: decisions"),
     "decision_name_not_string": (lambda tmp: small_config(decisions={"f_match": 1}),
@@ -148,7 +149,8 @@ BAD_VALUES = {
                   "behaviour.t_board_s"),
     "spacing_inf": (lambda tmp: _with("graph.grid.spacing_m", float("inf")),
                     "graph.grid.spacing_m"),
-    "edge_length_nan": (_nan_edge_config, "edge 0 (0->1)"),
+    "edge_length_nan": (_nan_edge_config,
+                        "malformed row ['0', '1', 'nan', '10']: "),
     "demand_weight_nan": (lambda tmp: small_config(demand_weights=[1.0] * 8 + [float("nan")]),
                           "demand_weights[8]"),
     "demand_weight_huge": (lambda tmp: small_config(demand_weights=[1] * 8 + [10 ** 400]),
@@ -168,6 +170,16 @@ BAD_VALUES = {
                                 "driver_id,home_node,shift_start_s,shift_end_s,platform_ids\n"
                                 "0,1,0,600,0,7\n"),
         "drivers.csv:row 2"),
+    # cells that Python's int() and float() read but the number grammar does not
+    "drivers_csv_non_ascii_digit": (
+        lambda tmp: _csv_config(tmp, "drivers_csv",
+                                DRIVERS_CSV_HEADER + "1_0,\u0663,0,3600, 0 \n"),
+        "malformed row ['1_0', '\u0663', '0', '3600', ' 0 ']: "),
+    "requests_csv_plus_sign": (
+        lambda tmp: _csv_config(tmp, "requests_csv",
+                                "request_id,traveller_id,origin,destination,t_request_s\n"
+                                "+1,2,0,\uff18, 1_0.5 \n"),
+        "malformed row ['+1', '2', '0', '\uff18', ' 1_0.5 ']: "),
 }
 
 
@@ -282,20 +294,22 @@ def _graph_config(tmp_path, edges):
     return small_config(graph={"nodes": "city/nodes.csv", "edges": "city/edges.csv"})
 
 
-# runs whose numbers would overflow to inf: (argv, exit code, message)
+# runs whose numbers would overflow to inf: (argv, exit code, message with
+# {tmp} for the test's directory)
 OVERFLOWS = {
     "grid-edge-time": (lambda tmp: ["generate", "--grid", "3", "3", "1e308", "1e-10"], 1,
-                       "grid_city(3x3): edge 0 (0->1) has non-finite travel time: "
-                       "length 1e+308 m at speed 1e-10 m/s"),
+                       "edge 0 (0->1) has non-finite travel time: "
+                       "length 1e+308 m at speed 1e-10 m/s: grid_city(3x3)"),
     "edge-time": (lambda tmp: _config_argv(tmp, ["run"], **_graph_config(tmp, [
         ("0", "1", "1e308", "1e-10"), ("1", "0", "100", "10"),
         ("1", "2", "100", "10"), ("2", "1", "100", "10")])), 1,
-        "edges.csv: edge 0 (0->1) has non-finite travel time"),
+        "edge 0 (0->1) has non-finite travel time: length 1e+308 m at speed 1e-10 m/s: "
+        "{tmp}/city/edges.csv"),
     "path-length": (lambda tmp: _config_argv(tmp, ["run"], **_graph_config(tmp, [
         ("0", "1", "1e308", "1e300"), ("1", "0", "100", "10"),
         ("1", "2", "1e308", "1e300"), ("2", "1", "100", "10")])), 1,
-        "edges.csv: the fastest path from node 0 to node 2 takes 200000000.0 s over inf m, "
-        "not both finite"),
+        "the fastest path from node 0 to node 2 takes 200000000.0 s over inf m, "
+        "not both finite: {tmp}/city/edges.csv"),
     "dwell": (lambda tmp: _config_argv(tmp, ["run"], behaviour={
         "t_board_s": 1.7e308, "service_variability": 0.5}), 2, "which overflows the clock"),
     "fare": (lambda tmp: _config_argv(tmp, ["run"], platforms=[{
@@ -317,6 +331,7 @@ def test_overflowing_numbers_exit_with_one_line(case, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(make(tmp_path) + ["--out", str(out)]) == code
     err = capsys.readouterr().err.splitlines()
+    where = where.format(tmp=tmp_path)
     assert len(err) == 1 and err[0].startswith("ridesim: ") and where in err[0], err
     assert not out.exists()
 
@@ -1130,3 +1145,10 @@ def test_golden_outputs(case, tmp_path):
     assert digests == GOLDEN[case]
     manifest = json.loads((out / "manifest.json").read_text())
     assert [f["name"] for f in manifest["files"]] == sorted(GOLDEN[case])
+
+
+def test_every_error_is_an_input_or_a_runtime_error():
+    # main exits 1 for a ConfigError and 2 for any other RidesimError
+    subclasses = RidesimError.__subclasses__()
+    assert set(subclasses) == {ConfigError, SimulationError, LogValidationError}
+    assert all(cls.__subclasses__() == [] for cls in subclasses)

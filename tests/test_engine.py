@@ -796,12 +796,11 @@ def test_engine_queues_events_in_few_places():
 
 def check_queues(sim):
     """The engine's waiting counts by origin equal a rescan of its request
-    queue; the queue is in (t_request, request_id) order, its bisect keys
-    are those of its requests, it matches its id set and holds exactly the
-    travellers waiting for an offer. Returns the rescanned counts."""
+    queue; the queue is in (t_request, request_id) order, it matches its id
+    set and holds exactly the travellers waiting for an offer. Returns the
+    rescanned counts."""
     keys = [(r.t_request, r.request_id) for r in sim.waiting]
     assert keys == sorted(keys)
-    assert sim.waiting_keys == keys
     assert len(keys) == len(sim.waiting_ids)
     assert {r.request_id for r in sim.waiting} == sim.waiting_ids
     waiting = {t.request.request_id for t in sim.travellers.values()

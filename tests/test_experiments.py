@@ -109,8 +109,13 @@ def test_parse_plan_defaults():
         for n in (2, 4) for fare in (1.0, 2.0)]
 
 
-def test_parse_plan_threads_key_changes_nothing():
-    assert parse_plan(plan_raw(threads=4)) == parse_plan(plan_raw())
+def test_plan_threads_key_exits_1(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_raw(threads=4)))
+    out = tmp_path / "out"
+    assert main(["experiment", "--plan", str(plan), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "ridesim: unknown key: threads\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mutate,needle", [
@@ -124,9 +129,6 @@ def test_parse_plan_threads_key_changes_nothing():
     (lambda r: r.update(base_seed=-1), "base_seed"),
     pytest.param(lambda r: r.update(base_seed=2 ** 64 - 1), "base_seed",
                  id="last_replication_seed_too_large"),     # 2 replications
-    (lambda r: r.update(threads=0), "threads"),
-    (lambda r: r.update(threads=True), "threads"),
-    (lambda r: r.update(threads=2.5), "threads"),
     (lambda r: r.update(surprise=1), "surprise"),
     pytest.param(lambda r: r.update(base="broken.json"), "invalid JSON.*: base$",
                  id="base_invalid_json"),
@@ -214,7 +216,7 @@ def test_run_grid_runs_every_day_on_the_calling_thread(monkeypatch):
     run_day = experiments.run_day
     monkeypatch.setattr(experiments, "run_day", recorded)
     before = threading.active_count()
-    rows = run_grid(parse_plan(plan_raw(threads=4)))
+    rows = run_grid(parse_plan(plan_raw()))
     assert len(threads) == len(rows) == 8
     assert set(threads) == {threading.get_ident()}
     assert max(active) == threading.active_count() == before
@@ -443,6 +445,23 @@ def test_input_error_in_last_cell_fails_before_any_run(
     assert calls == []
     assert capsys.readouterr().err == (
         f"ridesim: {needle.format(dir=tmp_path)} in grid cell {json.dumps(cell)}\n")
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert (out / "manifest.json").read_text() == "{}"
+
+
+def test_graph_error_in_a_cell_names_the_cell(tmp_path, capsys):
+    # the second cell's edges take 1e300 m / 1e-10 m/s, which overflows
+    grid = {"rows": 3, "cols": 3, "spacing_m": 500, "speed_mps": 1e-10}
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_raw(base=base_raw(graph={"grid": grid}),
+                                        grid={"graph.grid.spacing_m": [500, 1e300]})))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}")      # an earlier run's
+    assert main(["experiment", "--plan", str(plan), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "ridesim: edge 0 (0->1) has non-finite travel time: length 1e+300 m at speed "
+        '1e-10 m/s: grid_city(3x3) in grid cell {"graph.grid.spacing_m": 1e+300}\n')
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
     assert (out / "manifest.json").read_text() == "{}"
 

@@ -87,7 +87,6 @@ CONFIG_BOUNDS = [
 
 PLAN_BOUNDS = [
     ("replications", 1, 0),
-    ("threads", 1, 0),
     ("base_seed", 0, -1),
     ("base_seed", 2 ** 64 - 2, 2 ** 64 - 1),     # the second replication's seed overflows
 ]

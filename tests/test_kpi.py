@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ridesim import presets
 from ridesim.decisions import build_decision_set
 from ridesim.engine import EventRecord, run_day
-from ridesim.errors import LogValidationError, SimulationError
+from ridesim.errors import ConfigError, LogValidationError, SimulationError
 from ridesim.experiments import day_to_day
 from ridesim.kpi import (
     _META_KEYS,
@@ -482,7 +482,7 @@ def test_read_events_csv_rejects_unknown_meta_key(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("day,t_s,agent_kind,agent_id,event,node,meta\n"
                     "0,0,TRAVELLER,0,UNSERVED,0,colour=red\n")
-    with pytest.raises(LogValidationError, match="malformed row"):
+    with pytest.raises(ConfigError, match="malformed row"):
         read_events_csv(path)
 
 
@@ -508,7 +508,7 @@ def test_read_events_csv_rejects_meta_not_of_its_event(event, meta, tmp_path):
     row = 2 + [*META_TEXT, "PLANS"].index(event)        # the header is line 1
     lines[row - 1] = f"0,1.5,DRIVER,7,{event},2,{meta}"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(LogValidationError, match=f"events.csv: row {row}: ") as err:
+    with pytest.raises(ConfigError, match=rf"events\.csv:row {row}$") as err:
         read_events_csv(path)
     parts = meta.split(";")
     expected = ";".join(_META_KEYS.get(event, ())) or "(none)"
@@ -529,7 +529,7 @@ def test_read_events_csv_rejects_non_finite_times(text, tmp_path):
         day, _, rest = lines[i].split(",", 2)
         lines[i] = f"{day},{text},{rest}"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(LogValidationError, match=f"events.csv: row {rows[0] + 1}: malformed"):
+    with pytest.raises(ConfigError, match=rf"^malformed row .*events\.csv:row {rows[0] + 1}$"):
         read_events_csv(path)
 
 
@@ -543,7 +543,7 @@ def test_read_events_csv_rejects_non_finite_meta(key, text, tmp_path):
     value = fmt_num(META_DETAIL[key])
     lines[row - 1] = lines[row - 1].replace(f"{key}={value}", f"{key}={text}")
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(LogValidationError, match=f"events.csv: row {row}: malformed"):
+    with pytest.raises(ConfigError, match=rf"^malformed row .*events\.csv:row {row}$"):
         read_events_csv(path)
 
 
@@ -566,7 +566,7 @@ def test_read_events_csv_unreadable_file_names_it(content, tmp_path):
                          b"0,0,TRAVELLER,0,PLANS,0,\xff\r\n")
     elif content == "directory":
         path.mkdir()
-    with pytest.raises(LogValidationError, match="events.csv"):
+    with pytest.raises(ConfigError, match="events.csv"):
         read_events_csv(path)
 
 
