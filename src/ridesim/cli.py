@@ -7,9 +7,15 @@ other outputs are plain CSV and byte-reproducible for a fixed config and
 seed (wall-clock timestamps live only in the manifest).
 
 Exit codes: 0 success, 1 invalid input or config, 2 runtime failure.
+
+The process runs with one OpenBLAS thread unless ``OPENBLAS_NUM_THREADS`` is
+set (ridesim makes no BLAS call, and idle BLAS workers only spin), and
+``main`` runs its command with the cyclic garbage collector paused (a
+simulated day leaves no cyclic garbage, so its passes find nothing).
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -17,6 +23,8 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")      # before numpy is first imported
 
 from ridesim import __version__, kpi, presets
 # build_decision_set, run_day and materialize are unused here; the benchmark tracer rebinds them
@@ -263,6 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         out = Output(args.out)
@@ -274,5 +284,8 @@ def main(argv=None) -> int:
     except (RidesimError, OSError) as exc:     # a runtime failure or an I/O error
         print(f"ridesim: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     print(summary)
     return 0

@@ -43,7 +43,8 @@ class Edge:
 @dataclass(frozen=True)
 class RoadNetwork:
     """Validated directed road graph. Immutable; safe to share across runs.
-    ``edges_source`` names where the edges came from, for error messages."""
+    ``edges_source`` names where the edges came from, for error messages;
+    a network built without it is named ``RoadNetwork(<n> nodes)``."""
 
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
@@ -205,6 +206,7 @@ def build_skim(net: RoadNetwork) -> SkimMatrix:
         dist[s] = dijkstra(graph, indices=s)
     if not (tt.max() < np.inf and dist.max() < np.inf):     # NaN fails too
         u, v = np.argwhere(~(np.isfinite(tt) & np.isfinite(dist)))[0]
-        raise ConfigError(net.edges_source, f"the fastest path from node {u} to node {v} "
+        raise ConfigError(net.edges_source or f"RoadNetwork({n} nodes)",
+                          f"the fastest path from node {u} to node {v} "
                           f"takes {float(tt[u, v])} s over {float(dist[u, v])} m, not both finite")
     return SkimMatrix(travel_time=tt, distance=dist)

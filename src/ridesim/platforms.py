@@ -5,14 +5,17 @@ closest idle driver the moment either side of the queue changes. Batched mode
 accumulates requests and solves one minimum-cost bipartite assignment per
 window boundary: a single ``linear_sum_assignment`` call, after which the
 tie rule among optimal assignments is applied on the edges its dual marks
-tight, without another solve.
+tight, without another solve. The solve is LAPJVsp
+(``scipy.sparse.csgraph.min_weight_full_bipartite_matching``), so matching
+needs no ``scipy.optimize``.
 """
 
 from dataclasses import dataclass, field
 from typing import AbstractSet, Mapping, NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from ridesim.netgraph import SkimMatrix
 from ridesim.scenario import PlatformSpec, Request
@@ -130,6 +133,36 @@ def match_batch(
                 break
     return Assignment(
         pairs=tuple((req_ids[i], drv_ids[j]) for i, j in enumerate(col_of) if j >= 0))
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A minimum-cost assignment of min(rows, cols) pairs of the non-empty,
+    finite and non-negative ``cost``, as ``(row_ind, col_ind)`` with rows
+    ascending, like ``scipy.optimize.linear_sum_assignment``.
+
+    The smaller side S (k nodes) is matched into the larger side L. When
+    S's cheapest L-nodes are all distinct, each S-node takes its own and no
+    solve is needed. Otherwise each S-node keeps only its k cheapest L-nodes
+    (one of them is free in any assignment that uses a dearer one, so some
+    optimum uses only those), and that sparse graph is solved exactly. Its
+    costs are shifted by +1.0, as the matcher drops zero entries; every full
+    assignment's total moves by k.
+    """
+    flip = cost.shape[0] > cost.shape[1]
+    a = cost.T if flip else cost
+    k, n = a.shape
+    best = a.argmin(axis=1)
+    if len(np.unique(best)) == k:
+        s_ind, l_ind = np.arange(k), best
+    else:
+        keep = np.argpartition(a, k - 1, axis=1)[:, :k]
+        graph = csr_matrix((np.take_along_axis(a, keep, axis=1).ravel() + 1.0,
+                            keep.ravel(), np.arange(0, k * k + 1, k)), shape=(k, n))
+        s_ind, l_ind = min_weight_full_bipartite_matching(graph)
+    if not flip:
+        return s_ind, l_ind
+    order = np.argsort(l_ind)
+    return l_ind[order], s_ind[order]
 
 
 def _optimal_support(cost: np.ndarray) -> tuple:

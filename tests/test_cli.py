@@ -1,6 +1,8 @@
 """Command-line behaviour: exit codes, output layout, manifests, reruns."""
 
+import argparse
 import ast
+import gc
 import hashlib
 import json
 import os
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import ridesim
-from ridesim import kpi, presets, scenario
+from ridesim import cli, kpi, presets, scenario
 from ridesim.cli import Output, main
 from ridesim.decisions import default_match, register
 from ridesim.errors import ConfigError, LogValidationError, RidesimError, SimulationError
@@ -1006,6 +1008,80 @@ def test_import_ridesim_loads_only_the_package():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_import_cli_loads_no_scipy_optimize():
+    # batched matching solves with scipy.sparse.csgraph, which the skim loads anyway
+    code = "import sys, ridesim.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_import_cli_pins_openblas_threads_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, ridesim.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{expected}\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("error, code", [
+    (None, 0), (ConfigError("x", "bad"), 1), (SimulationError("t=0: boom"), 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_main_pauses_gc_and_restores_the_callers_state(tmp_path, monkeypatch, enabled,
+                                                        error, code):
+    seen = []
+    real = cli.day_to_day
+
+    def day_to_day(*args):
+        seen.append(gc.isenabled())
+        if error is not None:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(cli, "day_to_day", day_to_day)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["run", "--config", "e1", "--out", str(tmp_path / "out")]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path):
+    # what lets main pause the collector: after a warm-up, a run, a grid
+    # cell, a learning loop and a batched run leave nothing for it to find.
+    # The command bodies run without main: its argument parser and the
+    # indented manifest JSON leave a fixed ~200 objects per command, however
+    # much the command simulates.
+    plan = json.loads(presets.read_text("e3"))
+    plan["grid"] = {"n_drivers": [25]}
+    plan["replications"] = 1
+    (tmp_path / "e3_cell.json").write_text(json.dumps(plan))
+    (tmp_path / "mixed.json").write_text(json.dumps(_golden_mixed_config()))
+    commands = [(cli.cmd_run, {"config": "e1", "seed": None, "days": 1}),
+                (cli.cmd_experiment, {"plan": str(tmp_path / "e3_cell.json"), "threads": None}),
+                (cli.cmd_run, {"config": "e4", "seed": None, "days": 2}),
+                (cli.cmd_run, {"config": str(tmp_path / "mixed.json"), "seed": None, "days": 1})]
+
+    def run_all(tag):
+        for i, (cmd, args) in enumerate(commands):
+            cmd(argparse.Namespace(**args), Output(str(tmp_path / f"{tag}{i}")))
+
+    run_all("warm")
+    gc.collect()
+    gc.disable()
+    try:
+        run_all("again")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -387,6 +387,15 @@ def test_skim_path_that_overflows_rejected():
         build_skim(net)
 
 
+def test_skim_overflow_names_a_network_built_without_a_source():
+    # built directly, not by grid_city or load_graph: edges_source is ""
+    net = make_net(3, [(0, 1, 1e308, 1e300), (1, 2, 1e308, 1e300),
+                       (2, 1, 100.0, 10.0), (1, 0, 100.0, 10.0)])
+    with pytest.raises(ConfigError, match=r"^the fastest path from node 0 to node 2 takes "
+                       r"200000000.0 s over inf m, not both finite: RoadNetwork\(3 nodes\)$"):
+        build_skim(net)
+
+
 # ---------------------------------------------------------------- file I/O
 
 def _write_graph(tmp_path, n, edge_pairs):

@@ -1,9 +1,10 @@
 """Matching, offer and settlement tests.
 
-match_instant is checked against a brute-force argmin; match_batch against
-exhaustive enumeration of every maximum-size assignment, including the
-lexicographic tie-break, and against the re-solve reconstruction it replaced
-(one assignment solve per candidate pair). Enumeration instances use integer
+match_instant is checked against a brute-force argmin; the assignment solve
+against scipy.optimize's, which it replaced; match_batch against exhaustive
+enumeration of every maximum-size assignment, including the lexicographic
+tie-break, and against the re-solve reconstruction it replaced (one
+assignment solve per candidate pair). Enumeration instances use integer
 costs so equality is exact.
 """
 
@@ -193,6 +194,45 @@ def test_instant_matches_brute_force_on_random_instances():
         )
         assert match_instant(request, idle, positions, skim, excluded) == \
             brute_force_instant(request, idle, positions, skim, excluded)
+
+
+# ---------------------------------------------------- linear_sum_assignment
+
+def assert_optimal_assignment(cost):
+    rows, cols = platforms.linear_sum_assignment(cost)
+    assert len(rows) == len(cols) == min(cost.shape)
+    assert rows.tolist() == sorted(set(rows.tolist()))
+    assert len(set(cols.tolist())) == len(cols)
+    assert _close(float(cost[rows, cols].sum()), _lap_cost(cost))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (6, 6), (40, 40),
+                                   (5, 17), (17, 5), (30, 90), (90, 30)])
+@pytest.mark.parametrize("kind", ["float", "integer"])
+def test_solver_total_matches_scipy_optimize(shape, kind):
+    # scipy.optimize is the oracle; integer costs in [0, 3) give many ties
+    # and zero entries, which the matcher would drop unshifted
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for _ in range(25):
+        if kind == "float":
+            cost = rng.uniform(0.0, 600.0, size=shape)
+        else:
+            cost = rng.integers(0, 3, size=shape).astype(float)
+        assert_optimal_assignment(cost)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flip", [False, True], ids=["wide", "tall"])
+def test_solver_distinct_cheapest_columns_need_no_solve(monkeypatch, flip):
+    def no_solve(graph):
+        raise AssertionError("solved although each row's cheapest column is its own")
+
+    monkeypatch.setattr(platforms, "min_weight_full_bipartite_matching", no_solve)
+    cost = np.array([[5.0, 0.0, 7.0, 9.0], [1.0, 4.0, 8.0, 2.0], [6.0, 6.0, 3.0, 6.0]])
+    rows, cols = platforms.linear_sum_assignment(cost.T if flip else cost)
+    # the cost is symmetric in its first two rows and columns
+    assert list(zip(rows.tolist(), cols.tolist())) == [(0, 1), (1, 0), (2, 2)]
 
 
 # -------------------------------------------------------------- match_batch
