@@ -5,9 +5,12 @@ closest idle driver the moment either side of the queue changes. Batched mode
 accumulates requests and solves one minimum-cost bipartite assignment per
 window boundary: a single ``linear_sum_assignment`` call, after which the
 tie rule among optimal assignments is applied on the edges its dual marks
-tight, without another solve. The solve is LAPJVsp
-(``scipy.sparse.csgraph.min_weight_full_bipartite_matching``), so matching
-needs no ``scipy.optimize``.
+tight, without another solve. The solve starts from the greedy assignment
+(each member of the smaller side takes its cheapest partner) and places each
+member left free by one shortest augmenting path over Python lists; a window
+whose repair would visit more than ``_REPAIR_CELLS`` cells goes to LAPJVsp
+(``scipy.sparse.csgraph.min_weight_full_bipartite_matching``) instead. So
+matching needs no ``scipy.optimize``.
 """
 
 from dataclasses import dataclass, field
@@ -135,25 +138,43 @@ def match_batch(
         pairs=tuple((req_ids[i], drv_ids[j]) for i, j in enumerate(col_of) if j >= 0))
 
 
+# The repair visits at most (free members) x |S| x |L| cells; a window above
+# this goes to LAPJVsp, whose compiled loop wins on large windows.
+_REPAIR_CELLS = 8192
+_INF = float("inf")
+
+
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A minimum-cost assignment of min(rows, cols) pairs of the non-empty,
     finite and non-negative ``cost``, as ``(row_ind, col_ind)`` with rows
     ascending, like ``scipy.optimize.linear_sum_assignment``.
 
-    The smaller side S (k nodes) is matched into the larger side L. When
-    S's cheapest L-nodes are all distinct, each S-node takes its own and no
-    solve is needed. Otherwise each S-node keeps only its k cheapest L-nodes
-    (one of them is free in any assignment that uses a dearer one, so some
-    optimum uses only those), and that sparse graph is solved exactly. Its
-    costs are shifted by +1.0, as the matcher drops zero entries; every full
-    assignment's total moves by k.
+    The smaller side S (k nodes) is matched into the larger side L. Each
+    S-node first takes its cheapest L-node, in S order, and is left free
+    when an earlier one took it (:func:`_repair` then places the free ones).
+    When that repair would visit more than ``_REPAIR_CELLS`` cells, each
+    S-node instead keeps only its k cheapest L-nodes (one of them is free in
+    any assignment that uses a dearer one, so some optimum uses only those),
+    and LAPJVsp solves that sparse graph exactly. Its costs are shifted by
+    +1.0, as the matcher drops zero entries; every full assignment's total
+    moves by k.
     """
     flip = cost.shape[0] > cost.shape[1]
     a = cost.T if flip else cost
     k, n = a.shape
-    best = a.argmin(axis=1)
-    if len(np.unique(best)) == k:
-        s_ind, l_ind = np.arange(k), best
+    l_of = a.argmin(axis=1).tolist()
+    s_of = [-1] * n
+    free = []
+    for s, j in enumerate(l_of):
+        if s_of[j] < 0:
+            s_of[j] = s
+        else:
+            free.append(s)
+            l_of[s] = -1
+    if len(free) * k * n <= _REPAIR_CELLS:
+        if free:
+            _repair(a.tolist(), l_of, s_of, free)
+        s_ind, l_ind = np.arange(k), np.array(l_of)
     else:
         keep = np.argpartition(a, k - 1, axis=1)[:, :k]
         graph = csr_matrix((np.take_along_axis(a, keep, axis=1).ravel() + 1.0,
@@ -163,6 +184,51 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return s_ind, l_ind
     order = np.argsort(l_ind)
     return l_ind[order], s_ind[order]
+
+
+def _repair(a: list, l_of: list, s_of: list, free: list) -> None:
+    """Complete the partial assignment ``l_of`` (S -> L, -1 when free; its
+    inverse is ``s_of``) in place, by one shortest augmenting path per free
+    S-node.
+
+    The L-nodes carry prices ``v``, starting at 0, under which each matched
+    edge is its row's cheapest: the greedy start holds that. Dijkstra from
+    the free node over reduced costs ``a[s][j] - v[j]`` finds the nearest
+    free L-node; the prices of the L-nodes it settled drop by how much
+    nearer they were, which keeps every matched edge cheapest in its row,
+    and the path is then flipped (Jonker and Volgenant's augmentation step).
+    """
+    n = len(s_of)
+    v = [0.0] * n
+    for s0 in free:
+        dist = [c - p for c, p in zip(a[s0], v)]
+        pred = [s0] * n
+        todo = list(range(n))
+        done = []                       # (settled L-node, its distance)
+        while True:
+            d = min(dist)
+            j = dist.index(d)
+            s = s_of[j]
+            if s < 0:
+                break
+            dist[j] = _INF              # settled: out of the next minimum
+            todo.remove(j)
+            done.append((j, d))
+            row = a[s]
+            h = d - row[j] + v[j]
+            for t in todo:
+                dt = h + row[t] - v[t]
+                if dt < dist[t]:
+                    dist[t] = dt
+                    pred[t] = s
+        for t, dt in done:
+            v[t] += dt - d
+        while True:
+            s = pred[j]
+            s_of[j] = s
+            l_of[s], j = j, l_of[s]
+            if s == s0:
+                break
 
 
 def _optimal_support(cost: np.ndarray) -> tuple:
@@ -197,7 +263,7 @@ def _optimal_support(cost: np.ndarray) -> tuple:
     dist = np.zeros(k)
     for _ in range(k + 1):
         relaxed = (dist[:, None] + step).min(axis=0)
-        if np.array_equal(relaxed, dist):
+        if (relaxed == dist).all():
             break
         dist = relaxed
     v = np.minimum(0.0, (dist[:, None] + a - a_m[:, None]).min(axis=0))

@@ -1,22 +1,26 @@
 """Matching, offer and settlement tests.
 
 match_instant is checked against a brute-force argmin; the assignment solve
-against scipy.optimize's, which it replaced; match_batch against exhaustive
-enumeration of every maximum-size assignment, including the lexicographic
-tie-break, and against the re-solve reconstruction it replaced (one
-assignment solve per candidate pair). Enumeration instances use integer
+against scipy.optimize's, which it replaced, through each of its two paths
+(the shortest-augmenting-path repair of the greedy start, and LAPJVsp above
+the repair bound), and for the path each window takes; match_batch against
+exhaustive enumeration of every maximum-size assignment, including the
+lexicographic tie-break, and against the re-solve reconstruction it replaced
+(one assignment solve per candidate pair). Enumeration instances use integer
 costs so equality is exact.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from ridesim import platforms
+from ridesim import platforms, presets
 from ridesim.decisions import build_decision_set
 from ridesim.engine import run_day
+from ridesim.experiments import parse_plan, run_grid
 from ridesim.netgraph import SkimMatrix, build_skim, grid_city
 from ridesim.platforms import (
     match_batch,
@@ -198,6 +202,11 @@ def test_instant_matches_brute_force_on_random_instances():
 
 # ---------------------------------------------------- linear_sum_assignment
 
+@pytest.fixture(scope="module")
+def city_skim():
+    return build_skim(grid_city(30, 30, 500.0, 10.0))
+
+
 def assert_optimal_assignment(cost):
     rows, cols = platforms.linear_sum_assignment(cost)
     assert len(rows) == len(cols) == min(cost.shape)
@@ -206,11 +215,20 @@ def assert_optimal_assignment(cost):
     assert _close(float(cost[rows, cols].sum()), _lap_cost(cost))
 
 
+@pytest.fixture(params=["repair", "lapjvsp"])
+def solve_path(request, monkeypatch):
+    """Send every window with a free member down one path: a bound of 0
+    leaves only the greedy start (no free member) to the repair."""
+    bound = 10 ** 12 if request.param == "repair" else 0
+    monkeypatch.setattr(platforms, "_REPAIR_CELLS", bound)
+    return request.param
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (6, 6), (40, 40),
                                    (5, 17), (17, 5), (30, 90), (90, 30)])
 @pytest.mark.parametrize("kind", ["float", "integer"])
-def test_solver_total_matches_scipy_optimize(shape, kind):
+def test_solver_total_matches_scipy_optimize(solve_path, shape, kind):
     # scipy.optimize is the oracle; integer costs in [0, 3) give many ties
     # and zero entries, which the matcher would drop unshifted
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
@@ -224,15 +242,60 @@ def test_solver_total_matches_scipy_optimize(shape, kind):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flip", [False, True], ids=["wide", "tall"])
-def test_solver_distinct_cheapest_columns_need_no_solve(monkeypatch, flip):
-    def no_solve(graph):
-        raise AssertionError("solved although each row's cheapest column is its own")
+@pytest.mark.parametrize("k,n", [(9, 38), (17, 72), (20, 20), (40, 40)])
+def test_solver_on_city_skim_ties(solve_path, city_skim, k, n, flip):
+    # pickup times on a grid are whole multiples of one block, so many
+    # members share a cheapest partner and many paths tie
+    n_nodes = city_skim.travel_time.shape[0]
+    rng = np.random.default_rng(k * 1000 + n)
+    for _ in range(10):
+        small = rng.integers(0, n_nodes, size=k)
+        large = rng.integers(0, n_nodes, size=n)
+        cost = city_skim.travel_time[np.ix_(small, large)]
+        assert_optimal_assignment(cost.T if flip else cost)
 
-    monkeypatch.setattr(platforms, "min_weight_full_bipartite_matching", no_solve)
-    cost = np.array([[5.0, 0.0, 7.0, 9.0], [1.0, 4.0, 8.0, 2.0], [6.0, 6.0, 3.0, 6.0]])
-    rows, cols = platforms.linear_sum_assignment(cost.T if flip else cost)
-    # the cost is symmetric in its first two rows and columns
-    assert list(zip(rows.tolist(), cols.tolist())) == [(0, 1), (1, 0), (2, 2)]
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(1, 1), (7, 7), (7, 19), (19, 7)])
+def test_solver_all_equal_costs(solve_path, shape):
+    # every member of the smaller side but the first starts free
+    assert_optimal_assignment(np.full(shape, 3.0))
+
+
+def _no_free_member():
+    # each row's cheapest column is its own; the cost is symmetric in its
+    # first two rows and columns
+    return np.array([[5.0, 0.0, 7.0, 9.0], [1.0, 4.0, 8.0, 2.0], [6.0, 6.0, 3.0, 6.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flip", [False, True], ids=["wide", "tall"])
+@pytest.mark.parametrize("cost, cells, lapjvsp", [
+    (_no_free_member(), 0, 0),
+    (np.full((3, 5), 3.0), 2 * 3 * 5, 0),
+    (np.full((16, 32), 3.0), 15 * 16 * 32, 0),
+    (np.full((17, 32), 3.0), 16 * 17 * 32, 1),
+    (np.full((40, 40), 3.0), 39 * 40 * 40, 1),
+], ids=["no-free-member", "3x5", "16x32", "17x32", "40x40"])
+def test_solver_takes_lapjvsp_only_above_the_repair_bound(monkeypatch, cost, cells,
+                                                          lapjvsp, flip):
+    # ``cells`` is free members x |S| x |L| for the greedy start
+    assert (cells > platforms._REPAIR_CELLS) == bool(lapjvsp)
+    solve = platforms.min_weight_full_bipartite_matching
+    calls = []
+
+    def spy(graph):
+        if not lapjvsp:
+            raise AssertionError("LAPJVsp called on a window within the repair bound")
+        calls.append(graph.shape)
+        return solve(graph)
+
+    monkeypatch.setattr(platforms, "min_weight_full_bipartite_matching", spy)
+    assert_optimal_assignment(cost.T if flip else cost)
+    assert len(calls) == lapjvsp
+    if cells == 0:
+        rows, cols = platforms.linear_sum_assignment(cost.T if flip else cost)
+        assert list(zip(rows.tolist(), cols.tolist())) == [(0, 1), (1, 0), (2, 2)]
 
 
 # -------------------------------------------------------------- match_batch
@@ -325,11 +388,6 @@ def test_batch_matches_reference_on_float_instances():
         assert_matches_reference(requests, drv_ids, positions, skim)
 
 
-@pytest.fixture(scope="module")
-def city_skim():
-    return build_skim(grid_city(30, 30, 500.0, 10.0))
-
-
 @pytest.mark.parametrize("nr,nd", [(38, 9), (72, 14), (72, 340), (340, 20)])
 def test_batch_matches_reference_on_city_skim(city_skim, nr, nd):
     # grid travel times are whole multiples of one block, so ties are common;
@@ -369,6 +427,32 @@ def test_batched_run_solves_once_per_batch(monkeypatch):
             build_decision_set(config.decisions, config.behaviour))
     assert counts["batch"] > 10
     assert counts["solve"] == counts["batch"]
+
+
+@pytest.mark.parametrize("name", ["e1", "e3", "e4"])
+def test_instant_presets_never_solve(monkeypatch, name):
+    # the instant benchmark workloads (an e1-like city, an e3 sweep and e4's
+    # days) never reach the batch solver, so a change to it cannot move them
+    calls = []
+
+    def spy(cost):
+        calls.append(cost.shape)
+        raise AssertionError("an instant platform reached the batch solver")
+
+    monkeypatch.setattr(platforms, "linear_sum_assignment", spy)
+    raw = json.loads(presets.read_text(name))
+    if name == "e3":
+        # one cell of the plan, one replication
+        raw["grid"] = {key: values[:1] for key, values in raw["grid"].items()}
+        raw["replications"] = 1
+        rows = run_grid(parse_plan(raw))
+        assert len(rows) == 1
+    else:
+        config = parse_config(raw)
+        result = run_day(config, materialize(config),
+                         build_decision_set(config.decisions, config.behaviour))
+        assert result.log
+    assert calls == []
 
 
 def test_batch_no_duplicate_sides():
