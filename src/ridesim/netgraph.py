@@ -4,6 +4,13 @@ The network is a strongly connected directed graph with free-flow edge speeds;
 travel times are continuous seconds. The skim stores both shortest travel time
 and the distance of that same minimizing path, so fares (per km) and ETAs
 (per second) come from a single lookup.
+
+``build_skim`` takes one of two exact searches, chosen by the data. A network
+whose edge times and lengths are all whole numbers, and whose paths are short
+enough that a time and a length packed into one float stay exact integers,
+gets one Dijkstra search on the packed weights; any other network gets one
+search on times and then one search per source on lengths. The
+``build_skim`` docstring states the exact condition.
 """
 
 import math
@@ -174,39 +181,97 @@ def save_graph(net: RoadNetwork, nodes_path: str | Path, edges_path: str | Path)
               ((e.src, e.dst, e.length_m, e.speed_mps) for e in net.edges), "\n")
 
 
-def build_skim(net: RoadNetwork) -> SkimMatrix:
-    """All-pairs shortest paths under the lexicographic (time, distance) cost.
-
-    One Dijkstra search over all sources gives the travel times. Per source,
-    a second search over the edges that lie on a fastest path (``t[s, u] +
-    et == t[s, v]``), weighted by length, gives the shortest of those paths.
-    A sum of finite edge times or lengths can overflow: a path whose time or
-    length is not finite is a ``ConfigError``.
-    """
-    n = net.n
+def _distinct_edges(net: RoadNetwork):
+    """``(src, dst, et, el)``: the sources, targets, times and lengths of
+    ``net``'s edges, sorted by source and target, with one edge per node
+    pair. Of parallel edges the fastest is kept, ties to the shorter, since
+    scipy sums duplicates when it canonicalises a matrix."""
     src = np.array([e.src for e in net.edges], dtype=np.int64)
     dst = np.array([e.dst for e in net.edges], dtype=np.int64)
     et = np.array([e.travel_time_s for e in net.edges])
     el = np.array([e.length_m for e in net.edges])
-    # parallel edges: keep the fastest, ties to the shorter, so the matrix
-    # has one entry per node pair (scipy sums duplicates when it
-    # canonicalises a matrix)
     order = np.lexsort((el, et, dst, src))
     src, dst, et, el = src[order], dst[order], et[order], el[order]
     first = np.ones(len(src), dtype=bool)
     first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    src, dst, et, el = src[first], dst[first], et[first], el[first]
-    indptr = np.searchsorted(src, np.arange(n + 1))
-    graph = csr_matrix((et.copy(), dst, indptr), shape=(n, n))
+    return src[first], dst[first], et[first], el[first]
+
+
+def _graph(n: int, src, dst, weights) -> csr_matrix:
+    """The n x n matrix of the sorted distinct edges, holding ``weights``."""
+    return csr_matrix((weights, dst, np.searchsorted(src, np.arange(n + 1))), shape=(n, n))
+
+
+def _packing_scale(n: int, et, el) -> int | None:
+    """The scale ``m`` of ``build_skim``'s packed search on the distinct
+    edge times ``et`` and lengths ``el``, or None when, by the condition
+    ``build_skim`` states, the packed sums would not be exact. ``m`` is
+    above ``(n - 1) * max(el)``, the most a simple path can measure."""
+    if not (np.array_equal(np.floor(et), et) and np.array_equal(np.floor(el), el)):
+        return None
+    max_t, max_l = et.max(initial=0.0), el.max(initial=0.0)
+    if not max(max_t, max_l) < 2 ** 53:     # too large to pack, and keeps inf from int()
+        return None
+    max_t, max_l = int(max_t), int(max_l)
+    m = 1 << ((n - 1) * max_l).bit_length()
+    return m if (n - 1) * (max_t * m + max_l) < 2 ** 53 else None
+
+
+def _two_pass_search(n: int, src, dst, et, el):
+    """``(travel_time, distance)`` of the distinct edges ``_distinct_edges``
+    returns: one search over all sources gives the times; per source, a
+    second search over the edges that lie on a fastest path (``t[s, u] + et
+    == t[s, v]``), weighted by length, gives the shortest of those paths."""
+    graph = _graph(n, src, dst, et.copy())
     tt = dijkstra(graph)
     dist = np.empty((n, n))
     for s in range(n):
         row = tt[s]
         graph.data[:] = np.where(row[src] + et == row[dst], el, np.inf)
         dist[s] = dijkstra(graph, indices=s)
+    return tt, dist
+
+
+def _require_finite(net: RoadNetwork, tt, dist) -> None:
     if not (tt.max() < np.inf and dist.max() < np.inf):     # NaN fails too
         u, v = np.argwhere(~(np.isfinite(tt) & np.isfinite(dist)))[0]
-        raise ConfigError(net.edges_source or f"RoadNetwork({n} nodes)",
+        raise ConfigError(net.edges_source or f"RoadNetwork({net.n} nodes)",
                           f"the fastest path from node {u} to node {v} "
                           f"takes {float(tt[u, v])} s over {float(dist[u, v])} m, not both finite")
+
+
+def build_skim(net: RoadNetwork) -> SkimMatrix:
+    """All-pairs shortest paths under the lexicographic (time, distance) cost.
+
+    With ``m`` the smallest power of two above ``(n - 1) * max_length``,
+    when every edge time and length (parallel edges reduced to the fastest,
+    then shortest) is a whole number and ``(n - 1) * (max_time * m +
+    max_length) < 2**53``, one Dijkstra search over all sources runs on the
+    weights ``time * m + length``. Every path sum is then an exact integer,
+    so the least packed weight is the least (time, distance) pair, and the
+    matrix splits into times and distances exactly. Any other network, such
+    as one with a fractional edge time, takes ``_two_pass_search``. Both
+    give the same matrices where both apply.
+
+    A sum of finite edge times or lengths can overflow: a path whose time or
+    length is not finite is a ``ConfigError``.
+    """
+    n = net.n
+    src, dst, et, el = _distinct_edges(net)
+    m = _packing_scale(n, et, el)
+    if m is None:
+        tt, dist = _two_pass_search(n, src, dst, et, el)
+        _require_finite(net, tt, dist)
+    else:
+        dist = dijkstra(_graph(n, src, dst, et * m + el))
+        # packed sums cannot overflow, so only an unreachable pair is not
+        # finite; check before the split, which turns its inf into nan
+        _require_finite(net, dist, dist)
+        # in place, so only two n x n matrices are alive; all exact, since m
+        # is a power of two
+        tt = dist / m
+        np.floor(tt, out=tt)
+        tt *= m
+        dist -= tt
+        tt /= m
     return SkimMatrix(travel_time=tt, distance=dist)

@@ -3,17 +3,21 @@
 Skim results are checked against an independent brute-force oracle that
 enumerates every simple path (feasible for graphs up to 8 nodes), against the
 per-source heap Dijkstra the package used before its scipy search, and against
-hand-computed values on grids and line graphs.
+hand-computed values on grids and line graphs. Where ``build_skim`` takes its
+packed search, the two-pass search is its oracle too, bit for bit.
 """
 
 import heapq
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ridesim import netgraph, presets
 from ridesim.errors import ConfigError
+from ridesim.experiments import parse_plan
 from ridesim.netgraph import (
     Edge,
     Node,
@@ -23,6 +27,7 @@ from ridesim.netgraph import (
     load_graph,
     save_graph,
 )
+from ridesim.scenario import parse_config
 
 
 # ---------------------------------------------------------------- oracles
@@ -127,6 +132,67 @@ def make_net(n, edge_tuples):
     return RoadNetwork(nodes=tuple(nodes), edges=tuple(edges))
 
 
+def spy_two_pass(mp):
+    """Route ``netgraph._two_pass_search`` through a spy on the monkeypatch
+    ``mp``; return the list that records its calls."""
+    calls = []
+    two_pass = netgraph._two_pass_search
+
+    def spy(*args):
+        calls.append(args)
+        return two_pass(*args)
+
+    mp.setattr(netgraph, "_two_pass_search", spy)
+    return calls
+
+
+def skim_by_path(net):
+    """``(skim, path)``: ``build_skim(net)`` and the search it took,
+    "packed" or "two-pass"."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_two_pass(mp)
+        sk = build_skim(net)
+    return sk, "two-pass" if calls else "packed"
+
+
+def assert_packed_matches_two_pass(net):
+    """``build_skim(net)``, which must take the packed search and give
+    matrices bit-identical to the two-pass search's."""
+    sk, path = skim_by_path(net)
+    assert path == "packed"
+    tt, dist = netgraph._two_pass_search(net.n, *netgraph._distinct_edges(net))
+    assert sk.travel_time.tobytes() == tt.tobytes()
+    assert sk.distance.tobytes() == dist.tobytes()
+    return sk
+
+
+# the largest L that packs bound_graph(L): 3L = 2**26 - 1, so m = 2**26 and
+# 3 * (2L * m + L) = 2**53 - 2**26 - 1; at L + 1, m doubles past the bound
+AT_BOUND = (2 ** 26 - 1) // 3
+
+
+def bound_graph(length):
+    """Four nodes whose largest edge time is 2 * length s and largest edge
+    length ``length`` m; 0->1->2 and 0->2 tie at that time over unequal
+    lengths, and the path 0->2->3 packs to more than 2**52."""
+    L = float(length)
+    return make_net(4, [
+        (0, 1, L, 1.0), (1, 2, L, 1.0), (0, 2, L, 0.5),
+        (1, 0, L, 1.0), (2, 1, L, 1.0),
+        (2, 3, L - 1, 0.5), (3, 2, L - 1, 0.5), (3, 0, L - 1, 1.0),
+    ])
+
+
+def preset_networks():
+    """``(name, network)`` for every distinct graph of the bundled presets'
+    configs and plan cells."""
+    for name in presets.names():
+        raw = json.loads(presets.read_text(name))
+        configs = [c for _, c in parse_plan(raw).cells] if "base" in raw else [parse_config(raw)]
+        for graph in {c.graph for c in configs}:
+            yield name, graph.build()
+
+
 # ---------------------------------------------------------------- grid_city
 
 def test_grid_2x2_counts():
@@ -222,7 +288,7 @@ def test_skim_matches_bruteforce_on_random_graphs():
     for _ in range(150):
         n = int(rng.integers(2, 9))
         edges = random_strongly_connected(rng, n)
-        sk = build_skim(make_net(n, edges))
+        sk = assert_packed_matches_two_pass(make_net(n, edges))
         tt, dist = oracle_skim(n, edges)
         assert sk.travel_time.tolist() == tt
         assert sk.distance.tolist() == dist
@@ -247,10 +313,33 @@ def test_skim_matches_bruteforce_with_ragged_speeds():
 def test_skim_matches_heap_search_on_benchmark_city():
     # the 30x30 city of the perfbench instant and batched workloads
     net = grid_city(30, 30, 500.0, 10.0)
-    sk = build_skim(net)
+    sk = assert_packed_matches_two_pass(net)
     tt, dist = heap_skim(net)
     assert sk.travel_time.tolist() == tt
     assert sk.distance.tolist() == dist
+
+
+def test_path_as_long_as_the_packing_scale_allows():
+    # a line of five nodes and 256 m edges: 0 -> 4 measures (n - 1) * 256 =
+    # 2**10 m, so the scale must be above 2**10; at 2**10 the packed weight
+    # would read as one more second and no metres
+    edges = [(a, a + 1, 256.0, 16.0) for a in range(4)] + [(a + 1, a, 256.0, 16.0) for a in range(4)]
+    sk = assert_packed_matches_two_pass(make_net(5, edges))
+    assert (sk.travel_time[0, 4], sk.distance[0, 4]) == (64.0, 1024.0)
+
+
+@pytest.mark.parametrize("length", [AT_BOUND, AT_BOUND + 1], ids=["at", "past"])
+def test_skim_at_the_packing_bound(length):
+    net = bound_graph(length)
+    sk, path = skim_by_path(net)
+    tt, dist = oracle_skim(4, [(e.src, e.dst, e.length_m, e.speed_mps) for e in net.edges])
+    assert sk.travel_time.tolist() == tt
+    assert sk.distance.tolist() == dist
+    assert (sk.travel_time[0, 2], sk.distance[0, 2]) == (2.0 * length, float(length))
+    if length == AT_BOUND:
+        assert_packed_matches_two_pass(net)
+    else:
+        assert path == "two-pass"
 
 
 def test_skim_matches_heap_search_with_parallel_edges():
@@ -266,10 +355,14 @@ def test_skim_matches_heap_search_with_parallel_edges():
             edges = [(a, b, ln * float(rng.uniform(0.7, 1.3)), sp / 3.0)
                      for a, b, ln, sp in edges]
         net = make_net(n, edges)
-        sk = build_skim(net)
+        sk, path = skim_by_path(net)
         tt, dist = heap_skim(net)
         assert sk.travel_time.tolist() == tt
         assert sk.distance.tolist() == dist
+        if i % 2:
+            assert path == "two-pass"
+        else:
+            assert_packed_matches_two_pass(net)
 
 
 def test_parallel_edges_hand_computed():
@@ -284,17 +377,36 @@ def test_parallel_edges_hand_computed():
     assert sk.distance[0, 1] == 50.0
 
 
-def test_skim_peak_memory_bounded():
-    # two n x n result matrices plus per-source rows; an n x E temporary
-    # would add about 3.9 * 8 n^2 on this grid
-    net = grid_city(30, 30, 500.0, 10.0)
+@pytest.mark.parametrize("speed, path", [(10.0, "packed"), (7.0, "two-pass")])
+def test_skim_peak_memory_bounded(speed, path):
+    # two n x n matrices on either path: the packed search's result and its
+    # split, or the times and distances plus per-source rows; an n x E
+    # temporary would add about 3.9 * 8 n^2 on this grid
+    net = grid_city(30, 30, 500.0, speed)
     tracemalloc.start()
     try:
-        build_skim(net)
+        _, taken = skim_by_path(net)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert taken == path
     assert peak < 3 * 8 * net.n ** 2
+
+
+@pytest.mark.parametrize("net, path", [
+    *(pytest.param(net, "packed", id=f"preset-{name}") for name, net in preset_networks()),
+    pytest.param(grid_city(4, 5, 350.0, 7.0), "packed", id="50s-edges"),
+    pytest.param(grid_city(4, 5, 250.0, 8.0), "two-pass", id="31.25s-edges"),
+    pytest.param(make_net(3, [(0, 1, 100.0, 3.0), (1, 2, 100.0, 10.0), (2, 0, 100.0, 10.0)]),
+                 "two-pass", id="ragged-speed"),
+    pytest.param(make_net(2, [(0, 1, 100.5, 0.5), (1, 0, 100.0, 10.0)]),
+                 "two-pass", id="fractional-length"),
+    # of two parallel edges, only the kept one's numbers count
+    pytest.param(make_net(2, [(0, 1, 100.0, 10.0), (0, 1, 100.0, 3.0), (1, 0, 100.0, 10.0)]),
+                 "packed", id="ragged-parallel-edge-dropped"),
+])
+def test_search_chosen_by_the_data(net, path):
+    assert skim_by_path(net)[1] == path
 
 
 def test_triangle_inequality_on_random_graph():
@@ -387,6 +499,18 @@ def test_skim_path_that_overflows_rejected():
         build_skim(net)
 
 
+@pytest.mark.parametrize("speed, path", [(10.0, "packed"), (3.0, "two-pass")])
+def test_skim_unreachable_pair_rejected_alike_on_both_paths(monkeypatch, speed, path):
+    # built directly, so not checked for strong connectivity: nothing
+    # leads to node 2; the packed search must not report its inf as nan
+    net = make_net(3, [(0, 1, 100.0, speed), (1, 0, 100.0, speed), (2, 0, 100.0, speed)])
+    calls = spy_two_pass(monkeypatch)
+    with pytest.raises(ConfigError, match=r"^the fastest path from node 0 to node 2 takes "
+                       r"inf s over inf m, not both finite: RoadNetwork\(3 nodes\)$"):
+        build_skim(net)
+    assert ("two-pass" if calls else "packed") == path
+
+
 def test_skim_overflow_names_a_network_built_without_a_source():
     # built directly, not by grid_city or load_graph: edges_source is ""
     net = make_net(3, [(0, 1, 1e308, 1e300), (1, 2, 1e308, 1e300),
@@ -405,6 +529,18 @@ def _write_graph(tmp_path, n, edge_pairs):
     )
     (tmp_path / "nodes.csv").write_text(nodes)
     (tmp_path / "edges.csv").write_text(edges)
+
+
+def test_one_node_network_without_edges(tmp_path):
+    (tmp_path / "nodes.csv").write_text("node_id,x,y\n0,0,0\n")
+    (tmp_path / "edges.csv").write_text("from,to,length_m,speed_mps\n")
+    net = load_graph(tmp_path / "nodes.csv", tmp_path / "edges.csv")
+    assert (net.n, net.edges) == (1, ())
+    sk, path = skim_by_path(net)
+    assert path == "packed"
+    assert sk.travel_time.tolist() == [[0.0]]
+    assert sk.distance.tolist() == [[0.0]]
+    assert_packed_matches_two_pass(net)
 
 
 def test_load_graph_from_explicit_paths(tmp_path):
